@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldState, field_rhs
+from .lattice import apply
 from .schrodinger import WaveFunction, schrodinger_rhs
 
 BLOCKS = ("phi", "p", "varphi", "pi")
@@ -287,7 +288,7 @@ def dirac_flow_check(op, layout, tol=1e-12, rng=None, batch=5, dirac=None):
     for _ in range(int(batch)):
         phi = rng.standard_normal(n)
         p = rng.standard_normal(n)
-        varphi = -op.matrix @ phi
+        varphi = -apply(op, phi)
 
         grad_wave = layout.gradient_of_integral(varphi / op.hbar, p / op.hbar)
         flow_wave = wave_sector @ grad_wave
@@ -297,7 +298,7 @@ def dirac_flow_check(op, layout, tol=1e-12, rng=None, batch=5, dirac=None):
         worst_wave = max(worst_wave, float(np.max(np.abs(flow_wave - ref))) / scale)
 
         grad_field = layout.gradient_of_integral(
-            op.matrix @ (op.matrix @ phi) / op.hbar, p / op.hbar
+            apply(op, apply(op, phi)) / op.hbar, p / op.hbar
         )
         flow_field = field_sector @ grad_field
         dphi, dp = field_rhs(op, FieldState(phi=phi, p=p))

@@ -102,6 +102,17 @@ def _reject_unknown(mapping, allowed, where):
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def _finite_number(raw, key, default):
+    """raw[key] as a finite float; JSON admits NaN and Infinity, the physics does not."""
+    try:
+        value = float(raw.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a number, got {raw[key]!r}") from exc
+    if not np.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return value
+
+
 def config_from_dict(raw):
     """Validate a raw config mapping and fill in defaults."""
     if not isinstance(raw, dict):
@@ -164,8 +175,10 @@ def config_from_dict(raw):
     if fault and fault not in FAULTS:
         raise ConfigError(f"unknown fault {fault!r}; choose from {FAULTS}")
 
-    dt = float(raw.get("dt", 1e-3))
-    t_final = float(raw.get("t_final", 1.0))
+    dt = _finite_number(raw, "dt", 1e-3)
+    t_final = _finite_number(raw, "t_final", 1.0)
+    hbar = _finite_number(raw, "hbar", 1.0)
+    mass = _finite_number(raw, "mass", 1.0)
     if dt <= 0.0:
         raise ConfigError("dt must be positive")
     if t_final <= 0.0:
@@ -177,8 +190,8 @@ def config_from_dict(raw):
         x_max=float(grid_raw["x_max"]),
         boundary=grid_raw.get("boundary", "dirichlet"),
         potential=potential,
-        hbar=float(raw.get("hbar", 1.0)),
-        mass=float(raw.get("mass", 1.0)),
+        hbar=hbar,
+        mass=mass,
         initial_state=initial,
         integrator=integrator,
         dt=dt,

@@ -142,11 +142,10 @@ def step_rk4(op, s, dt):
     bound = rk4_stability_bound(op)
     if not 0.0 < dt < bound:
         raise StabilityError(dt, bound, "rk4")
-    k = op.matrix
     hbar = op.hbar
 
     def rhs(phi, p, varphi):
-        return p / hbar, (k @ varphi) / hbar, -(k @ p) / hbar
+        return p / hbar, apply(op, varphi) / hbar, -apply(op, p) / hbar
 
     y = (s.phi, s.p, s.varphi)
     k1 = rhs(*y)
@@ -206,8 +205,8 @@ def lagrangian_residuals(op, traj):
     dt = quadrature.uniform_dt(traj.times)
     phi = traj.stack("phi")
     varphi = traj.stack("varphi")
-    r1 = op.hbar * op.hbar * quadrature.d2dt2_interior(phi, dt) - varphi[1:-1] @ op.matrix
-    r2 = varphi + phi @ op.matrix
+    r1 = op.hbar * op.hbar * quadrature.d2dt2_interior(phi, dt) - apply(op, varphi[1:-1])
+    r2 = varphi + apply(op, phi)
     return r1, r2
 
 
@@ -222,7 +221,7 @@ def singular_action(op, traj):
     phi = traj.stack("phi")
     varphi = traj.stack("varphi")
     phi_dot = quadrature.ddt(phi, dt)
-    kphi = phi @ op.matrix
+    kphi = apply(op, phi)
     density = (
         0.5 * op.hbar * phi_dot * phi_dot
         + 0.5 * varphi * varphi / op.hbar

@@ -166,7 +166,7 @@ def field_action(op, traj):
     dt = quadrature.uniform_dt(traj.times)
     phi = traj.phi_matrix()
     phi_dot = quadrature.ddt(phi, dt)
-    kphi = phi @ op.matrix
+    kphi = apply(op, phi)
     density = 0.5 * op.hbar * phi_dot * phi_dot - 0.5 * kphi * kphi / op.hbar
     integrand = op.grid.dx * density.sum(axis=1)
     return quadrature.trapezoid(integrand, dt)
@@ -182,7 +182,7 @@ def field_equation_residuals(op, traj):
     phi = traj.phi_matrix()
     p = traj.p_matrix()
     r1 = op.hbar * quadrature.ddt_interior(phi, dt) - p[1:-1]
-    r2 = op.hbar * quadrature.ddt_interior(p, dt) + (phi[1:-1] @ op.matrix) @ op.matrix
+    r2 = op.hbar * quadrature.ddt_interior(p, dt) + apply(op, apply(op, phi[1:-1]))
     return r1, r2
 
 
@@ -190,7 +190,7 @@ def second_order_residual(op, values, dt):
     """Residual of hbar^2 f_ddot + K^2 f for sampled f, on interior samples."""
     values = np.asarray(values, dtype=float)
     fddot = quadrature.d2dt2_interior(values, dt)
-    return op.hbar * op.hbar * fddot + (values[1:-1] @ op.matrix) @ op.matrix
+    return op.hbar * op.hbar * fddot + apply(op, apply(op, values[1:-1]))
 
 
 def rescale_state(s, grid, hbar):

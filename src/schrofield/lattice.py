@@ -6,6 +6,12 @@ second-order central-difference Laplacian with either a Dirichlet closure
 one. K is symmetric by construction, which keeps every bracket identity
 downstream an exact statement about finite matrices.
 
+K is stored as its three-point stencil: a diagonal array plus one scalar
+nearest-neighbour coupling hbar^2 / (2 m dx^2), which is also the value of
+both corner entries on periodic grids. `apply` is an O(n) stencil product.
+`Operator.matrix` is a dense view that the spectral, Crank-Nicolson and
+bracket layers build on first use and keep for the operator's lifetime.
+
 Discrete conventions shared by the whole package:
 
     integral over x   ->  dx * sum over grid points
@@ -17,7 +23,7 @@ Schrodinger problem are -kappa, so bound spectra sit at negative kappa.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -69,9 +75,14 @@ class Potential:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Symmetric matrix K = (hbar^2/2m) L - diag(V) on a grid."""
+    """Symmetric K = (hbar^2/2m) L - diag(V) on a grid, stored as its stencil.
 
-    matrix: np.ndarray
+    `diagonal` holds K[i, i]; `coupling` is every nearest-neighbour entry,
+    including the two corner entries of a periodic grid.
+    """
+
+    diagonal: np.ndarray
+    coupling: float
     hbar: float
     mass: float
     grid: Grid
@@ -79,6 +90,21 @@ class Operator:
     @property
     def n(self):
         return self.grid.n
+
+    @cached_property
+    def matrix(self):
+        """Dense read-only K, assembled on first use and kept."""
+        n = self.n
+        k = np.zeros((n, n))
+        np.fill_diagonal(k, self.diagonal)
+        idx = np.arange(n - 1)
+        k[idx, idx + 1] = self.coupling
+        k[idx + 1, idx] = self.coupling
+        if self.grid.boundary == PERIODIC:
+            k[0, n - 1] = self.coupling
+            k[n - 1, 0] = self.coupling
+        k.setflags(write=False)
+        return k
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,23 +165,8 @@ def build_grid(n, x_min, x_max, boundary=DIRICHLET):
     return Grid(n=n, dx=dx, x_min=x_min, boundary=boundary)
 
 
-def laplacian_matrix(grid):
-    """Central-difference d2/dx2 with the grid's boundary closure."""
-    n = grid.n
-    w = 1.0 / (grid.dx * grid.dx)
-    lap = np.zeros((n, n))
-    np.fill_diagonal(lap, -2.0 * w)
-    idx = np.arange(n - 1)
-    lap[idx, idx + 1] = w
-    lap[idx + 1, idx] = w
-    if grid.boundary == PERIODIC:
-        lap[0, n - 1] = w
-        lap[n - 1, 0] = w
-    return lap
-
-
 def build_operator(grid, potential, hbar=1.0, mass=1.0):
-    """Assemble K = (hbar^2/2m) L - diag(V); exactly symmetric."""
+    """Assemble the stencil of K = (hbar^2/2m) L - diag(V); exactly symmetric."""
     hbar = float(hbar)
     mass = float(mass)
     if hbar <= 0.0:
@@ -167,17 +178,32 @@ def build_operator(grid, potential, hbar=1.0, mass=1.0):
         raise ValueError(
             f"potential has {v.shape[0]} values for a grid of {grid.n} points"
         )
-    k = (hbar * hbar / (2.0 * mass)) * laplacian_matrix(grid)
-    k[np.arange(grid.n), np.arange(grid.n)] -= v
-    return Operator(matrix=_read_only(k), hbar=hbar, mass=mass, grid=grid)
+    scale = hbar * hbar / (2.0 * mass)
+    w = 1.0 / (grid.dx * grid.dx)
+    # Same rounding as scaling the assembled Laplacian, then subtracting V.
+    return Operator(
+        diagonal=_read_only(scale * (-2.0 * w) - v),
+        coupling=scale * w,
+        hbar=hbar,
+        mass=mass,
+        grid=grid,
+    )
 
 
 def apply(op, f):
-    """Matrix-vector product K f."""
+    """Stencil product K f in O(n); f may be a stack of fields, shape (..., n)."""
     f = np.asarray(f, dtype=float)
-    if f.shape != (op.n,):
-        raise ValueError(f"field has shape {f.shape}, expected ({op.n},)")
-    return op.matrix @ f
+    if f.shape[-1:] != (op.n,):
+        raise ValueError(f"field has shape {f.shape}, expected (..., {op.n})")
+    cf = op.coupling * f
+    out = op.diagonal * f
+    out[..., 1:] += cf[..., :-1]
+    out[..., :-1] += cf[..., 1:]
+    if op.grid.boundary == PERIODIC:
+        # Corners in one strided update: out[0] += cf[-1], out[-1] += cf[0].
+        last = op.n - 1
+        out[..., ::last] += cf[..., ::-last]
+    return out
 
 
 def inner_product(f, g, grid):

@@ -683,13 +683,6 @@ def _current_errors_for_state(cfg, levels, make_state, dt, base_steps=8):
 
 
 def _verify_current_errors(cfg, levels):
-    """Current-residual decay on the internal envelope probe state."""
-    return _current_errors_for_state(
-        cfg, levels, _packet_probe_state, dt=min(cfg.dt, 0.02)
-    )
-
-
-def _current_residual_errors(cfg, levels):
     """Current-residual decay under paired (dx, dt) halving.
 
     Runs on the internal envelope probe rather than the configured initial
@@ -799,7 +792,7 @@ def run_convergence(cfg, out_dir, levels=3, quiet=False):
             max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2)))),
         )
 
-    for level, err in enumerate(_current_residual_errors(cfg, levels)):
+    for level, err in enumerate(_verify_current_errors(cfg, levels)):
         h = cfg.dt / 2**level
         record("current_residual", level, h, err)
 

@@ -169,8 +169,8 @@ def schrodinger_residual(op, traj):
     im = traj.im_matrix()
     re_dot = quadrature.ddt_interior(re, dt)
     im_dot = quadrature.ddt_interior(im, dt)
-    r1 = op.hbar * re_dot + im[1:-1] @ op.matrix
-    r2 = op.hbar * im_dot - re[1:-1] @ op.matrix
+    r1 = op.hbar * re_dot + apply(op, im[1:-1])
+    r2 = op.hbar * im_dot - apply(op, re[1:-1])
     return r1, r2
 
 

@@ -9,6 +9,22 @@ from schrofield import (
 )
 
 
+# Higham's gamma_3 = 3u / (1 - 3u), u the unit roundoff: the componentwise
+# relative forward-error bound of a three-term dot product in any summation
+# order (Accuracy and Stability of Numerical Algorithms, section 3.1).
+_U = np.finfo(float).eps / 2.0
+GAMMA_3 = 3.0 * _U / (1.0 - 3.0 * _U)
+
+
+def stencil_error_bound(op, f):
+    """Bound on |apply(op, f) - K f| when both products round: 2 gamma_3 |K| |f|.
+
+    Each row of K has at most three nonzeros, so each side is a three-term
+    dot product whatever order BLAS or the stencil sums it in.
+    """
+    return 2.0 * GAMMA_3 * (np.abs(op.matrix) @ np.abs(f))
+
+
 @pytest.fixture(scope="session")
 def free3():
     """n=3 Dirichlet free stencil with hbar=1, m=1/2 (unit second difference)."""

@@ -71,6 +71,47 @@ def test_parse_malformed_json_reports_position(tmp_path):
         parse_config(str(path))
 
 
+@pytest.mark.parametrize("key", ["dt", "t_final", "hbar", "mass"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_parse_rejects_non_finite_numbers(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        config_from_dict(_harmonic_cfg(**{key: value}))
+
+
+def test_parse_rejects_non_numeric_numbers():
+    with pytest.raises(ConfigError, match="dt must be a number"):
+        config_from_dict(_harmonic_cfg(dt=None))
+    with pytest.raises(ConfigError, match="mass must be a number"):
+        config_from_dict(_harmonic_cfg(mass=[1.0]))
+
+
+def _run_rejected(tmp_path, capsys, **overrides):
+    """Run a n=50 CN config; return (exit code, stderr, whether --out exists)."""
+    grid = {"n": 50, "x_min": -9.0, "x_max": 9.0}
+    cfg = _write(tmp_path, "c.json", _harmonic_cfg(grid=grid, **overrides))
+    out = tmp_path / "run"
+    code = main(["run-schrodinger", "--config", cfg, "--out", str(out), "--quiet"])
+    return code, capsys.readouterr().err, out.exists()
+
+
+def test_cli_infinite_t_final_is_config_error(tmp_path, capsys):
+    code, err, written = _run_rejected(tmp_path, capsys, t_final=float("inf"))
+    assert (code, written) == (2, False)
+    assert "t_final must be finite" in err
+
+
+def test_cli_infinite_dt_leaves_no_run_directory(tmp_path, capsys):
+    code, err, written = _run_rejected(tmp_path, capsys, dt=float("inf"))
+    assert (code, written) == (2, False)
+    assert "dt must be finite" in err
+
+
+def test_cli_nan_dt_is_config_error(tmp_path, capsys):
+    code, err, written = _run_rejected(tmp_path, capsys, dt=float("nan"))
+    assert (code, written) == (2, False)
+    assert "dt must be finite" in err
+
+
 def test_parse_stability_rules(tmp_path):
     # Crank-Nicolson has no bound; leapfrog rejects with the bound value
     big_dt = _harmonic_cfg(dt=5.0, t_final=10.0)

@@ -28,7 +28,7 @@ from schrofield import (
 from schrofield.constrained import offshell_pi_rate, rk4_stability_bound, rk4_trajectory
 from schrofield.field import FieldTrajectory, spectral_field_trajectory
 
-from conftest import low_mode_coefficients
+from conftest import low_mode_coefficients, stencil_error_bound
 
 
 def _zero_state(n):
@@ -53,7 +53,8 @@ def test_multiplier_examples(small_harmonic, rng):
     assert np.max(np.abs(multiplier_v(op, s) + kn * un / op.hbar)) < 1e-10
     p = rng.standard_normal(40)
     s = ConstrainedState(phi=np.zeros(40), p=p, varphi=np.zeros(40), pi=np.zeros(40))
-    assert np.array_equal(multiplier_v(op, s), -(op.matrix @ p) / op.hbar)
+    err = np.abs(multiplier_v(op, s) + (op.matrix @ p) / op.hbar)
+    assert np.all(err <= stencil_error_bound(op, p) / op.hbar)
 
 
 def test_rhs_zero_and_onshell_eigenmode(small_harmonic):
@@ -65,7 +66,8 @@ def test_rhs_zero_and_onshell_eigenmode(small_harmonic):
     s = make_onshell(op, un / abs(kn), np.zeros(40))
     dphi, dp, dvarphi, dpi = constrained_rhs(op, s)
     assert not dphi.any()
-    assert np.max(np.abs(dp - (op.matrix @ s.varphi) / op.hbar)) == 0.0
+    err = np.abs(dp - (op.matrix @ s.varphi) / op.hbar)
+    assert np.all(err <= stencil_error_bound(op, s.varphi) / op.hbar)
     # varphi is proportional to the eigenmode, so dp = kappa_n varphi / hbar
     assert np.max(np.abs(dp - kn * s.varphi / op.hbar)) < 1e-9
     assert not dpi.any()

@@ -12,6 +12,8 @@ from schrofield import (
     solve_elliptic,
 )
 
+from conftest import stencil_error_bound
+
 
 def test_grid_dirichlet_spacing():
     g = build_grid(3, 0.0, 4.0, "dirichlet")
@@ -110,12 +112,32 @@ def test_apply_matches_dense_oracle(harmonic400, rng):
     op, _ = harmonic400
     f = rng.standard_normal(400)
     dense = np.array([np.dot(op.matrix[i], f) for i in range(400)])
-    assert np.array_equal(apply(op, f), dense)
+    assert np.all(np.abs(apply(op, f) - dense) <= stencil_error_bound(op, f))
+
+
+@pytest.mark.parametrize("boundary, x_max", [("dirichlet", 8.0), ("periodic", 7.5)])
+def test_apply_bitwise_on_exact_data(boundary, x_max, rng):
+    # dx = 1/2, hbar = 1, m = 1/2: the coupling is 4 and the diagonal -8 - V.
+    # With integer V and fields every product and sum is exact in any order,
+    # so the stencil must reproduce the dense product bit for bit.
+    grid = build_grid(15, 0.0, x_max, boundary)
+    assert grid.dx == 0.5
+    v = rng.integers(-5, 6, 15).astype(float)
+    op = build_operator(grid, Potential(v), hbar=1.0, mass=0.5)
+    assert op.coupling == 4.0
+    assert np.array_equal(op.diagonal, -8.0 - v)
+    fields = rng.integers(-9, 10, (3, 15)).astype(float)
+    stacked = apply(op, fields)
+    assert np.array_equal(stacked, fields @ op.matrix)
+    for f, row in zip(fields, stacked):
+        assert np.array_equal(apply(op, f), op.matrix @ f)
+        assert np.array_equal(apply(op, f), row)
 
 
 def test_apply_shape_mismatch(free3):
-    with pytest.raises(ValueError):
-        apply(free3, np.zeros(4))
+    for bad in (np.zeros(4), np.zeros((2, 4)), 1.0):
+        with pytest.raises(ValueError):
+            apply(free3, bad)
 
 
 def test_eigendecompose_free3_closed_form(free3):
