@@ -24,6 +24,9 @@ from .presets import (
 
 INTEGRATORS = ("crank_nicolson", "leapfrog", "rk4", "spectral")
 FAULTS = ("dirac_sign_flip",)
+# Largest t_final / dt a run may take; ample for any study, and it keeps a tiny
+# dt from asking for an endless loop (or a step set of that size) up front.
+MAX_STEPS = 10**7
 
 _TOP_KEYS = {
     "grid",
@@ -183,6 +186,10 @@ def config_from_dict(raw):
         raise ConfigError("dt must be positive")
     if t_final <= 0.0:
         raise ConfigError("t_final must be positive")
+    if t_final / dt > MAX_STEPS:
+        raise ConfigError(
+            f"t_final / dt = {t_final / dt:.3g} steps exceeds the limit of {MAX_STEPS} steps"
+        )
 
     return ScenarioConfig(
         grid_n=int(grid_raw["n"]),

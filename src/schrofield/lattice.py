@@ -8,8 +8,9 @@ downstream an exact statement about finite matrices.
 
 K is stored as its three-point stencil: a diagonal array plus one scalar
 nearest-neighbour coupling hbar^2 / (2 m dx^2), which is also the value of
-both corner entries on periodic grids. `apply` is an O(n) stencil product.
-`Operator.matrix` is a dense view that the spectral, Crank-Nicolson and
+both corner entries on periodic grids. `apply` is an O(n) stencil product,
+and `CayleySolver` solves the Crank-Nicolson system I - i a K in O(n) from
+the same stencil. `Operator.matrix` is a dense view that the spectral and
 bracket layers build on first use and keep for the operator's lifetime.
 
 Discrete conventions shared by the whole package:
@@ -204,6 +205,87 @@ def apply(op, f):
         last = op.n - 1
         out[..., ::last] += cf[..., ::-last]
     return out
+
+
+class CayleySolver:
+    """Solves (I - i a K) x = r for a fixed real a; factored once, O(n) per solve.
+
+    Odd-even cyclic reduction: each level eliminates the odd-numbered unknowns
+    from the even-numbered equations and keeps its multipliers, so a solve is
+    about 2 log2(n) levels of array operations with no loop over grid points.
+    No pivoting is needed for any a: the Hermitian part of I - i a K is I, and
+    Gaussian elimination in a symmetric ordering (cyclic reduction is one) is
+    stable for matrices with positive definite Hermitian part (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 10.4).
+
+    On a periodic grid the corner entries s = -i a coupling are written as
+    s w w^T minus s on the two end diagonals, with w = e_0 + e_{n-1}. The rest
+    is tridiagonal and still of the form I - i a (real symmetric), and one
+    Sherman-Morrison correction, with its vector solved here, puts the corners
+    back (Numerical Recipes, section 2.7).
+    """
+
+    def __init__(self, op, a):
+        n = op.n
+        a = float(a)
+        s = -1j * a * op.coupling
+        diag = 1.0 - 1j * a * op.diagonal
+        periodic = op.grid.boundary == PERIODIC
+        if periodic:
+            diag[[0, -1]] -= s
+        lower = np.full(n, s)
+        upper = np.full(n, s)
+        lower[0] = upper[-1] = 0.0
+        self._levels = []
+        while diag.size > 1:
+            d_odd, l_odd, u_odd = diag[1::2], lower[1::2], upper[1::2]
+            n_even, n_odd = (diag.size + 1) // 2, d_odd.size
+            alpha = -lower[2::2] / d_odd[: n_even - 1]
+            beta = -upper[: 2 * n_odd : 2] / d_odd
+            diag = diag[::2].copy()
+            diag[1:] += alpha * u_odd[: n_even - 1]
+            diag[:n_odd] += beta * l_odd
+            lower = np.zeros(n_even, dtype=complex)
+            lower[1:] = alpha * l_odd[: n_even - 1]
+            upper = np.zeros(n_even, dtype=complex)
+            upper[:n_odd] = beta * u_odd
+            inv = 1.0 / d_odd
+            self._levels.append(
+                (alpha, beta, inv, l_odd * inv, u_odd[: n_even - 1] * inv[: n_even - 1])
+            )
+        self._inv_last = 1.0 / diag
+        self._correction = None
+        if periodic:
+            sw = np.zeros(n, dtype=complex)
+            sw[[0, -1]] = s
+            z = self._solve_tridiagonal(sw)
+            self._correction = z / (1.0 + z[0] + z[-1])
+
+    def _solve_tridiagonal(self, r):
+        odd_parts = []
+        for alpha, beta, _, _, _ in self._levels:
+            r_odd = r[1::2]
+            r_even = r[::2].copy()
+            r_even[1:] += alpha * r_odd[: alpha.size]
+            r_even[: beta.size] += beta * r_odd
+            odd_parts.append(r_odd)
+            r = r_even
+        x = r * self._inv_last
+        for (_, _, inv, p, q), r_odd in zip(reversed(self._levels), reversed(odd_parts)):
+            x_odd = r_odd * inv - p * x[: p.size]
+            x_odd[: q.size] -= q * x[1:]
+            out = np.empty(x.size + p.size, dtype=complex)
+            out[::2] = x
+            out[1::2] = x_odd
+            x = out
+        return x
+
+    def solve(self, rhs):
+        """x with (I - i a K) x = rhs, for one field rhs of shape (n,)."""
+        x = self._solve_tridiagonal(np.asarray(rhs, dtype=complex))
+        if self._correction is not None:
+            x = x - self._correction * (x[0] + x[-1])
+        return x
 
 
 def inner_product(f, g, grid):

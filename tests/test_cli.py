@@ -1,13 +1,22 @@
 import csv
 import json
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from schrofield import schrodinger as sd
 from schrofield.cli import main
-from schrofield.config import ConfigError, config_from_dict, parse_config
+from schrofield.config import (
+    MAX_STEPS,
+    ConfigError,
+    build_scenario,
+    config_from_dict,
+    parse_config,
+)
 from schrofield.render import render_snapshots
+from schrofield.runs import run_schrodinger
 
 
 def _write(tmp_path, name, cfg):
@@ -110,6 +119,64 @@ def test_cli_nan_dt_is_config_error(tmp_path, capsys):
     code, err, written = _run_rejected(tmp_path, capsys, dt=float("nan"))
     assert (code, written) == (2, False)
     assert "dt must be finite" in err
+
+
+def test_cli_tiny_dt_exceeds_step_budget_at_once(tmp_path, capsys):
+    # 1e-300 used to ask for 10^300 steps and hang.
+    start = time.perf_counter()
+    code, err, written = _run_rejected(tmp_path, capsys, dt=1e-300)
+    assert time.perf_counter() - start < 1.0
+    assert (code, written) == (2, False)
+    assert f"limit of {MAX_STEPS} steps" in err
+
+
+def test_parse_accepts_step_budget_exactly():
+    config_from_dict(_harmonic_cfg(dt=0.25, t_final=MAX_STEPS * 0.25))
+    with pytest.raises(ConfigError, match="limit"):
+        config_from_dict(_harmonic_cfg(dt=0.25, t_final=(MAX_STEPS + 1) * 0.25))
+
+
+def _zero_energy_wave_cfg():
+    """Square-well CN run whose wave Hamiltonian starts at about 0.
+
+    Ground-state and mode-40 amplitudes are weighted so their kappa |c|^2
+    cancel; the norm is large and positive.
+    """
+    cfg = {
+        "grid": {"n": 200, "x_min": -10.0, "x_max": 10.0},
+        "potential": {"name": "square_well", "depth": 20.0, "width": 4.0},
+        "integrator": "crank_nicolson",
+        "dt": 1e-3,
+        "t_final": 0.5,
+    }
+    kappa = build_scenario(config_from_dict(cfg), with_initial=False).spectrum.eigenvalues
+    b = np.sqrt(kappa[-1] / -kappa[-41])
+    cfg["initial_state"] = {
+        "type": "modes",
+        "coefficients": [[0, 1000.0, 0.0], [40, 1000.0 * b, 0.0]],
+    }
+    return cfg
+
+
+def test_cli_wave_run_with_near_zero_hamiltonian_completes(tmp_path):
+    # The guard used to scale by |H0| and aborted this run (exit 3) on roundoff.
+    cfg = _write(tmp_path, "zero.json", _zero_energy_wave_cfg())
+    out = tmp_path / "run"
+    assert main(["run-schrodinger", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["drift"]["norm_drift"] < 1e-12 * float(_read_series(out)[0]["norm"])
+
+
+def test_wave_guard_aborts_when_norm_grows(tmp_path, monkeypatch):
+    step = sd.CrankNicolson.step
+
+    def inflating(self, psi):
+        out = step(self, psi)
+        return sd.WaveFunction(re=1.5 * out.re, im=1.5 * out.im, time=out.time)
+
+    monkeypatch.setattr(sd.CrankNicolson, "step", inflating)
+    with pytest.raises(RuntimeError, match="instability: norm grew"):
+        run_schrodinger(config_from_dict(_harmonic_cfg()), tmp_path / "run", quiet=True)
 
 
 def test_parse_stability_rules(tmp_path):

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from schrofield import (
+    Potential,
     WaveFunction,
     WaveTrajectory,
+    build_grid,
+    build_operator,
     hamiltonian_action,
     norm_hamiltonian,
     propagate_spectral,
@@ -219,3 +222,25 @@ def test_stepper_class_matches_one_shot(harmonic400, rng):
     a = CrankNicolson(op, 0.05).step(psi)
     b = step_crank_nicolson(op, psi, 0.05)
     assert np.array_equal(a.re, b.re) and np.array_equal(a.im, b.im)
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65])
+@pytest.mark.parametrize("dt", [1e-3, 0.3, 20.0])
+def test_crank_nicolson_step_matches_dense_cayley_oracle(boundary, n, dt, rng):
+    # Cyclic reduction changes its level layout with n's binary digits, and the
+    # periodic corners go through a Sherman-Morrison correction; V of either
+    # sign and large dt keep the system far from the identity.
+    grid = build_grid(n, -3.0, 3.0, boundary)
+    op = build_operator(grid, Potential(rng.uniform(-30.0, 30.0, n)), hbar=0.7, mass=1.3)
+    psi = WaveFunction(re=rng.standard_normal(n), im=rng.standard_normal(n))
+    got = CrankNicolson(op, dt).step(psi)
+    assert "matrix" not in vars(op)
+    a = 0.5 * dt / op.hbar
+    eye = np.eye(n)
+    want = np.linalg.solve(
+        eye - 1j * a * op.matrix, (eye + 1j * a * op.matrix) @ (psi.re + 1j * psi.im)
+    )
+    err = np.max(np.abs(got.re + 1j * got.im - want)) / np.max(np.abs(want))
+    assert err < 1e-11
+    assert got.time == dt
