@@ -9,6 +9,7 @@ and carries a sha256 inventory of everything else.
 import hashlib
 import json
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from . import constrained as cn
 from . import correspondence as cr
 from . import field as fd
 from . import schrodinger as sd
-from .config import build_scenario, validate_stability
+from .config import MAX_STEPS, build_scenario, validate_stability
 from .errors import ConfigError
 from .lattice import build_grid, build_operator, eigendecompose, inner_product
 from .presets import potential_from_spec
@@ -449,72 +450,88 @@ def _commuting_diagram_orders(op, spec, phi0, p0, dt, nsteps):
     return order_w, order_f
 
 
+@contextmanager
+def _timed(timings, name):
+    """Record the seconds the block takes as timings[name]."""
+    start = time.perf_counter()
+    yield
+    timings[name] = time.perf_counter() - start
+
+
 def run_verify(cfg, seed=0, out_dir=None, quiet=False):
     """Aggregate every machine-checkable identity into one report.
 
     Returns (report, all_pass); the process exit status contract (nonzero iff
-    an asserted identity failed) is applied by the CLI wrapper.
+    an asserted identity failed) is applied by the CLI wrapper. The report's
+    `timings` maps each check to its seconds; like `wall_time_s` it varies
+    from run to run, while `identities` is reproducible per seed.
     """
     t0 = time.perf_counter()
+    timings = {}
     rng = np.random.default_rng(seed)
-    scenario = build_scenario(cfg, with_initial=False)
+    with _timed(timings, "build_scenario"):
+        scenario = build_scenario(cfg, with_initial=False)
     op, spec = scenario.operator, scenario.spectrum
     n = op.n
     layout = br.PhaseLayout(n=n, dx=op.grid.dx)
-    identities = []
 
-    jd = _faulted_dirac(op, layout, cfg.fault)
-    for entry in br.verify_dirac_relations(op, layout, tol=1e-10, dirac=jd):
-        identities.append(_identity(entry["name"], entry["violation"], entry["tolerance"]))
-    for entry in br.dirac_flow_check(op, layout, tol=1e-12, rng=rng, dirac=jd):
-        identities.append(_identity(entry["name"], entry["violation"], entry["tolerance"]))
-    for entry in br.generalized_hamiltonian_check(op, layout, tol=1e-12, rng=rng):
-        identities.append(_identity(entry["name"], entry["violation"], entry["tolerance"]))
-    identities.append(
-        _identity("jacobi_cyclic_sum", br.jacobi_cyclic_residual(jd, rng=rng), 1e-12)
-    )
+    with _timed(timings, "dirac_structure"):
+        jd = _faulted_dirac(op, layout, cfg.fault)
+    with _timed(timings, "verify_dirac_relations"):
+        entries = br.verify_dirac_relations(op, layout, tol=1e-10, dirac=jd)
+    with _timed(timings, "dirac_flow_check"):
+        entries += br.dirac_flow_check(op, layout, tol=1e-12, rng=rng, dirac=jd)
+    with _timed(timings, "generalized_hamiltonian_check"):
+        entries += br.generalized_hamiltonian_check(op, layout, tol=1e-12, rng=rng)
+    identities = [_identity(e["name"], e["violation"], e["tolerance"]) for e in entries]
+    with _timed(timings, "jacobi_cyclic_residual"):
+        jacobi = br.jacobi_cyclic_residual(jd, rng=rng)
+    identities.append(_identity("jacobi_cyclic_sum", jacobi, 1e-12))
 
     # Pointwise density identity P = 2 hbar E on a random field state.
-    state = fd.FieldState(phi=rng.standard_normal(n), p=rng.standard_normal(n))
-    p_dens, _ = cr.probability_and_phase(op, state)
-    _, _, e_dens = fd.energy_densities(op, state)
-    scale = float(np.max(p_dens))
-    viol = float(np.max(np.abs(p_dens - 2.0 * op.hbar * e_dens))) / max(scale, 1e-300)
+    with _timed(timings, "density_is_energy_density"):
+        state = fd.FieldState(phi=rng.standard_normal(n), p=rng.standard_normal(n))
+        p_dens, _ = cr.probability_and_phase(op, state)
+        _, _, e_dens = fd.energy_densities(op, state)
+        scale = float(np.max(p_dens))
+        viol = float(np.max(np.abs(p_dens - 2.0 * op.hbar * e_dens))) / max(scale, 1e-300)
     identities.append(_identity("density_is_energy_density", viol, 1e-13))
 
     # Probability conservation along the exact flow over T = 10.
-    psi0 = sd.WaveFunction(re=rng.standard_normal(n), im=rng.standard_normal(n))
-    base = 2.0 * op.hbar * sd.norm_hamiltonian(op, psi0)
-    worst = 0.0
-    for t in np.linspace(0.0, 10.0, 101):
-        psi_t = sd.propagate_spectral(spec, psi0, float(t))
-        total = 2.0 * op.hbar * sd.norm_hamiltonian(op, psi_t)
-        worst = max(worst, abs(total - base) / base)
+    with _timed(timings, "probability_conserved"):
+        psi0 = sd.WaveFunction(re=rng.standard_normal(n), im=rng.standard_normal(n))
+        base = 2.0 * op.hbar * sd.norm_hamiltonian(op, psi0)
+        worst = 0.0
+        for t in np.linspace(0.0, 10.0, 101):
+            psi_t = sd.propagate_spectral(spec, psi0, float(t))
+            total = 2.0 * op.hbar * sd.norm_hamiltonian(op, psi_t)
+            worst = max(worst, abs(total - base) / base)
     identities.append(_identity("probability_conserved", worst, 1e-10))
 
     # Round trip: quantize(dequantize(psi, t)) equals the exact evolution.
     # Real-part kernel content is outside the image of the wave-potential map,
     # so it is projected out of the test states when zero modes exist.
-    kernel = cr.kernel_basis(spec)
-    worst = 0.0
-    for _ in range(10):
-        re0 = rng.standard_normal(n)
-        if kernel.count:
-            coeffs = op.grid.dx * (kernel.modes.T @ re0)
-            re0 = re0 - kernel.modes @ coeffs
-        psi0 = sd.WaveFunction(re=re0, im=rng.standard_normal(n))
-        t = float(rng.uniform(0.1, 5.0))
-        back = cr.quantize(op, cr.dequantize(spec, psi0, t, tol=1e-10))
-        ref = sd.propagate_spectral(spec, psi0, t)
-        amp = max(float(np.max(np.abs(ref.re))), float(np.max(np.abs(ref.im))), 1e-300)
-        worst = max(
-            worst,
-            max(
-                float(np.max(np.abs(back.re - ref.re))),
-                float(np.max(np.abs(back.im - ref.im))),
+    with _timed(timings, "reconstruction_round_trip"):
+        kernel = cr.kernel_basis(spec)
+        worst = 0.0
+        for _ in range(10):
+            re0 = rng.standard_normal(n)
+            if kernel.count:
+                coeffs = op.grid.dx * (kernel.modes.T @ re0)
+                re0 = re0 - kernel.modes @ coeffs
+            psi0 = sd.WaveFunction(re=re0, im=rng.standard_normal(n))
+            t = float(rng.uniform(0.1, 5.0))
+            back = cr.quantize(op, cr.dequantize(spec, psi0, t, tol=1e-10))
+            ref = sd.propagate_spectral(spec, psi0, t)
+            amp = max(float(np.max(np.abs(ref.re))), float(np.max(np.abs(ref.im))), 1e-300)
+            worst = max(
+                worst,
+                max(
+                    float(np.max(np.abs(back.re - ref.re))),
+                    float(np.max(np.abs(back.im - ref.im))),
+                )
+                / amp,
             )
-            / amp,
-        )
     identities.append(
         _identity(
             "reconstruction_round_trip",
@@ -528,10 +545,11 @@ def run_verify(cfg, seed=0, out_dir=None, quiet=False):
     # stiffest modes (column 0 is the most negative kappa) so that with
     # dt = 0.25 * bound the top-mode phase advance per step is a fixed 0.7
     # and the RK4 error stays measurable above roundoff at any grid size.
-    phi0 = spec.synthesize(rng.standard_normal(n) / (1.0 + np.arange(n)) ** 2)
-    p0 = spec.synthesize(rng.standard_normal(n) / (1.0 + np.arange(n)) ** 2)
-    dt_cd = 0.25 * cn.rk4_stability_bound(op)
-    order_w, order_f = _commuting_diagram_orders(op, spec, phi0, p0, dt_cd, 32)
+    with _timed(timings, "commuting_diagrams"):
+        phi0 = spec.synthesize(rng.standard_normal(n) / (1.0 + np.arange(n)) ** 2)
+        p0 = spec.synthesize(rng.standard_normal(n) / (1.0 + np.arange(n)) ** 2)
+        dt_cd = 0.25 * cn.rk4_stability_bound(op)
+        order_w, order_f = _commuting_diagram_orders(op, spec, phi0, p0, dt_cd, 32)
     identities.append(
         _identity(
             "commuting_diagram_wave",
@@ -558,7 +576,8 @@ def run_verify(cfg, seed=0, out_dir=None, quiet=False):
     v_range = float(np.max(v) - np.min(v))
     v_step = float(np.max(np.abs(np.diff(v)))) if n > 1 else 0.0
     smooth = v_range == 0.0 or v_step <= 0.25 * v_range
-    decays = _verify_current_errors(cfg, levels=2)
+    with _timed(timings, "current_residual_decays"):
+        decays = _verify_current_errors(cfg, levels=2)
     if any(np.isnan(d) for d in decays):
         identities.append(
             _identity(
@@ -588,7 +607,8 @@ def run_verify(cfg, seed=0, out_dir=None, quiet=False):
         )
 
     # Dynamical-sector nondegeneracy (measured only when zero modes exist).
-    svals = br.sector_smallest_singular_values(jd)
+    with _timed(timings, "sector_smallest_singular_values"):
+        svals = br.sector_smallest_singular_values(jd)
     has_kernel = len(spec.zero_modes) > 0
     identities.append(
         _identity(
@@ -613,6 +633,7 @@ def run_verify(cfg, seed=0, out_dir=None, quiet=False):
         "identities": identities,
         "all_pass": bool(all_pass),
         "wall_time_s": time.perf_counter() - t0,
+        "timings": timings,
     }
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -660,7 +681,11 @@ def _packet_probe_state(spec):
     return cr.dequantize(spec, psi, 0.0, tol=1e-8)
 
 
-def _current_errors_for_state(cfg, levels, make_state, dt, base_steps=8):
+# Steps of the coarsest level of a current-residual refinement study.
+_CURRENT_BASE_STEPS = 8
+
+
+def _current_errors_for_state(cfg, levels, make_state, dt, base_steps=_CURRENT_BASE_STEPS):
     """Max interior current residual under paired (dx, dt) refinement.
 
     Levels whose mask leaves no valid interior point record NaN.
@@ -705,8 +730,6 @@ def run_convergence(cfg, out_dir, levels=3, quiet=False):
     scenario = build_scenario(cfg)
     op, spec = scenario.operator, scenario.spectrum
     re0, im0 = scenario.initial_pair
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     lf_bound = fd.leapfrog_stability_bound(op)
     rk_bound = cn.rk4_stability_bound(op)
@@ -718,6 +741,17 @@ def run_convergence(cfg, out_dir, levels=3, quiet=False):
         "constraint_drift": min(cfg.dt, 0.5 * rk_bound),
     }
     base_steps = {k: max(2, int(round(cfg.t_final / v))) for k, v in base_dt.items()}
+    # Every study doubles its steps per level: refuse a finest level past the
+    # budget before any output exists. The power is capped because 2^64 steps
+    # are past the limit anyway, and a huge --levels must not build a huge int.
+    coarsest = max(*base_steps.values(), _CURRENT_BASE_STEPS)
+    if coarsest * 2 ** min(levels - 1, 64) > MAX_STEPS:
+        raise ConfigError(
+            f"{levels} refinement levels need {coarsest} * 2^{levels - 1} steps at the "
+            f"finest level, over the limit of {MAX_STEPS} steps"
+        )
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     errors = {}

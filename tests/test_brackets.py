@@ -19,6 +19,7 @@ from schrofield import (
 from schrofield.brackets import (
     BracketMatrix,
     PhaseLayout,
+    _jacobi_terms,
     dirac_structure_generic,
     jacobi_cyclic_residual,
     noncanonical_structure,
@@ -204,10 +205,39 @@ def test_dirac_flow_checks(small_harmonic, rng):
     assert not zero_flow.any()
 
 
-def test_jacobi_cyclic_residual(small_harmonic, rng):
-    op, _ = small_harmonic
-    jd = dirac_structure(op, _layout(op))
-    assert jacobi_cyclic_residual(jd, rng=rng) < 1e-12
+def _dense_jacobi_terms(j, rng):
+    """Oracle: the nested-bracket terms through the dense triple products x J y."""
+    dim = j.shape[0]
+    mats = []
+    for _ in range(3):
+        a = rng.standard_normal((dim, dim))
+        mats.append(0.5 * (a + a.T))
+    a, b, c = mats
+    z = rng.standard_normal(dim)
+    terms = []
+    for x, y, w in ((a, b, c), (b, c, a), (c, a, b)):
+        grad_xy = (x @ j @ y - y @ j @ x) @ z
+        terms.append(float(grad_xy @ j @ (w @ z)))
+    return terms
+
+
+def test_jacobi_cyclic_residual(small_harmonic, periodic_free64):
+    for op, _ in (small_harmonic, periodic_free64):
+        jd = dirac_structure(op, _layout(op))
+        rng_fast, rng_dense = np.random.default_rng(12345), np.random.default_rng(12345)
+        for _ in range(3):
+            fast = _jacobi_terms(jd.matrix, rng_fast)
+            dense = _dense_jacobi_terms(jd.matrix, rng_dense)
+            scale = sum(abs(t) for t in dense)
+            assert abs(sum(dense)) < 1e-12 * scale
+            # term by term, not only the cancelling sum
+            assert max(abs(f - d) for f, d in zip(fast, dense)) < 1e-12 * scale
+        rng_residual = np.random.default_rng(12345)
+        assert jacobi_cyclic_residual(jd, rng=rng_residual) < 1e-12
+        # same draws in the same order: the identities run_verify checks
+        # after this one see the same generator state
+        assert rng_fast.bit_generator.state == rng_dense.bit_generator.state
+        assert rng_residual.bit_generator.state == rng_dense.bit_generator.state
 
 
 def test_sector_nondegeneracy_values(small_harmonic, periodic_free64):

@@ -16,7 +16,7 @@ from schrofield.config import (
     parse_config,
 )
 from schrofield.render import render_snapshots
-from schrofield.runs import run_schrodinger
+from schrofield.runs import run_schrodinger, run_verify
 
 
 def _write(tmp_path, name, cfg):
@@ -389,6 +389,18 @@ def test_convergence_cli_orders(tmp_path):
     assert len(rows) == 1 + 6 * 3
 
 
+def test_convergence_levels_past_step_budget_exit_at_once(tmp_path, capsys):
+    # 40 levels ask for about 2^42 steps at the finest level
+    grid = {"n": 40, "x_min": -8.0, "x_max": 8.0}
+    cfg = _write(tmp_path, "conv.json", _harmonic_cfg(grid=grid))
+    out = tmp_path / "convrun"
+    start = time.perf_counter()
+    code = main(["convergence", "--config", cfg, "--out", str(out), "--levels", "40", "--quiet"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out.exists()) == (2, False)
+    assert f"limit of {MAX_STEPS} steps" in capsys.readouterr().err
+
+
 def test_spectrum_cli(tmp_path):
     cfg = _write(tmp_path, "sp.json", _harmonic_cfg())
     out = tmp_path / "sprun"
@@ -469,7 +481,30 @@ def test_verify_report_deterministic_per_seed(tmp_path):
     rep_b = json.loads((out_b / "verify_report.json").read_text())
     rep_a.pop("wall_time_s")
     rep_b.pop("wall_time_s")
+    rep_a.pop("timings")
+    rep_b.pop("timings")
     assert rep_a == rep_b
+
+
+def test_verify_report_times_each_check(tmp_path):
+    cfg = _write(tmp_path, "cfg.json", _harmonic_cfg())
+    report, _ = run_verify(parse_config(cfg), seed=7, quiet=True)
+    assert set(report["timings"]) == {
+        "build_scenario",
+        "dirac_structure",
+        "verify_dirac_relations",
+        "dirac_flow_check",
+        "generalized_hamiltonian_check",
+        "jacobi_cyclic_residual",
+        "density_is_energy_density",
+        "probability_conserved",
+        "reconstruction_round_trip",
+        "commuting_diagrams",
+        "current_residual_decays",
+        "sector_smallest_singular_values",
+    }
+    assert all(0.0 <= s <= report["wall_time_s"] for s in report["timings"].values())
+    assert sum(report["timings"].values()) <= report["wall_time_s"]
 
 
 def test_module_entry_point(tmp_path):
