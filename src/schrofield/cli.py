@@ -59,22 +59,22 @@ def main(argv=None):
             if not args.quiet:
                 print(f"render: {len(written)} SVG files")
             return 0
-        cfg = parse_config(args.config)
+        scenario = parse_config(args.config)
         if args.command == "run-schrodinger":
-            runs.run_schrodinger(cfg, args.out, quiet=args.quiet)
+            runs.run_schrodinger(scenario, args.out, quiet=args.quiet)
         elif args.command == "run-field":
-            runs.run_field(cfg, args.out, quiet=args.quiet)
+            runs.run_field(scenario, args.out, quiet=args.quiet)
         elif args.command == "run-constrained":
-            runs.run_constrained(cfg, args.out, quiet=args.quiet)
+            runs.run_constrained(scenario, args.out, quiet=args.quiet)
         elif args.command == "dequantize":
-            runs.run_dequantize(cfg, args.out, quiet=args.quiet)
+            runs.run_dequantize(scenario, args.out, quiet=args.quiet)
         elif args.command == "spectrum":
-            runs.run_spectrum(cfg, args.out, quiet=args.quiet)
+            runs.run_spectrum(scenario, args.out, quiet=args.quiet)
         elif args.command == "convergence":
-            runs.run_convergence(cfg, args.out, levels=args.levels, quiet=args.quiet)
+            runs.run_convergence(scenario, args.out, levels=args.levels, quiet=args.quiet)
         elif args.command == "verify":
             _, all_pass = runs.run_verify(
-                cfg, seed=args.seed, out_dir=args.out, quiet=args.quiet
+                scenario, seed=args.seed, out_dir=args.out, quiet=args.quiet
             )
             return 0 if all_pass else 1
         return 0

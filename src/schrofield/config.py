@@ -7,7 +7,8 @@ before any run starts.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,14 +90,25 @@ class ScenarioConfig:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Concrete objects built from a config."""
+    """Concrete objects built from a config by `build_scenario`.
+
+    `spectrum` and `initial_pair` are computed on first use and kept, as
+    `Operator.matrix` is; only the eigenstate and modes presets need the
+    spectrum, so a run from a gaussian or inline state never decomposes K.
+    """
 
     config: ScenarioConfig
     grid: object
     potential: object
     operator: object
-    spectrum: object
-    initial_pair: tuple = field(default=None)
+
+    @cached_property
+    def spectrum(self):
+        return eigendecompose(self.operator)
+
+    @cached_property
+    def initial_pair(self):
+        return initial_pair_from_spec(self.config.initial_state, self)
 
 
 def _reject_unknown(mapping, allowed, where):
@@ -114,6 +126,15 @@ def _finite_number(raw, key, default):
     if not np.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {value!r}")
     return value
+
+
+def _integer(value, key):
+    """value as an int; 24 and 24.0 are accepted, fractions, bools and strings are not."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def config_from_dict(raw):
@@ -145,7 +166,13 @@ def config_from_dict(raw):
     initial = raw.get("initial_state", {"type": "eigenstate", "index": 0})
     if isinstance(initial, str):
         if initial.startswith("eigenstate:"):
-            initial = {"type": "eigenstate", "index": int(initial.split(":", 1)[1])}
+            try:
+                index = int(initial.split(":", 1)[1])
+            except ValueError as exc:
+                raise ConfigError(
+                    f"initial_state {initial!r} must be 'eigenstate:<k>' with an integer k"
+                ) from exc
+            initial = {"type": "eigenstate", "index": index}
         else:
             initial = {"type": initial}
     if not isinstance(initial, dict) or "type" not in initial:
@@ -166,11 +193,14 @@ def config_from_dict(raw):
     if not isinstance(output, dict):
         raise ConfigError("'output' must be an object")
     _reject_unknown(output, _OUTPUT_KEYS, "output")
-    observables = tuple(output.get("observables", _OBSERVABLES))
+    observables = output.get("observables", _OBSERVABLES)
+    if not isinstance(observables, (list, tuple)):
+        raise ConfigError(f"observables must be a list of names, got {observables!r}")
+    observables = tuple(observables)
     for obs in observables:
         if obs not in _OBSERVABLES:
             raise ConfigError(f"unknown observable {obs!r}; choose from {_OBSERVABLES}")
-    stride = int(output.get("snapshot_stride", 0))
+    stride = _integer(output.get("snapshot_stride", 0), "snapshot_stride")
     if stride < 0:
         raise ConfigError("snapshot_stride must be >= 0")
 
@@ -192,7 +222,7 @@ def config_from_dict(raw):
         )
 
     return ScenarioConfig(
-        grid_n=int(grid_raw["n"]),
+        grid_n=_integer(grid_raw["n"], "grid n"),
         x_min=float(grid_raw["x_min"]),
         x_max=float(grid_raw["x_max"]),
         boundary=grid_raw.get("boundary", "dirichlet"),
@@ -209,24 +239,26 @@ def config_from_dict(raw):
     )
 
 
-def build_scenario(cfg, with_initial=True):
-    """Construct grid, potential, operator, spectrum, and the initial pair."""
+def build_scenario(cfg):
+    """Build and validate the scenario a config describes.
+
+    Builds the grid, potential, operator and initial pair, then checks the
+    time step against the integrator's stability bound and the initial pair
+    for non-finite values, so every config error surfaces before a command
+    writes anything. The spectrum is left for first use.
+    """
     try:
         grid = build_grid(cfg.grid_n, cfg.x_min, cfg.x_max, cfg.boundary)
         potential = potential_from_spec(grid, cfg.potential, mass=cfg.mass)
         operator = build_operator(grid, potential, hbar=cfg.hbar, mass=cfg.mass)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    spectrum = eigendecompose(operator)
-    pair = initial_pair_from_spec(cfg.initial_state, spectrum) if with_initial else None
-    return Scenario(
-        config=cfg,
-        grid=grid,
-        potential=potential,
-        operator=operator,
-        spectrum=spectrum,
-        initial_pair=pair,
-    )
+    scenario = Scenario(config=cfg, grid=grid, potential=potential, operator=operator)
+    re, im = scenario.initial_pair
+    validate_stability(cfg, operator)
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise ConfigError("initial state contains non-finite values")
+    return scenario
 
 
 def validate_stability(cfg, operator):
@@ -244,7 +276,7 @@ def validate_stability(cfg, operator):
 
 
 def parse_config(path):
-    """Load, validate, and stability-check a JSON scenario config."""
+    """Load a JSON scenario config and return its validated `Scenario`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -254,12 +286,4 @@ def parse_config(path):
         raise ConfigError(
             f"malformed JSON in {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
-    cfg = config_from_dict(raw)
-    scenario = build_scenario(cfg, with_initial=True)
-    validate_stability(cfg, scenario.operator)
-    # Initial-state preset errors surface here as well (index range etc).
-    if scenario.initial_pair is not None:
-        re, im = scenario.initial_pair
-        if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
-            raise ConfigError("initial state contains non-finite values")
-    return cfg
+    return build_scenario(config_from_dict(raw))

@@ -48,20 +48,16 @@ def potential_from_spec(grid, spec, mass=1.0):
     return Potential(values=values)
 
 
-def initial_pair_from_spec(spec, spectrum):
-    """Initial pair of real grid functions from a preset.
+def initial_pair_from_spec(spec, scenario):
+    """Initial pair of real grid functions from a preset mapping.
 
     The pair is (re, im) for wave scenarios and doubles as (phi, p) for field
-    and constrained scenarios.
+    and constrained scenarios. Only the eigenstate and modes presets read
+    `scenario.spectrum`.
     """
-    if isinstance(spec, str):
-        if spec.startswith("eigenstate:"):
-            spec = {"type": "eigenstate", "index": int(spec.split(":", 1)[1])}
-        else:
-            spec = {"type": spec}
     kind = spec.get("type")
     params = {k: v for k, v in spec.items() if k != "type"}
-    grid = spectrum.grid
+    grid = scenario.grid
     n = grid.n
 
     if kind == "eigenstate":
@@ -71,7 +67,7 @@ def initial_pair_from_spec(spec, spectrum):
             raise ConfigError(f"eigenstate index {idx} out of range 0..{n - 1}")
         # index counts up from the ground state; eigenvalues ascend in kappa,
         # so energies -kappa descend with column index
-        return np.array(spectrum.vectors[:, n - 1 - idx]), np.zeros(n)
+        return np.array(scenario.spectrum.vectors[:, n - 1 - idx]), np.zeros(n)
     if kind == "gaussian":
         _no_extra(kind, params, ("center", "width", "momentum"))
         center = float(params.get("center", 0.0))
@@ -79,7 +75,7 @@ def initial_pair_from_spec(spec, spectrum):
         momentum = float(params.get("momentum", 0.0))
         x = grid.points()
         envelope = np.exp(-((x - center) ** 2) / (4.0 * width * width))
-        phase = momentum * x / spectrum.hbar
+        phase = momentum * x / scenario.operator.hbar
         re = envelope * np.cos(phase)
         im = envelope * np.sin(phase)
         norm = np.sqrt(
@@ -103,6 +99,7 @@ def initial_pair_from_spec(spec, spectrum):
             # same ground-up numbering as the eigenstate preset
             re_c[n - 1 - idx] = re_val
             im_c[n - 1 - idx] = im_val
+        spectrum = scenario.spectrum
         return spectrum.synthesize(re_c), spectrum.synthesize(im_c)
     if kind == "inline":
         _no_extra(kind, params, ("re", "im"))

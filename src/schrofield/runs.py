@@ -9,7 +9,9 @@ and carries a sha256 inventory of everything else.
 import hashlib
 import json
 import time
+from collections.abc import Callable
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from . import constrained as cn
 from . import correspondence as cr
 from . import field as fd
 from . import schrodinger as sd
-from .config import MAX_STEPS, build_scenario, validate_stability
+from .config import MAX_STEPS
 from .errors import ConfigError
 from .lattice import build_grid, build_operator, eigendecompose, inner_product
 from .presets import potential_from_spec
@@ -68,35 +70,33 @@ def write_manifest(out_dir, command, cfg_dict, wall_time, drift, extra=None):
     return manifest
 
 
-def _snapshot_rows(x, columns):
-    names = ["x"] + [name for name, _ in columns]
-    values = [x] + [v for _, v in columns]
-    rows = list(zip(*values))
-    return names, rows
+def _write_snapshot(out_dir, step, op, fields, p_dens, phase, observables):
+    """snapshot_<step>.csv: x, the picture's fields, then the selected P, S, E."""
+    extras = {"P": p_dens, "S": phase, "E": 0.5 * p_dens / op.hbar}
+    cols = [("x", op.grid.points()), *fields] + [(k, extras[k]) for k in observables]
+    write_csv(
+        Path(out_dir) / f"snapshot_{step:06d}.csv",
+        [name for name, _ in cols],
+        zip(*(values for _, values in cols)),
+    )
 
 
 def _wave_snapshot(out_dir, step, op, psi, observables):
-    x = op.grid.points()
-    cols = [("re", psi.re), ("im", psi.im)]
     p_dens = psi.re * psi.re + psi.im * psi.im
-    extras = {
-        "P": p_dens,
-        "S": op.hbar * np.arctan2(psi.im, psi.re),
-        "E": 0.5 * p_dens / op.hbar,
-    }
-    cols += [(k, extras[k]) for k in observables]
-    names, rows = _snapshot_rows(x, cols)
-    write_csv(Path(out_dir) / f"snapshot_{step:06d}.csv", names, rows)
+    phase = op.hbar * np.arctan2(psi.im, psi.re)
+    fields = [("re", psi.re), ("im", psi.im)]
+    _write_snapshot(out_dir, step, op, fields, p_dens, phase, observables)
 
 
 def _field_snapshot(out_dir, step, op, state, observables, extra_fields=()):
-    x = op.grid.points()
-    cols = [("phi", state.phi), ("p", state.p)] + list(extra_fields)
     p_dens, phase = cr.probability_and_phase(op, fd.FieldState(phi=state.phi, p=state.p))
-    extras = {"P": p_dens, "S": phase, "E": 0.5 * p_dens / op.hbar}
-    cols += [(k, extras[k]) for k in observables]
-    names, rows = _snapshot_rows(x, cols)
-    write_csv(Path(out_dir) / f"snapshot_{step:06d}.csv", names, rows)
+    fields = [("phi", state.phi), ("p", state.p), *extra_fields]
+    _write_snapshot(out_dir, step, op, fields, p_dens, phase, observables)
+
+
+def _max_error(*pairs):
+    """Largest |a - b| over the (a, b) array pairs."""
+    return max(float(np.max(np.abs(a - b))) for a, b in pairs)
 
 
 def _steps(cfg):
@@ -118,195 +118,206 @@ def _check_blowup(value, initial, what):
         )
 
 
-def run_schrodinger(cfg, out_dir, quiet=False):
-    """Propagate a wave scenario and emit series, snapshots, and a manifest."""
-    if cfg.integrator not in ("crank_nicolson", "spectral"):
+def _spread(values):
+    return float(np.max(np.abs(values - values[0])))
+
+
+def _peak(values):
+    return float(np.max(values))
+
+
+@dataclass(frozen=True)
+class _Picture:
+    """What one picture supplies to the shared run loop `_run`."""
+
+    command: str
+    system: str
+    integrators: tuple
+    # scenario -> (initial state, step(state, k) -> state at step k)
+    stepper: Callable
+    columns: tuple
+    # (op, state) -> series row in `columns` order
+    row: Callable
+    # (column, label) of the quantity the blow-up guard watches
+    guard: tuple
+    # (out_dir, step, op, state, observables) -> None
+    snapshot: Callable
+    # (manifest key, column, reduction of that column over the run)
+    drift: tuple
+    # (label, drift key) shown in the stdout summary
+    summary: tuple
+
+
+def _run(picture, scenario, out_dir, quiet):
+    """Step a scenario, writing series, snapshots and a manifest."""
+    cfg, op = scenario.config, scenario.operator
+    if cfg.integrator not in picture.integrators:
         raise ConfigError(
-            f"integrator {cfg.integrator!r} does not apply to the wave system"
+            f"integrator {cfg.integrator!r} does not apply to the {picture.system} system"
         )
     t0 = time.perf_counter()
-    scenario = build_scenario(cfg)
-    validate_stability(cfg, scenario.operator)
-    op, spec = scenario.operator, scenario.spectrum
-    re0, im0 = scenario.initial_pair
-    psi = sd.WaveFunction(re=re0, im=im0, time=0.0)
+    state, step = picture.stepper(scenario)
     nsteps = _steps(cfg)
     snaps = _snapshot_steps(nsteps, cfg.snapshot_stride)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    stepper = sd.CrankNicolson(op, cfg.dt) if cfg.integrator == "crank_nicolson" else None
+    guard, what = picture.guard
     rows = []
-    norm0 = None
-    state = psi
     for k in range(nsteps + 1):
         if k > 0:
-            state = (
-                stepper.step(state)
-                if stepper is not None
-                else sd.propagate_spectral(spec, psi, k * cfg.dt)
-            )
-        norm = sd.norm_hamiltonian(op, state)
-        ham = sd.wave_hamiltonian(op, state)
-        total_p = 2.0 * op.hbar * norm
-        if norm0 is None:
-            norm0 = norm
-        # The wave Hamiltonian has no fixed sign and can start near 0; the norm
-        # is positive and conserved by both wave integrators.
-        _check_blowup(norm, norm0, "norm")
-        rows.append((state.time, norm, ham, total_p))
+            state = step(state, k)
+        row = picture.row(op, state)
+        _check_blowup(row[guard], rows[0][guard] if rows else row[guard], what)
+        rows.append(row)
         if k in snaps:
-            _wave_snapshot(out_dir, k, op, state, cfg.observables)
-    write_csv(
-        out_dir / "series.csv", ["t", "norm", "hamiltonian", "total_probability"], rows
-    )
+            picture.snapshot(out_dir, k, op, state, cfg.observables)
+    write_csv(out_dir / "series.csv", picture.columns, rows)
     arr = np.asarray(rows)
-    drift = {
-        "norm_drift": float(np.max(np.abs(arr[:, 1] - arr[0, 1]))),
-        "hamiltonian_drift": float(np.max(np.abs(arr[:, 2] - arr[0, 2]))),
-    }
+    drift = {key: reduce(arr[:, col]) for key, col, reduce in picture.drift}
     manifest = write_manifest(
-        out_dir, "run-schrodinger", cfg.as_dict(), time.perf_counter() - t0, drift
+        out_dir, picture.command, cfg.as_dict(), time.perf_counter() - t0, drift
     )
     if not quiet:
-        print(f"run-schrodinger: {nsteps} steps, norm drift {drift['norm_drift']:.3e}")
+        label, key = picture.summary
+        print(f"{picture.command}: {nsteps} steps, {label} {drift[key]:.3e}")
     return manifest
 
 
-def run_field(cfg, out_dir, quiet=False):
-    """Propagate a field scenario (initial pair read as (phi, p))."""
-    if cfg.integrator not in ("leapfrog", "spectral"):
-        raise ConfigError(
-            f"integrator {cfg.integrator!r} does not apply to the field system"
-        )
-    t0 = time.perf_counter()
-    scenario = build_scenario(cfg)
-    validate_stability(cfg, scenario.operator)
-    op, spec = scenario.operator, scenario.spectrum
+def _wave_stepper(scenario):
+    cfg = scenario.config
+    re0, im0 = scenario.initial_pair
+    psi0 = sd.WaveFunction(re=re0, im=im0, time=0.0)
+    if cfg.integrator == "crank_nicolson":
+        cayley = sd.CrankNicolson(scenario.operator, cfg.dt)
+        return psi0, lambda psi, k: cayley.step(psi)
+    return psi0, lambda psi, k: sd.propagate_spectral(scenario.spectrum, psi0, k * cfg.dt)
+
+
+def _wave_row(op, psi):
+    norm = sd.norm_hamiltonian(op, psi)
+    return (psi.time, norm, sd.wave_hamiltonian(op, psi), 2.0 * op.hbar * norm)
+
+
+_WAVE = _Picture(
+    command="run-schrodinger",
+    system="wave",
+    integrators=("crank_nicolson", "spectral"),
+    stepper=_wave_stepper,
+    columns=("t", "norm", "hamiltonian", "total_probability"),
+    row=_wave_row,
+    # The wave Hamiltonian has no fixed sign and can start near 0; the norm
+    # is positive and conserved by both wave integrators.
+    guard=(1, "norm"),
+    snapshot=_wave_snapshot,
+    drift=(("norm_drift", 1, _spread), ("hamiltonian_drift", 2, _spread)),
+    summary=("norm drift", "norm_drift"),
+)
+
+
+def _field_stepper(scenario):
+    cfg, op = scenario.config, scenario.operator
     phi0, p0 = scenario.initial_pair
     s0 = fd.FieldState(phi=phi0, p=p0, time=0.0)
-    nsteps = _steps(cfg)
-    snaps = _snapshot_steps(nsteps, cfg.snapshot_stride)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if cfg.integrator == "leapfrog":
+        return s0, lambda state, k: fd.step_leapfrog(op, state, cfg.dt)
+    return s0, lambda state, k: fd.propagate_spectral_field(scenario.spectrum, s0, k * cfg.dt)
 
-    rows = []
-    h0 = None
-    state = s0
-    for k in range(nsteps + 1):
-        if k > 0:
-            state = (
-                fd.step_leapfrog(op, state, cfg.dt)
-                if cfg.integrator == "leapfrog"
-                else fd.propagate_spectral_field(spec, s0, k * cfg.dt)
-            )
-        ham = fd.field_hamiltonian(op, state)
-        psi = cr.quantize(op, state)
-        norm = sd.norm_hamiltonian(op, psi)
-        total_p = 2.0 * op.hbar * norm
-        if h0 is None:
-            h0 = ham
-        _check_blowup(ham, h0, "field hamiltonian")
-        rows.append((state.time, norm, ham, total_p))
-        if k in snaps:
-            _field_snapshot(out_dir, k, op, state, cfg.observables)
-    write_csv(
-        out_dir / "series.csv", ["t", "norm", "hamiltonian", "total_probability"], rows
+
+def _field_row(op, state):
+    norm = sd.norm_hamiltonian(op, cr.quantize(op, state))
+    return (state.time, norm, fd.field_hamiltonian(op, state), 2.0 * op.hbar * norm)
+
+
+_FIELD = _Picture(
+    command="run-field",
+    system="field",
+    integrators=("leapfrog", "spectral"),
+    stepper=_field_stepper,
+    columns=("t", "norm", "hamiltonian", "total_probability"),
+    row=_field_row,
+    guard=(2, "field hamiltonian"),
+    snapshot=_field_snapshot,
+    drift=(("norm_drift", 1, _spread), ("hamiltonian_drift", 2, _spread)),
+    summary=("energy drift", "hamiltonian_drift"),
+)
+
+
+def _constrained_stepper(scenario):
+    cfg, op = scenario.config, scenario.operator
+    s0 = cn.make_onshell(op, *scenario.initial_pair)
+    if cfg.integrator == "rk4":
+        return s0, lambda state, k: cn.step_rk4(op, state, cfg.dt)
+
+    def exact(state, k):
+        ev = fd.propagate_spectral_field(
+            scenario.spectrum, fd.FieldState(phi=s0.phi, p=s0.p), k * cfg.dt
+        )
+        return cn.make_onshell(op, ev.phi, ev.p, time=ev.time)
+
+    return s0, exact
+
+
+def _constrained_row(op, state):
+    c1, c2 = cn.constraint_residuals(op, state)
+    norm = 0.5 * (
+        inner_product(state.varphi, state.varphi, op.grid)
+        + inner_product(state.p, state.p, op.grid)
+    ) / op.hbar
+    return (
+        state.time,
+        norm,
+        cn.constrained_hamiltonian(op, state),
+        float(np.max(np.abs(c1))),
+        float(np.max(np.abs(c2))),
+        2.0 * op.hbar * norm,
     )
-    arr = np.asarray(rows)
-    drift = {
-        "norm_drift": float(np.max(np.abs(arr[:, 1] - arr[0, 1]))),
-        "hamiltonian_drift": float(np.max(np.abs(arr[:, 2] - arr[0, 2]))),
-    }
-    manifest = write_manifest(
-        out_dir, "run-field", cfg.as_dict(), time.perf_counter() - t0, drift
+
+
+def _constrained_snapshot(out_dir, step, op, state, observables):
+    _field_snapshot(
+        out_dir,
+        step,
+        op,
+        fd.FieldState(phi=state.phi, p=state.p, time=state.time),
+        observables,
+        extra_fields=[("varphi", state.varphi), ("pi", state.pi)],
     )
-    if not quiet:
-        print(f"run-field: {nsteps} steps, energy drift {drift['hamiltonian_drift']:.3e}")
-    return manifest
 
 
-def run_constrained(cfg, out_dir, quiet=False):
+_CONSTRAINED = _Picture(
+    command="run-constrained",
+    system="constrained",
+    integrators=("rk4", "spectral"),
+    stepper=_constrained_stepper,
+    columns=("t", "norm", "hamiltonian", "c1_inf", "c2_inf", "total_probability"),
+    row=_constrained_row,
+    guard=(2, "constrained hamiltonian"),
+    snapshot=_constrained_snapshot,
+    drift=(("hamiltonian_drift", 2, _spread), ("c1_max", 3, _peak), ("c2_max", 4, _peak)),
+    summary=("max |c1|", "c1_max"),
+)
+
+
+def run_schrodinger(scenario, out_dir, quiet=False):
+    """Propagate a wave scenario and emit series, snapshots, and a manifest."""
+    return _run(_WAVE, scenario, out_dir, quiet)
+
+
+def run_field(scenario, out_dir, quiet=False):
+    """Propagate a field scenario (initial pair read as (phi, p))."""
+    return _run(_FIELD, scenario, out_dir, quiet)
+
+
+def run_constrained(scenario, out_dir, quiet=False):
     """Propagate the four-field constrained system from on-shell data."""
-    if cfg.integrator not in ("rk4", "spectral"):
-        raise ConfigError(
-            f"integrator {cfg.integrator!r} does not apply to the constrained system"
-        )
-    t0 = time.perf_counter()
-    scenario = build_scenario(cfg)
-    validate_stability(cfg, scenario.operator)
-    op, spec = scenario.operator, scenario.spectrum
-    phi0, p0 = scenario.initial_pair
-    s0 = cn.make_onshell(op, phi0, p0)
-    nsteps = _steps(cfg)
-    snaps = _snapshot_steps(nsteps, cfg.snapshot_stride)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    rows = []
-    h0 = None
-    state = s0
-    for k in range(nsteps + 1):
-        if k > 0:
-            if cfg.integrator == "rk4":
-                state = cn.step_rk4(op, state, cfg.dt)
-            else:
-                ev = fd.propagate_spectral_field(
-                    spec, fd.FieldState(phi=s0.phi, p=s0.p), k * cfg.dt
-                )
-                state = cn.make_onshell(op, ev.phi, ev.p, time=ev.time)
-        ham = cn.constrained_hamiltonian(op, state)
-        c1, c2 = cn.constraint_residuals(op, state)
-        norm = 0.5 * (
-            inner_product(state.varphi, state.varphi, op.grid)
-            + inner_product(state.p, state.p, op.grid)
-        ) / op.hbar
-        total_p = 2.0 * op.hbar * norm
-        if h0 is None:
-            h0 = ham
-        _check_blowup(ham, h0, "constrained hamiltonian")
-        rows.append(
-            (
-                state.time,
-                norm,
-                ham,
-                float(np.max(np.abs(c1))),
-                float(np.max(np.abs(c2))),
-                total_p,
-            )
-        )
-        if k in snaps:
-            _field_snapshot(
-                out_dir,
-                k,
-                op,
-                fd.FieldState(phi=state.phi, p=state.p, time=state.time),
-                cfg.observables,
-                extra_fields=[("varphi", state.varphi), ("pi", state.pi)],
-            )
-    write_csv(
-        out_dir / "series.csv",
-        ["t", "norm", "hamiltonian", "c1_inf", "c2_inf", "total_probability"],
-        rows,
-    )
-    arr = np.asarray(rows)
-    drift = {
-        "hamiltonian_drift": float(np.max(np.abs(arr[:, 2] - arr[0, 2]))),
-        "c1_max": float(np.max(arr[:, 3])),
-        "c2_max": float(np.max(arr[:, 4])),
-    }
-    manifest = write_manifest(
-        out_dir, "run-constrained", cfg.as_dict(), time.perf_counter() - t0, drift
-    )
-    if not quiet:
-        print(f"run-constrained: {nsteps} steps, max |c1| {drift['c1_max']:.3e}")
-    return manifest
+    return _run(_CONSTRAINED, scenario, out_dir, quiet)
 
 
-def run_dequantize(cfg, out_dir, quiet=False):
+def run_dequantize(scenario, out_dir, quiet=False):
     """Reconstruct the potential field from a wave initial state over time."""
     t0 = time.perf_counter()
-    scenario = build_scenario(cfg)
+    cfg = scenario.config
     op, spec = scenario.operator, scenario.spectrum
     re0, im0 = scenario.initial_pair
     psi0 = sd.WaveFunction(re=re0, im=im0, time=0.0)
@@ -331,10 +342,7 @@ def run_dequantize(cfg, out_dir, quiet=False):
         state = cr.dequantize(spec, psi0, t, tol=1e-10)
         back = cr.quantize(op, state)
         ref = sd.propagate_spectral(spec, psi0, t)
-        err = max(
-            float(np.max(np.abs(back.re - ref.re))),
-            float(np.max(np.abs(back.im - ref.im))),
-        )
+        err = _max_error((back.re, ref.re), (back.im, ref.im))
         rows.append((t, err))
         _field_snapshot(out_dir, k, op, state, cfg.observables)
     write_csv(out_dir / "series.csv", ["t", "roundtrip_error"], rows)
@@ -361,10 +369,10 @@ def run_dequantize(cfg, out_dir, quiet=False):
     return manifest
 
 
-def run_spectrum(cfg, out_dir, quiet=False):
+def run_spectrum(scenario, out_dir, quiet=False):
     """Dump eigenvalues and eigenvectors of the scenario operator."""
     t0 = time.perf_counter()
-    scenario = build_scenario(cfg, with_initial=False)
+    cfg = scenario.config
     op, spec = scenario.operator, scenario.spectrum
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -430,21 +438,11 @@ def _commuting_diagram_orders(op, spec, phi0, p0, dt, nsteps):
         wave0 = cn.reduce_to_wave(op, traj.states[0])
         ref_w = sd.propagate_spectral(spec, wave0, t_end)
         got_w = cn.reduce_to_wave(op, end)
-        errs_wave.append(
-            max(
-                float(np.max(np.abs(got_w.re - ref_w.re))),
-                float(np.max(np.abs(got_w.im - ref_w.im))),
-            )
-        )
+        errs_wave.append(_max_error((got_w.re, ref_w.re), (got_w.im, ref_w.im)))
         field0 = cn.reduce_to_field(op, traj.states[0])
         ref_f = fd.propagate_spectral_field(spec, field0, t_end)
         got_f = cn.reduce_to_field(op, end)
-        errs_field.append(
-            max(
-                float(np.max(np.abs(got_f.phi - ref_f.phi))),
-                float(np.max(np.abs(got_f.p - ref_f.p))),
-            )
-        )
+        errs_field.append(_max_error((got_f.phi, ref_f.phi), (got_f.p, ref_f.p)))
     order_w = float(np.mean(np.log2(np.array(errs_wave[:-1]) / np.array(errs_wave[1:]))))
     order_f = float(np.mean(np.log2(np.array(errs_field[:-1]) / np.array(errs_field[1:]))))
     return order_w, order_f
@@ -458,7 +456,7 @@ def _timed(timings, name):
     timings[name] = time.perf_counter() - start
 
 
-def run_verify(cfg, seed=0, out_dir=None, quiet=False):
+def run_verify(scenario, seed=0, out_dir=None, quiet=False):
     """Aggregate every machine-checkable identity into one report.
 
     Returns (report, all_pass); the process exit status contract (nonzero iff
@@ -469,8 +467,7 @@ def run_verify(cfg, seed=0, out_dir=None, quiet=False):
     t0 = time.perf_counter()
     timings = {}
     rng = np.random.default_rng(seed)
-    with _timed(timings, "build_scenario"):
-        scenario = build_scenario(cfg, with_initial=False)
+    cfg = scenario.config
     op, spec = scenario.operator, scenario.spectrum
     n = op.n
     layout = br.PhaseLayout(n=n, dx=op.grid.dx)
@@ -524,14 +521,7 @@ def run_verify(cfg, seed=0, out_dir=None, quiet=False):
             back = cr.quantize(op, cr.dequantize(spec, psi0, t, tol=1e-10))
             ref = sd.propagate_spectral(spec, psi0, t)
             amp = max(float(np.max(np.abs(ref.re))), float(np.max(np.abs(ref.im))), 1e-300)
-            worst = max(
-                worst,
-                max(
-                    float(np.max(np.abs(back.re - ref.re))),
-                    float(np.max(np.abs(back.im - ref.im))),
-                )
-                / amp,
-            )
+            worst = max(worst, _max_error((back.re, ref.re), (back.im, ref.im)) / amp)
     identities.append(
         _identity(
             "reconstruction_round_trip",
@@ -577,7 +567,7 @@ def run_verify(cfg, seed=0, out_dir=None, quiet=False):
     v_step = float(np.max(np.abs(np.diff(v)))) if n > 1 else 0.0
     smooth = v_range == 0.0 or v_step <= 0.25 * v_range
     with _timed(timings, "current_residual_decays"):
-        decays = _verify_current_errors(cfg, levels=2)
+        decays = _verify_current_errors(scenario, levels=2)
     if any(np.isnan(d) for d in decays):
         identities.append(
             _identity(
@@ -685,18 +675,24 @@ def _packet_probe_state(spec):
 _CURRENT_BASE_STEPS = 8
 
 
-def _current_errors_for_state(cfg, levels, make_state, dt, base_steps=_CURRENT_BASE_STEPS):
+def _current_errors_for_state(scenario, levels, make_state, dt, base_steps=_CURRENT_BASE_STEPS):
     """Max interior current residual under paired (dx, dt) refinement.
 
-    Levels whose mask leaves no valid interior point record NaN.
+    Level 0 is the scenario's own grid; each further level refines it and
+    decomposes the refined operator. Levels whose mask leaves no valid
+    interior point record NaN.
     """
+    cfg = scenario.config
+    op, spec = scenario.operator, scenario.spectrum
     errors = []
     n = cfg.grid_n
     for level in range(levels):
-        grid = build_grid(n, cfg.x_min, cfg.x_max, cfg.boundary)
-        potential = potential_from_spec(grid, cfg.potential, mass=cfg.mass)
-        op = build_operator(grid, potential, hbar=cfg.hbar, mass=cfg.mass)
-        spec = eigendecompose(op)
+        if level > 0:
+            n = _refine(n, cfg.boundary)
+            grid = build_grid(n, cfg.x_min, cfg.x_max, cfg.boundary)
+            potential = potential_from_spec(grid, cfg.potential, mass=cfg.mass)
+            op = build_operator(grid, potential, hbar=cfg.hbar, mass=cfg.mass)
+            spec = eigendecompose(op)
         s0 = make_state(spec)
         steps = base_steps * 2**level
         traj = fd.spectral_field_trajectory(spec, s0, dt / 2**level, steps)
@@ -705,11 +701,10 @@ def _current_errors_for_state(cfg, levels, make_state, dt, base_steps=_CURRENT_B
             errors.append(float("nan"))
         else:
             errors.append(float(np.nanmax(np.abs(res))))
-        n = _refine(n, cfg.boundary)
     return errors
 
 
-def _verify_current_errors(cfg, levels):
+def _verify_current_errors(scenario, levels):
     """Current-residual decay under paired (dx, dt) halving.
 
     Runs on the internal envelope probe rather than the configured initial
@@ -718,16 +713,16 @@ def _verify_current_errors(cfg, levels):
     discretization itself.
     """
     return _current_errors_for_state(
-        cfg, levels, _packet_probe_state, dt=min(cfg.dt, 0.02)
+        scenario, levels, _packet_probe_state, dt=min(scenario.config.dt, 0.02)
     )
 
 
-def run_convergence(cfg, out_dir, levels=3, quiet=False):
+def run_convergence(scenario, out_dir, levels=3, quiet=False):
     """Refinement studies for every integrator and identity, vs exact references."""
     if levels < 3:
         raise ConfigError("need at least 3 refinement levels")
     t0 = time.perf_counter()
-    scenario = build_scenario(cfg)
+    cfg = scenario.config
     op, spec = scenario.operator, scenario.spectrum
     re0, im0 = scenario.initial_pair
 
@@ -770,45 +765,21 @@ def run_convergence(cfg, out_dir, levels=3, quiet=False):
         traj = sd.crank_nicolson_trajectory(op, psi0, dt, steps)
         ref = sd.propagate_spectral(spec, psi0, steps * dt)
         got = traj.states[-1]
-        record(
-            "crank_nicolson",
-            level,
-            dt,
-            max(
-                float(np.max(np.abs(got.re - ref.re))),
-                float(np.max(np.abs(got.im - ref.im))),
-            ),
-        )
+        record("crank_nicolson", level, dt, _max_error((got.re, ref.re), (got.im, ref.im)))
 
         dt = base_dt["leapfrog"] / scale
         steps = base_steps["leapfrog"] * scale
         ftraj = fd.leapfrog_trajectory(op, s0, dt, steps)
         fref = fd.propagate_spectral_field(spec, s0, steps * dt)
         fgot = ftraj.states[-1]
-        record(
-            "leapfrog",
-            level,
-            dt,
-            max(
-                float(np.max(np.abs(fgot.phi - fref.phi))),
-                float(np.max(np.abs(fgot.p - fref.p))),
-            ),
-        )
+        record("leapfrog", level, dt, _max_error((fgot.phi, fref.phi), (fgot.p, fref.p)))
 
         dt = base_dt["rk4"] / scale
         steps = base_steps["rk4"] * scale
         ctraj = cn.rk4_trajectory(op, cn.make_onshell(op, re0, im0), dt, steps)
         cref = fd.propagate_spectral_field(spec, fd.FieldState(phi=re0, p=im0), steps * dt)
         cgot = ctraj.states[-1]
-        record(
-            "rk4",
-            level,
-            dt,
-            max(
-                float(np.max(np.abs(cgot.phi - cref.phi))),
-                float(np.max(np.abs(cgot.p - cref.p))),
-            ),
-        )
+        record("rk4", level, dt, _max_error((cgot.phi, cref.phi), (cgot.p, cref.p)))
         drift = max(
             float(np.max(np.abs(cn.constraint_residuals(op, st)[0])))
             for st in ctraj.states
@@ -828,7 +799,7 @@ def run_convergence(cfg, out_dir, levels=3, quiet=False):
             max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2)))),
         )
 
-    for level, err in enumerate(_verify_current_errors(cfg, levels)):
+    for level, err in enumerate(_verify_current_errors(scenario, levels)):
         h = cfg.dt / 2**level
         record("current_residual", level, h, err)
 

@@ -1,11 +1,14 @@
 import csv
 import json
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from schrofield import config as config_module
+from schrofield import lattice
 from schrofield import schrodinger as sd
 from schrofield.cli import main
 from schrofield.config import (
@@ -51,10 +54,15 @@ def test_parse_minimal_config_defaults(tmp_path):
         {"grid": {"n": 24, "x_min": -4.0, "x_max": 4.0}, "potential": "harmonic",
          "initial_state": "eigenstate:0"},
     )
-    cfg = parse_config(path)
+    cfg = parse_config(path).config
     assert cfg.hbar == 1.0 and cfg.mass == 1.0
     assert cfg.boundary == "dirichlet"
     assert cfg.integrator == "spectral"
+    # integral floats are integers
+    grid = {"n": 24.0, "x_min": -4.0, "x_max": 4.0}
+    cfg = config_from_dict(_harmonic_cfg(grid=grid, output={"snapshot_stride": 2.0}))
+    assert (cfg.grid_n, cfg.snapshot_stride) == (24, 2)
+    assert type(cfg.grid_n) is int and type(cfg.snapshot_stride) is int
 
 
 def test_parse_rejects_unknown_keys():
@@ -87,11 +95,27 @@ def test_parse_rejects_non_finite_numbers(key, value):
         config_from_dict(_harmonic_cfg(**{key: value}))
 
 
-def test_parse_rejects_non_numeric_numbers():
+def test_parse_rejects_non_numeric_numbers(tmp_path, capsys):
     with pytest.raises(ConfigError, match="dt must be a number"):
         config_from_dict(_harmonic_cfg(dt=None))
     with pytest.raises(ConfigError, match="mass must be a number"):
         config_from_dict(_harmonic_cfg(mass=[1.0]))
+    # each of these used to be truncated, split or rejected without naming the key
+    for overrides, message in [
+        ({"grid": {"n": 24.7, "x_min": -4.0, "x_max": 4.0}}, "grid n must be an integer"),
+        ({"grid": {"n": True, "x_min": -4.0, "x_max": 4.0}}, "grid n must be an integer"),
+        ({"output": {"snapshot_stride": 2.5}}, "snapshot_stride must be an integer"),
+        ({"output": {"snapshot_stride": False}}, "snapshot_stride must be an integer"),
+        ({"output": {"snapshot_stride": "2"}}, "snapshot_stride must be an integer"),
+        ({"output": {"observables": "PS"}}, "observables must be a list"),
+        ({"initial_state": "eigenstate:x"}, "initial_state 'eigenstate:x'"),
+        ({"initial_state": "eigenstate:1.5"}, "initial_state 'eigenstate:1.5'"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(_harmonic_cfg(**overrides))
+    code, err, written = _run_rejected(tmp_path, capsys, initial_state="eigenstate:x")
+    assert (code, written) == (2, False)
+    assert "config error: initial_state 'eigenstate:x'" in err
 
 
 def _run_rejected(tmp_path, capsys, **overrides):
@@ -149,7 +173,7 @@ def _zero_energy_wave_cfg():
         "dt": 1e-3,
         "t_final": 0.5,
     }
-    kappa = build_scenario(config_from_dict(cfg), with_initial=False).spectrum.eigenvalues
+    kappa = build_scenario(config_from_dict(cfg)).spectrum.eigenvalues
     b = np.sqrt(kappa[-1] / -kappa[-41])
     cfg["initial_state"] = {
         "type": "modes",
@@ -176,7 +200,8 @@ def test_wave_guard_aborts_when_norm_grows(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sd.CrankNicolson, "step", inflating)
     with pytest.raises(RuntimeError, match="instability: norm grew"):
-        run_schrodinger(config_from_dict(_harmonic_cfg()), tmp_path / "run", quiet=True)
+        scenario = build_scenario(config_from_dict(_harmonic_cfg()))
+        run_schrodinger(scenario, tmp_path / "run", quiet=True)
 
 
 def test_parse_stability_rules(tmp_path):
@@ -199,18 +224,80 @@ def test_run_schrodinger_norm_constant(tmp_path):
     assert abs(hams[0] - 0.25) < 2e-3
 
 
-def test_run_determinism(tmp_path):
-    cfg = _write(tmp_path, "cfg.json", _harmonic_cfg())
+_PERIODIC_GRID = {"n": 40, "x_min": -6.0, "x_max": 6.0, "boundary": "periodic"}
+_MODES = {"type": "modes", "coefficients": [[0, 1.0, 0.2], [1, 0.3, -0.4], [3, 0.1, 0.05]]}
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize(
+    "command, integrator",
+    [
+        ("run-schrodinger", "crank_nicolson"),
+        ("run-schrodinger", "spectral"),
+        ("run-field", "leapfrog"),
+        ("run-field", "spectral"),
+        ("run-constrained", "rk4"),
+        ("run-constrained", "spectral"),
+        ("dequantize", "spectral"),
+        ("spectrum", "spectral"),
+    ],
+)
+def test_run_determinism(tmp_path, command, integrator, boundary):
+    overrides = {"integrator": integrator}
+    if boundary == "periodic":
+        overrides.update(grid=_PERIODIC_GRID, initial_state=_MODES, output={"snapshot_stride": 7})
+    cfg = _write(tmp_path, "cfg.json", _harmonic_cfg(**overrides))
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
-        assert main(["run-schrodinger", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    for name in sorted(p.name for p in out_a.iterdir() if p.suffix == ".csv"):
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    csvs = sorted(p.name for p in out_a.iterdir() if p.suffix == ".csv")
+    assert csvs == sorted(p.name for p in out_b.iterdir() if p.suffix == ".csv")
+    for name in csvs:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
     ma = json.loads((out_a / "manifest.json").read_text())
     mb = json.loads((out_b / "manifest.json").read_text())
     ma.pop("wall_time_s")
     mb.pop("wall_time_s")
     assert ma == mb
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of module.name made through any schrofield module's binding of it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key.split(".")[0] == "schrofield":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command, overrides, decompositions",
+    [
+        pytest.param("run-schrodinger", {"initial_state": "gaussian"}, 0, id="cn-gaussian"),
+        pytest.param("run-schrodinger", {}, 1, id="cn-eigenstate"),
+        pytest.param("run-field", {"integrator": "leapfrog", "initial_state": _MODES}, 1, id="lf"),
+        pytest.param(
+            "run-constrained", {"integrator": "rk4", "initial_state": _MODES}, 1, id="rk4"
+        ),
+        pytest.param("spectrum", {}, 1, id="spectrum"),
+        pytest.param("verify", {}, 2, id="verify"),
+    ],
+)
+def test_each_command_builds_once(tmp_path, monkeypatch, command, overrides, decompositions):
+    # verify decomposes the scenario's K and the doubled grid of its current-residual study
+    builds = _count_calls(monkeypatch, config_module, "build_scenario")
+    eighs = _count_calls(monkeypatch, lattice, "eigendecompose")
+    cfg = _write(tmp_path, "cfg.json", _harmonic_cfg(**overrides))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run"), "--quiet"]) == 0
+    assert (len(builds), len(eighs)) == (1, decompositions)
 
 
 def test_run_field_zero_mode_scenario(tmp_path):
@@ -490,7 +577,6 @@ def test_verify_report_times_each_check(tmp_path):
     cfg = _write(tmp_path, "cfg.json", _harmonic_cfg())
     report, _ = run_verify(parse_config(cfg), seed=7, quiet=True)
     assert set(report["timings"]) == {
-        "build_scenario",
         "dirac_structure",
         "verify_dirac_relations",
         "dirac_flow_check",
