@@ -87,6 +87,9 @@ def main(argv=None):
     except RuntimeError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"aborted: out of memory: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

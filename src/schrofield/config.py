@@ -19,6 +19,7 @@ from .lattice import build_grid, build_operator, eigendecompose
 from .presets import (
     POTENTIAL_PRESETS,
     STATE_PRESETS,
+    as_integer,
     initial_pair_from_spec,
     potential_from_spec,
 )
@@ -128,15 +129,6 @@ def _finite_number(raw, key, default):
     return value
 
 
-def _integer(value, key):
-    """value as an int; 24 and 24.0 are accepted, fractions, bools and strings are not."""
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    ):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
 def config_from_dict(raw):
     """Validate a raw config mapping and fill in defaults."""
     if not isinstance(raw, dict):
@@ -200,7 +192,7 @@ def config_from_dict(raw):
     for obs in observables:
         if obs not in _OBSERVABLES:
             raise ConfigError(f"unknown observable {obs!r}; choose from {_OBSERVABLES}")
-    stride = _integer(output.get("snapshot_stride", 0), "snapshot_stride")
+    stride = as_integer(output.get("snapshot_stride", 0), "snapshot_stride")
     if stride < 0:
         raise ConfigError("snapshot_stride must be >= 0")
 
@@ -222,7 +214,7 @@ def config_from_dict(raw):
         )
 
     return ScenarioConfig(
-        grid_n=_integer(grid_raw["n"], "grid n"),
+        grid_n=as_integer(grid_raw["n"], "grid n"),
         x_min=float(grid_raw["x_min"]),
         x_max=float(grid_raw["x_max"]),
         boundary=grid_raw.get("boundary", "dirichlet"),

@@ -62,7 +62,7 @@ def initial_pair_from_spec(spec, scenario):
 
     if kind == "eigenstate":
         _no_extra(kind, params, ("index",))
-        idx = int(params.get("index", 0))
+        idx = as_integer(params.get("index", 0), "eigenstate index")
         if not 0 <= idx < n:
             raise ConfigError(f"eigenstate index {idx} out of range 0..{n - 1}")
         # index counts up from the ground state; eigenvalues ascend in kappa,
@@ -88,12 +88,16 @@ def initial_pair_from_spec(spec, scenario):
         _no_extra(kind, params, ("coefficients",))
         re_c = np.zeros(n)
         im_c = np.zeros(n)
-        for entry in params.get("coefficients", []):
-            if len(entry) != 3:
+        coefficients = params.get("coefficients", [])
+        if not isinstance(coefficients, (list, tuple)):
+            raise ConfigError(f"mode coefficients must be a list, got {coefficients!r}")
+        for k, entry in enumerate(coefficients):
+            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
                 raise ConfigError(
                     f"mode coefficient entries are [index, re, im]; got {entry!r}"
                 )
-            idx, re_val, im_val = int(entry[0]), float(entry[1]), float(entry[2])
+            idx = as_integer(entry[0], f"mode coefficients[{k}] index")
+            re_val, im_val = float(entry[1]), float(entry[2])
             if not 0 <= idx < n:
                 raise ConfigError(f"mode index {idx} out of range 0..{n - 1}")
             # same ground-up numbering as the eigenstate preset
@@ -113,6 +117,15 @@ def initial_pair_from_spec(spec, scenario):
             )
         return re, im
     raise ConfigError(f"unknown initial-state preset {kind!r}")
+
+
+def as_integer(value, key):
+    """value as an int; 24 and 24.0 are accepted, fractions, bools and strings are not."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _no_extra(name, params, allowed):

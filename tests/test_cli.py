@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -116,6 +117,62 @@ def test_parse_rejects_non_numeric_numbers(tmp_path, capsys):
     code, err, written = _run_rejected(tmp_path, capsys, initial_state="eigenstate:x")
     assert (code, written) == (2, False)
     assert "config error: initial_state 'eigenstate:x'" in err
+
+
+@pytest.mark.parametrize(
+    "initial_state, message",
+    [
+        ({"type": "eigenstate", "index": 1.7}, "eigenstate index must be an integer, got 1.7"),
+        ({"type": "eigenstate", "index": True}, "eigenstate index must be an integer, got True"),
+        ({"type": "eigenstate", "index": "x"}, "eigenstate index must be an integer, got 'x'"),
+        (
+            {"type": "modes", "coefficients": [[0, 1.0, 0.0], [1.9, 1.0, 0.0]]},
+            "mode coefficients[1] index must be an integer, got 1.9",
+        ),
+        ({"type": "modes", "coefficients": [3]}, "entries are [index, re, im]; got 3"),
+        ({"type": "modes", "coefficients": 3}, "mode coefficients must be a list, got 3"),
+    ],
+)
+def test_preset_indices_follow_the_integer_rule(tmp_path, capsys, initial_state, message):
+    # the first four used to run as index 1 or fail without naming the key,
+    # the last two ended in a TypeError traceback
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build_scenario(config_from_dict(_harmonic_cfg(initial_state=initial_state)))
+    code, err, written = _run_rejected(tmp_path, capsys, initial_state=initial_state)
+    assert (code, written) == (2, False)
+    assert message in err
+
+
+def test_preset_indices_accept_integral_floats():
+    def pair(initial_state):
+        return build_scenario(config_from_dict(_harmonic_cfg(initial_state=initial_state))).initial_pair
+
+    for a, b in zip(
+        pair({"type": "eigenstate", "index": 2.0}), pair({"type": "eigenstate", "index": 2})
+    ):
+        assert np.array_equal(a, b)
+    for a, b in zip(
+        pair({"type": "modes", "coefficients": [[1.0, 1.0, 0.5]]}),
+        pair({"type": "modes", "coefficients": [[1, 1.0, 0.5]]}),
+    ):
+        assert np.array_equal(a, b)
+
+
+def test_cli_out_of_memory_is_a_clean_abort(tmp_path, capsys, monkeypatch):
+    # A real huge allocation would depend on the host's overcommit policy.
+    def no_memory(op):
+        raise MemoryError(f"Unable to allocate {16 * op.n**2} bytes")
+
+    monkeypatch.setattr(config_module, "eigendecompose", no_memory)
+    cfg = _write(
+        tmp_path,
+        "c.json",
+        _harmonic_cfg(initial_state={"type": "gaussian"}, integrator="spectral"),
+    )
+    code = main(["run-field", "--config", cfg, "--out", str(tmp_path / "run"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == f"aborted: out of memory: Unable to allocate {16 * 64**2} bytes\n"
 
 
 def _run_rejected(tmp_path, capsys, **overrides):
