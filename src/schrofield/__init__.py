@@ -11,8 +11,9 @@ operator K = (hbar^2/2m) Laplacian - V:
   * the constrained picture: four fields with two second-class constraints,
     whose two dynamical-sector parameterizations reduce to the first two.
 
-The brackets module realizes the Poisson and Dirac structures as explicit
-matrices so that every claimed identity is checkable finite algebra.
+The brackets module realizes the Poisson and Dirac structures as tables of
+blocks that are polynomials in K, so that every claimed identity is
+checkable finite algebra in O(n) time and memory.
 """
 
 __version__ = "0.1.0"
@@ -79,10 +80,9 @@ from .constrained import (
     step_rk4,
 )
 from .brackets import (
-    BracketMatrix,
+    BracketTable,
     PhaseLayout,
     canonical_structure,
-    constraint_bracket_matrix,
     constraint_gradient_matrix,
     dirac_flow_check,
     dirac_structure,

@@ -1,4 +1,4 @@
-"""Poisson, non-canonical, and Dirac brackets as explicit matrices.
+"""Poisson, non-canonical, and Dirac brackets as block tables over K.
 
 Phase vectors are flattened in the fixed block order (phi | p | varphi | pi),
 each block of length n. Under the discrete-delta convention delta -> I/dx,
@@ -12,11 +12,21 @@ through plain partial derivatives: a functional F = dx * sum f(z) has
 dF/dz = dx * (pointwise partials), and its flow is z_dot = J @ dF/dz, which
 reproduces the functional-derivative convention without any further weights.
 
+Every block of these matrices is a polynomial in the symmetric operator K
+with scalar coefficients; in practice 0, c I or c K. A `BlockTable` stores
+only those coefficients and K's stencil. Products and sums are polynomial
+arithmetic on the coefficients, a matrix-vector product costs one stencil
+product per power of K, and a block's largest entry comes from its band, so
+nothing of size 4n x 4n is ever formed; `dense()` assembles one for tests.
+In K's eigenbasis each two-block sector splits into n 2x2 matrices, one per
+eigenvalue kappa, which gives the sectors' singular values from the
+spectrum.
+
 The Dirac structure is J_D = J - J G^T C^{-1} G J with G the constraint
-gradient matrix and C = G J G^T the constraint bracket matrix. C is
-invertible here (the constraints are second class) with the exact block
-inverse [[0, -dx I], [dx I, 0]]; a generic linear-solve path exists purely
-for regression against the block form.
+gradient table and C = G J G^T the constraint bracket table. The K terms of
+C cancel, leaving [[0, I/dx], [-I/dx, 0]] for any potential; it is
+invertible (the constraints are second class) and inverted as its 2x2
+coefficient matrix.
 """
 
 from dataclasses import dataclass
@@ -24,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldState, field_rhs
-from .lattice import apply
+from .lattice import PERIODIC, Operator, apply, stencil_product
 from .schrodinger import WaveFunction, schrodinger_rhs
 
 BLOCKS = ("phi", "p", "varphi", "pi")
@@ -63,47 +73,181 @@ class PhaseLayout:
 
 
 @dataclass(frozen=True, eq=False)
-class BracketMatrix:
-    """Antisymmetric structure matrix J with J[i, j] = {z_i, z_j}."""
+class BlockTable:
+    """Block matrix whose (i, j) block of size n x n is sum_k coeffs[i, j, k] K^k.
 
-    matrix: np.ndarray
+    `op` supplies K's stencil and may be None when every block is a multiple
+    of I. Trailing all-zero powers are dropped. Blocks are polynomials in a
+    symmetric K, so each is symmetric and transposing a table only swaps its
+    block indices.
+    """
+
+    coeffs: np.ndarray
     layout: PhaseLayout
+    op: Operator | None = None
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        scale = float(np.max(np.abs(m))) if m.size else 0.0
-        if float(np.max(np.abs(m + m.T))) > 1e-12 * max(scale, 1.0):
+        c = np.array(self.coeffs, dtype=float)
+        if c.ndim != 3 or c.shape[2] == 0:
+            raise ValueError(f"coefficients must have shape (rows, cols, powers), got {c.shape}")
+        nonzero = np.nonzero(np.any(c != 0.0, axis=(0, 1)))[0]
+        c = c[:, :, : (nonzero[-1] + 1 if nonzero.size else 1)]
+        if c.shape[2] > 1 and self.op is None:
+            raise ValueError("a table with powers of K needs the operator")
+        if self.op is not None and self.op.n != self.layout.n:
+            raise ValueError(f"operator has n={self.op.n}, layout has n={self.layout.n}")
+        c.setflags(write=False)
+        object.__setattr__(self, "coeffs", c)
+
+    @property
+    def degree(self):
+        return self.coeffs.shape[2] - 1
+
+    @property
+    def T(self):
+        return BlockTable(np.swapaxes(self.coeffs, 0, 1), self.layout, self.op)
+
+    def take(self, rows, cols):
+        """The table of the blocks in the given block rows and columns."""
+        return BlockTable(self.coeffs[np.ix_(rows, cols)], self.layout, self.op)
+
+    def _combine(self, other, sign):
+        a, b = self.coeffs, other.coeffs
+        out = np.zeros(a.shape[:2] + (max(a.shape[2], b.shape[2]),))
+        out[:, :, : a.shape[2]] = a
+        out[:, :, : b.shape[2]] += sign * b
+        return BlockTable(out, self.layout, _shared_op(self, other))
+
+    def __add__(self, other):
+        return self._combine(other, 1.0)
+
+    def __sub__(self, other):
+        return self._combine(other, -1.0)
+
+    def __matmul__(self, other):
+        """Block product with another table, or `matvec` with a vector."""
+        if not isinstance(other, BlockTable):
+            return self.matvec(other)
+        a, b = self.coeffs, other.coeffs
+        out = np.zeros((a.shape[0], b.shape[1], a.shape[2] + b.shape[2] - 1))
+        for i in range(a.shape[2]):
+            for j in range(b.shape[2]):
+                out[:, :, i + j] += a[:, :, i] @ b[:, :, j]
+        return BlockTable(out, self.layout, _shared_op(self, other))
+
+    def matvec(self, v):
+        """The product with a flattened vector of cols x n entries, by Horner's rule in K."""
+        rows, cols, _ = self.coeffs.shape
+        n = self.layout.n
+        v = np.asarray(v, dtype=float)
+        if v.shape != (cols * n,):
+            raise ValueError(f"vector has shape {v.shape}, expected ({cols * n},)")
+        v = v.reshape(cols, n)
+        out = self.coeffs[:, :, -1] @ v
+        for k in range(self.degree - 1, -1, -1):
+            out = stencil_product(self.op, out) + self.coeffs[:, :, k] @ v
+        return out.reshape(rows * n)
+
+    def max_abs(self):
+        """Largest absolute entry, read off each block's band in O(n degree^2).
+
+        The band of a block of degree d holds its entries (i, i + o) for
+        |o| <= d, built by Horner's rule as band <- band K + c I: right
+        multiplication by K moves each offset one step either way. On a
+        periodic grid the column i + o wraps, and offsets equal modulo n
+        name the same entry, so they are summed before taking the maximum.
+        """
+        n, d = self.layout.n, self.degree
+        if d == 0:
+            return float(np.max(np.abs(self.coeffs)))
+        offsets = np.arange(-d, d + 1)
+        cols = np.arange(n) + offsets[:, None]
+        periodic = self.op.grid.boundary == PERIODIC
+        if periodic:
+            valid = np.ones(cols.shape, dtype=bool)
+            diag_at = self.op.diagonal[cols % n]
+        else:
+            valid = (cols >= 0) & (cols < n)
+            diag_at = self.op.diagonal[np.clip(cols, 0, n - 1)]
+        band = np.zeros(self.coeffs.shape[:2] + cols.shape)
+        band[:, :, d] = self.coeffs[:, :, d, None]
+        for k in range(d - 1, -1, -1):
+            shifted = band * diag_at
+            shifted[:, :, 1:] += self.op.coupling * band[:, :, :-1]
+            shifted[:, :, :-1] += self.op.coupling * band[:, :, 1:]
+            shifted[:, :, d] += self.coeffs[:, :, k, None]
+            band = np.where(valid, shifted, 0.0)
+        if periodic:
+            distinct, slot = np.unique(offsets % n, return_inverse=True)
+            folded = np.zeros(band.shape[:2] + (distinct.size, n))
+            np.add.at(folded, (slice(None), slice(None), slot), band)
+            band = folded
+        return float(np.max(np.abs(band)))
+
+    def dense(self):
+        """The full matrix; O(n^2) memory, for small-n tests."""
+        n = self.layout.n
+        powers = [np.eye(n)]
+        for _ in range(self.degree):
+            powers.append(powers[-1] @ self.op.matrix)
+        return np.block(
+            [
+                [sum(c * pk for c, pk in zip(poly, powers)) for poly in row]
+                for row in self.coeffs
+            ]
+        )
+
+
+def _shared_op(a, b):
+    if a.op is not None and b.op is not None and a.op is not b.op:
+        raise ValueError("tables over different operators")
+    if a.layout != b.layout:
+        raise ValueError("tables over different layouts")
+    return a.op if a.op is not None else b.op
+
+
+class BracketTable(BlockTable):
+    """Antisymmetric 4x4 table over BLOCKS: the structure J[i, j] = {z_i, z_j}."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.coeffs.shape[:2] != (len(BLOCKS), len(BLOCKS)):
+            raise ValueError(f"a bracket has 4x4 blocks, got {self.coeffs.shape[:2]}")
+        if (self + self.T).max_abs() > 1e-12 * max(self.max_abs(), 1.0):
             raise ValueError("bracket matrix must be antisymmetric")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
 
     def sector(self, names):
-        """Sub-matrix over the named blocks, in the given order."""
-        idx = np.concatenate(
-            [np.arange(self.layout.n) + BLOCKS.index(nm) * self.layout.n for nm in names]
-        )
-        return self.matrix[np.ix_(idx, idx)]
+        """The table of the named blocks, in the given order."""
+        idx = [BLOCKS.index(nm) for nm in names]
+        return self.take(idx, idx)
+
+
+def _coefficients(entries, rows, cols):
+    """rows x cols coefficient array from {(row name, col name): (c0, c1, ...)}."""
+    c = np.zeros((len(rows), len(cols), max(len(v) for v in entries.values())))
+    for (r, k), poly in entries.items():
+        c[rows.index(r), cols.index(k), : len(poly)] = poly
+    return c
 
 
 def canonical_structure(layout):
     """Canonical Poisson structure: {phi, p} and {varphi, pi} pairs at I/dx."""
-    n = layout.n
-    j = np.zeros((layout.dim, layout.dim))
-    eye = np.eye(n) / layout.dx
-    j[layout.block("phi"), layout.block("p")] = eye
-    j[layout.block("p"), layout.block("phi")] = -eye
-    j[layout.block("varphi"), layout.block("pi")] = eye
-    j[layout.block("pi"), layout.block("varphi")] = -eye
-    return BracketMatrix(matrix=j, layout=layout)
+    e = 1.0 / layout.dx
+    entries = {
+        ("phi", "p"): (e,),
+        ("p", "phi"): (-e,),
+        ("varphi", "pi"): (e,),
+        ("pi", "varphi"): (-e,),
+    }
+    return BracketTable(_coefficients(entries, BLOCKS, BLOCKS), layout)
 
 
 def noncanonical_structure(op, layout):
     """The K-twisted structure on (varphi, p): {varphi, p} = -K/dx."""
-    n = layout.n
-    j = np.zeros((2 * n, 2 * n))
-    j[:n, n:] = -op.matrix / layout.dx
-    j[n:, :n] = op.matrix / layout.dx
-    return j
+    e = 1.0 / layout.dx
+    sector = ("varphi", "p")
+    entries = {("varphi", "p"): (0.0, -e), ("p", "varphi"): (0.0, e)}
+    return BlockTable(_coefficients(entries, sector, sector), layout, op)
 
 
 def constraint_gradient_matrix(op, layout):
@@ -112,68 +256,39 @@ def constraint_gradient_matrix(op, layout):
     Rows are plain partial derivatives of each constraint component with
     respect to the flattened phase vector: [K | 0 | I | 0] and [0 | 0 | 0 | I].
     """
-    n = layout.n
-    g = np.zeros((2 * n, layout.dim))
-    g[:n, layout.block("phi")] = op.matrix
-    g[:n, layout.block("varphi")] = np.eye(n)
-    g[n:, layout.block("pi")] = np.eye(n)
-    return g
+    entries = {("c1", "phi"): (0.0, 1.0), ("c1", "varphi"): (1.0,), ("c2", "pi"): (1.0,)}
+    return BlockTable(_coefficients(entries, ("c1", "c2"), BLOCKS), layout, op)
 
 
-def constraint_bracket_matrix(op, layout):
-    """Mutual brackets of the constraints, C = G J G^T.
+def _constant_inverse(c):
+    """Inverse of a table whose blocks are multiples of I: its coefficient matrix inverted.
 
-    Comes out as [[0, I/dx], [-I/dx, 0]] independently of the potential: the
-    K-contributions cancel exactly. Its invertibility certifies that the
-    constraint pair is second class.
+    Raises LinAlgError when c is singular, or depends on K, which for the
+    constraint bracket would mean the constraints are not second class.
     """
-    j = canonical_structure(layout).matrix
-    g = constraint_gradient_matrix(op, layout)
-    c = g @ j @ g.T
-    if np.linalg.matrix_rank(c) < c.shape[0]:  # cannot occur; defensive
-        raise np.linalg.LinAlgError("constraint bracket matrix is singular")
-    return c
-
-
-def _constraint_bracket_inverse(layout):
-    """Exact block inverse of the constraint bracket matrix."""
-    n = layout.n
-    inv = np.zeros((2 * n, 2 * n))
-    inv[:n, n:] = -layout.dx * np.eye(n)
-    inv[n:, :n] = layout.dx * np.eye(n)
-    return inv
+    if c.degree:
+        raise np.linalg.LinAlgError("constraint bracket matrix depends on K")
+    return BlockTable(np.linalg.inv(c.coeffs[:, :, 0])[:, :, None], c.layout)
 
 
 def dirac_structure(op, layout):
-    """Dirac bracket matrix J_D = J - J G^T C^{-1} G J.
+    """Dirac bracket J_D = J - J G^T C^{-1} G J, by block algebra on the tables.
 
-    Built with the exact block inverse of C. The constraints become Casimirs:
-    J_D G^T = 0, the pi rows and columns vanish, the (phi, p) sector stays
-    canonical, and the (varphi, p) sector reproduces the non-canonical
-    structure -K/dx.
+    The constraints become Casimirs: J_D G^T = 0, the pi rows and columns
+    vanish, the (phi, p) sector stays canonical, and the (varphi, p) sector
+    reproduces the non-canonical structure -K/dx.
     """
-    j = canonical_structure(layout).matrix
+    j = canonical_structure(layout)
     g = constraint_gradient_matrix(op, layout)
-    c_inv = _constraint_bracket_inverse(layout)
-    gj = g @ j
-    jd = j - (j @ g.T) @ (c_inv @ gj)
-    return BracketMatrix(matrix=jd, layout=layout)
+    jg = j @ g.T
+    c = g @ jg
+    jd = j - jg @ (_constant_inverse(c) @ (g @ j))
+    return BracketTable(jd.coeffs, layout, op)
 
 
-def dirac_structure_generic(op, layout):
-    """Same as dirac_structure but inverting C by a generic linear solve."""
-    j = canonical_structure(layout).matrix
-    g = constraint_gradient_matrix(op, layout)
-    c = constraint_bracket_matrix(op, layout)
-    gj = g @ j
-    jd = j - (j @ g.T) @ np.linalg.solve(c, gj)
-    return BracketMatrix(matrix=jd, layout=layout)
-
-
-def _check(name, diff, reference, tol):
-    """One report entry; violation is relative to max(1, |reference|)."""
-    scale = max(1.0, float(np.max(np.abs(reference))) if np.size(reference) else 0.0)
-    violation = float(np.max(np.abs(diff))) / scale if np.size(diff) else 0.0
+def _check(name, max_diff, reference_scale, tol):
+    """One report entry; violation is max|diff| relative to max(1, max|reference|)."""
+    violation = max_diff / max(1.0, reference_scale)
     return {
         "name": name,
         "violation": violation,
@@ -185,51 +300,51 @@ def _check(name, diff, reference, tol):
 def verify_dirac_relations(op, layout, tol=1e-10, dirac=None):
     """Check every block identity of the Dirac structure; returns a report.
 
-    A pre-assembled (possibly perturbed) matrix can be passed through `dirac`
-    so that detector sanity can be exercised.
+    A pre-assembled (possibly perturbed) table can be passed through `dirac`
+    so that detector sanity can be exercised. Each identity is checked on
+    the blocks it names, with largest entries read off their bands.
     """
     jd = dirac_structure(op, layout) if dirac is None else dirac
-    m = jd.matrix
-    n = layout.n
-    eye_dx = np.eye(n) / layout.dx
-    k_dx = op.matrix / layout.dx
+    eye_dx = BlockTable([[[1.0 / layout.dx]]], layout)
+    k_dx = BlockTable([[[0.0, 1.0 / layout.dx]]], layout, op)
+    eye_scale = 1.0 / layout.dx
+    k_scale = k_dx.max_abs()
+    every = range(len(BLOCKS))
+    pi = [BLOCKS.index("pi")]
 
     def blk(a, b):
-        return m[layout.block(a), layout.block(b)]
+        return jd.take([BLOCKS.index(a)], [BLOCKS.index(b)])
+
+    def zero(a, b):
+        return _check(f"dirac_{a}_{b}_zero", blk(a, b).max_abs(), 0.0, tol)
 
     g = constraint_gradient_matrix(op, layout)
-    pi_rows = m[layout.block("pi"), :]
-    pi_cols = m[:, layout.block("pi")]
-
-    checks = [
-        _check("dirac_antisymmetry", m + m.T, m, tol),
-        _check("dirac_phi_p_is_delta", blk("phi", "p") - eye_dx, eye_dx, tol),
-        _check("dirac_varphi_p_is_minus_K", blk("varphi", "p") + k_dx, k_dx, tol),
-        _check("dirac_phi_phi_zero", blk("phi", "phi"), 0.0, tol),
-        _check("dirac_p_p_zero", blk("p", "p"), 0.0, tol),
-        _check("dirac_varphi_varphi_zero", blk("varphi", "varphi"), 0.0, tol),
-        _check("dirac_phi_varphi_zero", blk("phi", "varphi"), 0.0, tol),
-        _check(
-            "dirac_pi_casimir",
-            np.concatenate([pi_rows.ravel(), pi_cols.ravel()]),
-            eye_dx,
-            tol,
-        ),
-        _check("dirac_constraint_casimir", m @ g.T, k_dx, tol),
+    field = ("phi", "p")
+    wave = ("varphi", "p")
+    pi_blocks = max(jd.take(pi, every).max_abs(), jd.take(every, pi).max_abs())
+    return [
+        _check("dirac_antisymmetry", (jd + jd.T).max_abs(), jd.max_abs(), tol),
+        _check("dirac_phi_p_is_delta", (blk("phi", "p") - eye_dx).max_abs(), eye_scale, tol),
+        _check("dirac_varphi_p_is_minus_K", (blk("varphi", "p") + k_dx).max_abs(), k_scale, tol),
+        zero("phi", "phi"),
+        zero("p", "p"),
+        zero("varphi", "varphi"),
+        zero("phi", "varphi"),
+        _check("dirac_pi_casimir", pi_blocks, eye_scale, tol),
+        _check("dirac_constraint_casimir", (jd @ g.T).max_abs(), k_scale, tol),
         _check(
             "dirac_field_sector_canonical",
-            jd.sector(("phi", "p")) - canonical_structure(layout).sector(("phi", "p")),
-            eye_dx,
+            (jd.sector(field) - canonical_structure(layout).sector(field)).max_abs(),
+            eye_scale,
             tol,
         ),
         _check(
             "dirac_wave_sector_noncanonical",
-            jd.sector(("varphi", "p")) - noncanonical_structure(op, layout),
-            k_dx,
+            (jd.sector(wave) - noncanonical_structure(op, layout)).max_abs(),
+            k_scale,
             tol,
         ),
     ]
-    return checks
 
 
 def generalized_hamiltonian_check(op, layout, tol=1e-12, rng=None, batch=5):
@@ -256,18 +371,8 @@ def generalized_hamiltonian_check(op, layout, tol=1e-12, rng=None, batch=5):
         h_scale = max(1.0, float(np.dot(grad, grad)))
         worst_cons = max(worst_cons, abs(float(np.dot(grad, flow))) / h_scale)
     return [
-        {
-            "name": "generalized_flow_matches_schrodinger",
-            "violation": worst_flow,
-            "tolerance": tol,
-            "passed": bool(worst_flow <= tol),
-        },
-        {
-            "name": "generalized_energy_conserved",
-            "violation": worst_cons,
-            "tolerance": tol,
-            "passed": bool(worst_cons <= tol),
-        },
+        _check("generalized_flow_matches_schrodinger", worst_flow, 0.0, tol),
+        _check("generalized_energy_conserved", worst_cons, 0.0, tol),
     ]
 
 
@@ -306,22 +411,12 @@ def dirac_flow_check(op, layout, tol=1e-12, rng=None, batch=5, dirac=None):
         scale = max(1.0, float(np.max(np.abs(ref))))
         worst_field = max(worst_field, float(np.max(np.abs(flow_field - ref))) / scale)
     return [
-        {
-            "name": "dirac_flow_wave_sector",
-            "violation": worst_wave,
-            "tolerance": tol,
-            "passed": bool(worst_wave <= tol),
-        },
-        {
-            "name": "dirac_flow_field_sector",
-            "violation": worst_field,
-            "tolerance": tol,
-            "passed": bool(worst_field <= tol),
-        },
+        _check("dirac_flow_wave_sector", worst_wave, 0.0, tol),
+        _check("dirac_flow_field_sector", worst_field, 0.0, tol),
     ]
 
 
-def _jacobi_terms(j, rng):
+def _jacobi_terms(bracket, rng):
     """The three nested-bracket terms of one random sample of the cyclic sum.
 
     Draws three standard normal dim x dim matrices a, then a standard normal
@@ -330,8 +425,9 @@ def _jacobi_terms(j, rng):
     and the term pairs it with J w z. Every product is a matrix-vector
     product, O(dim^2) per term: neither the triple products x J y nor x
     itself are formed, since forming x costs about as much as drawing a.
+    The products with J are the table's O(n) matvec.
     """
-    dim = j.shape[0]
+    dim = bracket.layout.dim
     draws = [rng.standard_normal((dim, dim)) for _ in range(3)]
     z = rng.standard_normal(dim)
 
@@ -339,7 +435,7 @@ def _jacobi_terms(j, rng):
         """x_i v for the symmetric part x_i of draws[i]."""
         return 0.5 * (draws[i] @ v + draws[i].T @ v)
 
-    flows = [j @ form(i, z) for i in range(3)]  # J x z, the flow of f_x at z
+    flows = [bracket @ form(i, z) for i in range(3)]  # J x z, the flow of f_x at z
     terms = []
     for x, y, w in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         grad_xy = form(x, flows[y]) - form(y, flows[x])  # gradient of {f_x, f_y}
@@ -359,18 +455,28 @@ def jacobi_cyclic_residual(bracket, rng=None, samples=3):
     rng = np.random.default_rng(0) if rng is None else rng
     worst = 0.0
     for _ in range(int(samples)):
-        terms = _jacobi_terms(bracket.matrix, rng)
+        terms = _jacobi_terms(bracket, rng)
         total = abs(sum(terms))
         scale = max(sum(abs(t) for t in terms), 1e-300)
         worst = max(worst, total / scale)
     return worst
 
 
-def sector_smallest_singular_values(bracket):
-    """Smallest singular value of each dynamical-sector block of the bracket."""
-    return {
-        "phi_p": float(np.linalg.svd(bracket.sector(("phi", "p")), compute_uv=False)[-1]),
-        "varphi_p": float(
-            np.linalg.svd(bracket.sector(("varphi", "p")), compute_uv=False)[-1]
-        ),
-    }
+def sector_smallest_singular_values(bracket, spectrum):
+    """Smallest singular value of each dynamical-sector block of the bracket.
+
+    Every block is a polynomial in K, so in K's eigenbasis a two-block
+    sector splits into n 2x2 matrices, its coefficient polynomials at each
+    eigenvalue kappa of `spectrum`; their singular values are the sector's.
+    """
+    if bracket.op is not None and spectrum.operator is not bracket.op:
+        raise ValueError("spectrum is not the spectrum of the bracket's operator")
+    kappa = spectrum.eigenvalues[:, None, None]
+    out = {}
+    for key, names in (("phi_p", ("phi", "p")), ("varphi_p", ("varphi", "p"))):
+        coeffs = bracket.sector(names).coeffs
+        blocks = 0.0
+        for k in range(coeffs.shape[2] - 1, -1, -1):  # Horner's rule, one 2x2 per kappa
+            blocks = blocks * kappa + coeffs[:, :, k]
+        out[key] = float(np.min(np.linalg.svd(blocks, compute_uv=False)))
+    return out

@@ -19,6 +19,7 @@ from .lattice import build_grid, build_operator, eigendecompose
 from .presets import (
     POTENTIAL_PRESETS,
     STATE_PRESETS,
+    as_finite,
     as_integer,
     initial_pair_from_spec,
     potential_from_spec,
@@ -118,17 +119,6 @@ def _reject_unknown(mapping, allowed, where):
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
 
-def _finite_number(raw, key, default):
-    """raw[key] as a finite float; JSON admits NaN and Infinity, the physics does not."""
-    try:
-        value = float(raw.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a number, got {raw[key]!r}") from exc
-    if not np.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {value!r}")
-    return value
-
-
 def config_from_dict(raw):
     """Validate a raw config mapping and fill in defaults."""
     if not isinstance(raw, dict):
@@ -200,10 +190,10 @@ def config_from_dict(raw):
     if fault and fault not in FAULTS:
         raise ConfigError(f"unknown fault {fault!r}; choose from {FAULTS}")
 
-    dt = _finite_number(raw, "dt", 1e-3)
-    t_final = _finite_number(raw, "t_final", 1.0)
-    hbar = _finite_number(raw, "hbar", 1.0)
-    mass = _finite_number(raw, "mass", 1.0)
+    dt = as_finite(raw.get("dt", 1e-3), "dt")
+    t_final = as_finite(raw.get("t_final", 1.0), "t_final")
+    hbar = as_finite(raw.get("hbar", 1.0), "hbar")
+    mass = as_finite(raw.get("mass", 1.0), "mass")
     if dt <= 0.0:
         raise ConfigError("dt must be positive")
     if t_final <= 0.0:
@@ -215,8 +205,8 @@ def config_from_dict(raw):
 
     return ScenarioConfig(
         grid_n=as_integer(grid_raw["n"], "grid n"),
-        x_min=float(grid_raw["x_min"]),
-        x_max=float(grid_raw["x_max"]),
+        x_min=as_finite(grid_raw["x_min"], "grid x_min"),
+        x_max=as_finite(grid_raw["x_max"], "grid x_max"),
         boundary=grid_raw.get("boundary", "dirichlet"),
         potential=potential,
         hbar=hbar,

@@ -13,8 +13,7 @@ and `CayleySolver` solves the Crank-Nicolson system I - i a K in O(n) from
 the same stencil. `spectral_radius` bisects both ends of the spectrum on
 the stencil too, one O(n) inertia count per shift (Sturm sequences; Barth,
 Martin and Wilkinson 1967). `Operator.matrix` is a dense view that
-`eigendecompose` and the bracket layer build on first use and keep for the
-operator's lifetime.
+`eigendecompose` builds on first use and keeps for the operator's lifetime.
 
 Discrete conventions shared by the whole package:
 
@@ -184,11 +183,19 @@ def build_operator(grid, potential, hbar=1.0, mass=1.0):
             f"potential has {v.shape[0]} values for a grid of {grid.n} points"
         )
     scale = hbar * hbar / (2.0 * mass)
-    w = 1.0 / (grid.dx * grid.dx)
+    dx2 = grid.dx * grid.dx
+    w = 1.0 / dx2 if dx2 > 0.0 else math.inf
     # Same rounding as scaling the assembled Laplacian, then subtracting V.
+    coupling = scale * w
+    diagonal = scale * (-2.0 * w) - v
+    if not (math.isfinite(coupling) and np.all(np.isfinite(diagonal))):
+        raise ValueError(
+            f"operator entries must be finite: hbar={hbar!r}, mass={mass!r} and "
+            f"dx={grid.dx!r} give hbar^2 / (2 mass dx^2) = {coupling!r}"
+        )
     return Operator(
-        diagonal=_read_only(scale * (-2.0 * w) - v),
-        coupling=scale * w,
+        diagonal=_read_only(diagonal),
+        coupling=coupling,
         hbar=hbar,
         mass=mass,
         grid=grid,
@@ -200,6 +207,11 @@ def apply(op, f):
     f = np.asarray(f, dtype=float)
     if f.shape[-1:] != (op.n,):
         raise ValueError(f"field has shape {f.shape}, expected (..., {op.n})")
+    return stencil_product(op, f)
+
+
+def stencil_product(op, f):
+    """K f for a float array f of shape (..., n), unchecked; `apply` checks f first."""
     cf = op.coupling * f
     out = op.diagonal * f
     out[..., 1:] += cf[..., :-1]
@@ -383,8 +395,6 @@ def spectral_radius(op):
     """
     periodic = op.grid.boundary == PERIODIC
     top = max(float(np.max(np.abs(op.diagonal))), abs(op.coupling))
-    if not math.isfinite(top):
-        raise ValueError("operator entries must be finite")
     scale = -math.frexp(top)[1] - 2
     diag = np.ldexp(op.diagonal, scale).tolist()
     b = math.ldexp(op.coupling, scale)

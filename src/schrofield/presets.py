@@ -26,19 +26,19 @@ def potential_from_spec(grid, spec, mass=1.0):
         values = np.zeros(grid.n)
     elif name == "harmonic":
         _no_extra(name, params, ("omega",))
-        omega = float(params.get("omega", 1.0))
+        omega = as_finite(params.get("omega", 1.0), "omega")
         values = 0.5 * mass * omega * omega * x * x
     elif name == "square_well":
         _no_extra(name, params, ("depth", "width"))
-        depth = float(params.get("depth", 1.0))
-        width = float(params.get("width", 1.0))
+        depth = as_finite(params.get("depth", 1.0), "depth")
+        width = as_finite(params.get("width", 1.0), "width")
         center = x[0] + 0.5 * (x[-1] - x[0])
         values = np.where(np.abs(x - center) <= 0.5 * width, -depth, 0.0)
     elif name == "gaussian_barrier":
         _no_extra(name, params, ("height", "width", "center"))
-        height = float(params.get("height", 1.0))
-        width = float(params.get("width", 1.0))
-        center = float(params.get("center", 0.0))
+        height = as_finite(params.get("height", 1.0), "height")
+        width = as_finite(params.get("width", 1.0), "width")
+        center = as_finite(params.get("center", 0.0), "center")
         values = height * np.exp(-0.5 * ((x - center) / width) ** 2)
     elif name == "inline":
         _no_extra(name, params, ("values",))
@@ -70,9 +70,9 @@ def initial_pair_from_spec(spec, scenario):
         return np.array(scenario.spectrum.vectors[:, n - 1 - idx]), np.zeros(n)
     if kind == "gaussian":
         _no_extra(kind, params, ("center", "width", "momentum"))
-        center = float(params.get("center", 0.0))
-        width = float(params.get("width", 1.0))
-        momentum = float(params.get("momentum", 0.0))
+        center = as_finite(params.get("center", 0.0), "center")
+        width = as_finite(params.get("width", 1.0), "width")
+        momentum = as_finite(params.get("momentum", 0.0), "momentum")
         x = grid.points()
         envelope = np.exp(-((x - center) ** 2) / (4.0 * width * width))
         phase = momentum * x / scenario.operator.hbar
@@ -97,7 +97,8 @@ def initial_pair_from_spec(spec, scenario):
                     f"mode coefficient entries are [index, re, im]; got {entry!r}"
                 )
             idx = as_integer(entry[0], f"mode coefficients[{k}] index")
-            re_val, im_val = float(entry[1]), float(entry[2])
+            re_val = as_finite(entry[1], f"mode coefficients[{k}] re")
+            im_val = as_finite(entry[2], f"mode coefficients[{k}] im")
             if not 0 <= idx < n:
                 raise ConfigError(f"mode index {idx} out of range 0..{n - 1}")
             # same ground-up numbering as the eigenstate preset
@@ -126,6 +127,17 @@ def as_integer(value, key):
     ):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_finite(value, key):
+    """value as a finite float; JSON admits NaN and Infinity, the physics does not."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+    if not np.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {number!r}")
+    return number
 
 
 def _no_extra(name, params, allowed):

@@ -417,11 +417,11 @@ def _faulted_dirac(op, layout, fault):
     jd = br.dirac_structure(op, layout)
     if not fault:
         return jd
-    m = np.array(jd.matrix)
+    c = np.array(jd.coeffs)
     if fault == "dirac_sign_flip":
-        m[layout.block("varphi"), layout.block("p")] *= -1.0
-        m[layout.block("p"), layout.block("varphi")] *= -1.0
-    return br.BracketMatrix(matrix=m, layout=layout)
+        varphi, p = br.BLOCKS.index("varphi"), br.BLOCKS.index("p")
+        c[[varphi, p], [p, varphi]] *= -1.0
+    return br.BracketTable(c, layout, op)
 
 
 def _commuting_diagram_orders(op, spec, phi0, p0, dt, nsteps):
@@ -598,7 +598,7 @@ def run_verify(scenario, seed=0, out_dir=None, quiet=False):
 
     # Dynamical-sector nondegeneracy (measured only when zero modes exist).
     with _timed(timings, "sector_smallest_singular_values"):
-        svals = br.sector_smallest_singular_values(jd)
+        svals = br.sector_smallest_singular_values(jd, spec)
     has_kernel = len(spec.zero_modes) > 0
     identities.append(
         _identity(

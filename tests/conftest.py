@@ -25,6 +25,45 @@ def stencil_error_bound(op, f):
     return 2.0 * GAMMA_3 * (np.abs(op.matrix) @ np.abs(f))
 
 
+def dense_canonical_structure(layout):
+    """Oracle: the canonical Poisson matrix, {phi, p} and {varphi, pi} at I/dx."""
+    n = layout.n
+    j = np.zeros((layout.dim, layout.dim))
+    eye = np.eye(n) / layout.dx
+    j[layout.block("phi"), layout.block("p")] = eye
+    j[layout.block("p"), layout.block("phi")] = -eye
+    j[layout.block("varphi"), layout.block("pi")] = eye
+    j[layout.block("pi"), layout.block("varphi")] = -eye
+    return j
+
+
+def dense_constraint_gradients(op, layout):
+    """Oracle: the 2n x 4n constraint gradient matrix [K | 0 | I | 0], [0 | 0 | 0 | I]."""
+    n = layout.n
+    g = np.zeros((2 * n, layout.dim))
+    g[:n, layout.block("phi")] = op.matrix
+    g[:n, layout.block("varphi")] = np.eye(n)
+    g[n:, layout.block("pi")] = np.eye(n)
+    return g
+
+
+def constraint_bracket_matrix(op, layout):
+    """Oracle: the mutual constraint brackets C = G J G^T as a dense 2n x 2n matrix."""
+    g = dense_constraint_gradients(op, layout)
+    c = g @ dense_canonical_structure(layout) @ g.T
+    if np.linalg.matrix_rank(c) < c.shape[0]:
+        raise np.linalg.LinAlgError("constraint bracket matrix is singular")
+    return c
+
+
+def dirac_structure_generic(op, layout):
+    """Oracle: the dense Dirac matrix J - J G^T C^{-1} G J, C inverted by a linear solve."""
+    j = dense_canonical_structure(layout)
+    g = dense_constraint_gradients(op, layout)
+    c = constraint_bracket_matrix(op, layout)
+    return j - (j @ g.T) @ np.linalg.solve(c, g @ j)
+
+
 @pytest.fixture(scope="session")
 def free3():
     """n=3 Dirichlet free stencil with hbar=1, m=1/2 (unit second difference)."""

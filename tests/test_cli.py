@@ -158,6 +158,53 @@ def test_preset_indices_accept_integral_floats():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize(
+    "potential, initial_state, message",
+    [
+        ({"name": "harmonic", "omega": "x"}, "eigenstate:0", "omega must be a number, got 'x'"),
+        ({"name": "harmonic", "omega": 1.0}, {"type": "modes", "coefficients": [[0, "y", 0.0]]},
+         "mode coefficients[0] re must be a number, got 'y'"),
+        ({"name": "harmonic", "omega": 1.0}, {"type": "modes", "coefficients": [[0, 1.0, None]]},
+         "mode coefficients[0] im must be a number, got None"),
+        ({"name": "square_well", "depth": [1.0]}, "eigenstate:0", "depth must be a number"),
+        ({"name": "gaussian_barrier", "center": "inf"}, "eigenstate:0", "center must be finite"),
+        ({"name": "harmonic", "omega": 1.0}, {"type": "gaussian", "momentum": "p"},
+         "momentum must be a number, got 'p'"),
+    ],
+)
+def test_preset_numbers_name_their_key(tmp_path, capsys, potential, initial_state, message):
+    # these used to fail with "could not convert string to float" and no key
+    overrides = {"potential": potential, "initial_state": initial_state}
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build_scenario(config_from_dict(_harmonic_cfg(**overrides)))
+    code, err, written = _run_rejected(tmp_path, capsys, **overrides)
+    assert (code, written) == (2, False)
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "command, integrator",
+    [("run-schrodinger", "crank_nicolson"), ("run-field", "leapfrog"), ("verify", "spectral")],
+)
+@pytest.mark.parametrize(
+    "overrides, named",
+    [({"hbar": 1e200}, "hbar=1e+200"), ({"grid": {"n": 3, "x_min": 0.0, "x_max": 1e-200}}, "dx=")],
+)
+def test_overflowed_stencil_is_rejected_before_output(
+    tmp_path, capsys, command, integrator, overrides, named
+):
+    # hbar^2 = inf used to leave a CN snapshot without a manifest, and a dx
+    # whose square underflows ended in a ZeroDivisionError traceback
+    cfg = _harmonic_cfg(integrator=integrator, initial_state={"type": "gaussian"}, **overrides)
+    path = _write(tmp_path, "c.json", cfg)
+    out = tmp_path / "run"
+    code = main([command, "--config", path, "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert not out.exists()
+    assert "operator entries must be finite" in err and named in err
+
+
 def test_cli_out_of_memory_is_a_clean_abort(tmp_path, capsys, monkeypatch):
     # A real huge allocation would depend on the host's overcommit policy.
     def no_memory(op):

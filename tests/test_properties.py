@@ -1,0 +1,144 @@
+"""Property tests over random small grids: the O(n) stencil, Cayley solve and
+bracket tables against their dense oracles.
+
+Each example draws a grid of n = 3..24 points with either closure, physical
+constants and a potential that is zero (a free grid; periodic free grids
+have a zero mode) or random.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from schrofield import Potential, apply, build_grid, build_operator, eigendecompose
+from schrofield.brackets import (
+    BlockTable,
+    PhaseLayout,
+    dirac_structure,
+    sector_smallest_singular_values,
+)
+from schrofield.lattice import CayleySolver, spectral_radius
+
+from conftest import dirac_structure_generic, stencil_error_bound
+
+EPS = np.finfo(float).eps
+SETTINGS = settings(max_examples=150, deadline=None, database=None)
+
+
+@st.composite
+def operators(draw):
+    n = draw(st.integers(3, 24))
+    boundary = draw(st.sampled_from(["dirichlet", "periodic"]))
+    span = draw(st.floats(0.1, 100.0))
+    hbar = draw(st.floats(0.05, 20.0))
+    mass = draw(st.floats(0.05, 20.0))
+    v = draw(
+        st.one_of(
+            st.just([0.0] * n),
+            st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n),
+        )
+    )
+    grid = build_grid(n, 0.0, span, boundary)
+    return build_operator(grid, Potential(v), hbar=hbar, mass=mass)
+
+
+def _free_periodic(n=8):
+    return build_operator(build_grid(n, 0.0, 1.0, "periodic"), Potential(np.zeros(n)))
+
+
+def _entries(top):
+    """Zero, or a magnitude in [1e-3, top]: no product then underflows into the
+    subnormal range, where the relative error bounds below do not hold."""
+    return st.one_of(st.just(0.0), st.floats(1e-3, top), st.floats(-top, -1e-3))
+
+
+def _vector(data, size):
+    return np.array(data.draw(st.lists(_entries(1e3), min_size=size, max_size=size)))
+
+
+@SETTINGS
+@given(op=operators(), data=st.data())
+def test_apply_matches_dense_product(op, data):
+    f = _vector(data, op.n)
+    assert np.all(np.abs(apply(op, f) - op.matrix @ f) <= stencil_error_bound(op, f))
+
+
+@SETTINGS
+@given(op=operators(), a=st.floats(-10.0, 10.0), data=st.data())
+def test_cayley_solver_matches_dense_solve(op, a, data):
+    z = _vector(data, op.n) + 1j * _vector(data, op.n)
+    eye = np.eye(op.n)
+    rhs = (eye + 1j * a * op.matrix) @ z
+    want = np.linalg.solve(eye - 1j * a * op.matrix, rhs)
+    got = CayleySolver(op, a).solve(rhs)
+    # Both solves are backward stable, and I - i a K has Hermitian part I, so
+    # its inverse has norm at most 1 and the forward error is at most a
+    # modest multiple of n eps ||I - i a K|| ||x||.
+    norm_a = np.hypot(1.0, a * spectral_radius(op))
+    bound = 64 * op.n * EPS * norm_a * np.linalg.norm(want)
+    assert np.linalg.norm(got - want) <= bound
+
+
+@st.composite
+def tables(draw, op):
+    """A random table of 1..4 x 1..4 blocks of degree 0..2 over the operator."""
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4))
+    powers = draw(st.integers(1, 3))
+    size = rows * cols * powers
+    flat = draw(st.lists(_entries(10.0), min_size=size, max_size=size))
+    coeffs = np.array(flat).reshape(rows, cols, powers)
+    return BlockTable(coeffs, PhaseLayout(n=op.n, dx=op.grid.dx), op)
+
+
+def _abs_bound(table):
+    """The dense matrix of sum_k |c_k| |K|^k: what every rounding error scales with."""
+    op = table.op
+    k_abs = np.abs(op.matrix)
+    powers = [np.eye(op.n)]
+    for _ in range(table.coeffs.shape[2] - 1):
+        powers.append(powers[-1] @ k_abs)
+    return np.block(
+        [[sum(abs(c) * pk for c, pk in zip(poly, powers)) for poly in row] for row in table.coeffs]
+    )
+
+
+@SETTINGS
+@given(op=operators(), data=st.data())
+def test_table_matvec_and_max_abs_match_dense(op, data):
+    for table in (data.draw(tables(op)), dirac_structure(op, PhaseLayout(n=op.n, dx=op.grid.dx))):
+        dense = table.dense()
+        v = _vector(data, dense.shape[1])
+        bound = 32 * EPS * (_abs_bound(table) @ np.abs(v))
+        assert np.all(np.abs(table.matvec(v) - dense @ v) <= bound)
+        assert np.array_equal(table @ v, table.matvec(v))
+        scale = float(np.max(_abs_bound(table)))
+        assert abs(table.max_abs() - float(np.max(np.abs(dense)))) <= 32 * EPS * scale
+
+
+@SETTINGS
+@given(op=operators())
+@example(op=_free_periodic())
+def test_dirac_structure_matches_generic_oracle(op):
+    layout = PhaseLayout(n=op.n, dx=op.grid.dx)
+    got = dirac_structure(op, layout).dense()
+    want = dirac_structure_generic(op, layout)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@SETTINGS
+@given(op=operators())
+@example(op=_free_periodic())
+def test_sector_singular_values_match_dense_svd(op):
+    layout = PhaseLayout(n=op.n, dx=op.grid.dx)
+    jd = dirac_structure(op, layout)
+    spec = eigendecompose(op)
+    got = sector_smallest_singular_values(jd, spec)
+    for key, names in (("phi_p", ("phi", "p")), ("varphi_p", ("varphi", "p"))):
+        svals = np.linalg.svd(jd.sector(names).dense(), compute_uv=False)
+        # eigh and the dense SVD are each accurate to a small multiple of
+        # n eps times the sector's norm, its largest singular value
+        assert abs(got[key] - svals[-1]) <= 64 * op.n * EPS * svals[0]
+    if op.grid.boundary == "periodic" and np.all(op.diagonal == -2.0 * op.coupling):
+        # a free periodic grid: the constant mode sits in K's kernel
+        assert got["varphi_p"] <= 64 * op.n * EPS * spectral_radius(op) / op.grid.dx

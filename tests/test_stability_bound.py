@@ -77,9 +77,8 @@ def test_bound_matches_eigvalsh_property(n, boundary, span, hbar, mass, data):
 def test_bound_rejects_an_overflowed_stencil(boundary):
     # hbar^2 overflows to inf; a NaN bound would let every dt through
     grid = build_grid(8, -1.0, 1.0, boundary)
-    op = build_operator(grid, Potential(np.zeros(8)), hbar=1e200)
     with pytest.raises(ValueError, match="operator entries must be finite"):
-        spectral_radius(op)
+        build_operator(grid, Potential(np.zeros(8)), hbar=1e200)
 
 
 def _run_cfg(integrator, dt, n=48, boundary="dirichlet"):
