@@ -368,7 +368,8 @@ def generalized_hamiltonian_check(op, layout, tol=1e-12, rng=None, batch=5):
         ref = np.concatenate([dre, dim])
         scale = max(1.0, float(np.max(np.abs(ref))))
         worst_flow = max(worst_flow, float(np.max(np.abs(flow - ref))) / scale)
-        h_scale = max(1.0, float(np.dot(grad, grad)))
+        # The roundoff of grad . flow scales with |grad| |flow|, and |flow| with ||J'||.
+        h_scale = max(1.0, float(np.linalg.norm(grad) * np.linalg.norm(flow)))
         worst_cons = max(worst_cons, abs(float(np.dot(grad, flow))) / h_scale)
     return [
         _check("generalized_flow_matches_schrodinger", worst_flow, 0.0, tol),

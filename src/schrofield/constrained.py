@@ -24,7 +24,7 @@ import numpy as np
 from . import quadrature
 from .errors import OffShellError, StabilityError
 from .field import FieldState
-from .lattice import apply, inner_product, spectral_radius
+from .lattice import apply, spectral_radius, stencil_product
 from .schrodinger import WaveFunction, _field_array
 
 RK4_STABILITY = 2.8  # |kappa| dt / hbar must stay below this
@@ -105,12 +105,18 @@ def constrained_hamiltonian(op, s):
     On shell it collapses to the field energy and to the norm functional of
     the reduced wave state.
     """
-    grid = op.grid
+    return _hamiltonian(op, (s.phi, s.p, s.varphi), apply(op, (s.phi, s.p)), s.pi)
+
+
+def _hamiltonian(op, y, ky, pi):
+    """constrained_hamiltonian of y = (phi, p, varphi) and pi, given ky[:2] = K (phi, p)."""
+    dx = op.grid.dx
+    _, p, varphi = y
+    v = -ky[1] / op.hbar
     return (
-        0.5 * (inner_product(s.p, s.p, grid) - inner_product(s.varphi, s.varphi, grid))
-        / op.hbar
-        - inner_product(s.varphi, apply(op, s.phi), grid) / op.hbar
-        + inner_product(multiplier_v(op, s), s.pi, grid)
+        0.5 * (dx * float(np.dot(p, p)) - dx * float(np.dot(varphi, varphi))) / op.hbar
+        - dx * float(np.dot(varphi, ky[0])) / op.hbar
+        + dx * float(np.dot(v, pi))
     )
 
 
@@ -138,26 +144,35 @@ def rk4_stability_bound(op):
 
 def step_rk4(op, s, dt):
     """Classical fourth-order Runge-Kutta step of the substituted system."""
+    y = np.stack([s.phi, s.p, s.varphi])
+    phi, p, varphi = _rk4(op, y, apply(op, y[:0:-1]), dt)
+    return ConstrainedState(phi=phi, p=p, varphi=varphi, pi=s.pi, time=s.time + float(dt))
+
+
+def _rk4(op, y, k_varphi_p, dt):
+    """step_rk4 on y = (phi, p, varphi), given k_varphi_p = K (varphi, p).
+
+    Each of the later three stages takes one stencil product of its stacked
+    (varphi, p). Returns the stacked (phi, p, varphi) one step on.
+    """
     dt = float(dt)
     bound = rk4_stability_bound(op)
     if not 0.0 < dt < bound:
         raise StabilityError(dt, bound, "rk4")
-    hbar = op.hbar
+    # Rates (p, K varphi, -K p) / hbar: x / -hbar is -(x / hbar) exactly.
+    over = np.array([[op.hbar], [op.hbar], [-op.hbar]])
 
-    def rhs(phi, p, varphi):
-        return p / hbar, apply(op, varphi) / hbar, -apply(op, p) / hbar
+    def rate(z, kz):
+        return np.concatenate((z[1:2], kz)) / over
 
-    y = (s.phi, s.p, s.varphi)
-    k1 = rhs(*y)
-    k2 = rhs(*(y[i] + 0.5 * dt * k1[i] for i in range(3)))
-    k3 = rhs(*(y[i] + 0.5 * dt * k2[i] for i in range(3)))
-    k4 = rhs(*(y[i] + dt * k3[i] for i in range(3)))
-    out = [
-        y[i] + dt * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) / 6.0 for i in range(3)
-    ]
-    return ConstrainedState(
-        phi=out[0], p=out[1], varphi=out[2], pi=s.pi, time=s.time + dt
-    )
+    k1 = rate(y, k_varphi_p)
+    z = y + 0.5 * dt * k1
+    k2 = rate(z, stencil_product(op, z[:0:-1]))
+    z = y + 0.5 * dt * k2
+    k3 = rate(z, stencil_product(op, z[:0:-1]))
+    z = y + dt * k3
+    k4 = rate(z, stencil_product(op, z[:0:-1]))
+    return y + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
 def rk4_trajectory(op, s0, dt, nsteps):

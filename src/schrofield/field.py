@@ -15,7 +15,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import StabilityError
-from .lattice import Grid, apply, inner_product, spectral_radius
+from .lattice import Grid, apply, spectral_radius, stencil_product
 from .schrodinger import _field_array
 
 
@@ -77,15 +77,26 @@ def step_leapfrog(op, s, dt):
     Negative dt is allowed (the scheme is time-reversible); |dt| must stay
     under the oscillator stability bound or the step is rejected.
     """
+    y, _, _ = _leapfrog(op, (s.phi, s.p), apply(op, apply(op, s.phi)), dt)
+    return FieldState(phi=y[0], p=y[1], time=s.time + float(dt))
+
+
+def _leapfrog(op, y, kk_phi, dt):
+    """step_leapfrog on y = (phi, p), given kk_phi = K^2 phi.
+
+    Returns the stacked (phi, p) one step on with its K phi and K^2 phi; the
+    closing kick's K^2 phi is the next step's opening kick.
+    """
     dt = float(dt)
     bound = leapfrog_stability_bound(op)
     if dt == 0.0 or abs(dt) >= bound:
         raise StabilityError(dt, bound, "leapfrog")
     half = 0.5 * dt / op.hbar
-    p_half = s.p - half * apply(op, apply(op, s.phi))
-    phi_new = s.phi + dt * p_half / op.hbar
-    p_new = p_half - half * apply(op, apply(op, phi_new))
-    return FieldState(phi=phi_new, p=p_new, time=s.time + dt)
+    p_half = y[1] - half * kk_phi
+    phi = y[0] + dt * p_half / op.hbar
+    k_phi = stencil_product(op, phi)
+    kk_phi = stencil_product(op, k_phi)
+    return np.stack([phi, p_half - half * kk_phi]), k_phi, kk_phi
 
 
 def leapfrog_trajectory(op, s0, dt, nsteps):
@@ -120,12 +131,14 @@ def _mode_evolution(spec, a, b, offsets):
 
 def propagate_spectral_field(spec, s0, t):
     """Exact field evolution by time t in the eigenbasis."""
-    a = spec.coefficients(s0.phi)
-    b = spec.coefficients(s0.p)
+    phi, p = _propagate(spec, spec.coefficients(s0.phi), spec.coefficients(s0.p), t)
+    return FieldState(phi=phi, p=p, time=s0.time + t)
+
+
+def _propagate(spec, a, b, t):
+    """(phi, p) at time t of the state with eigencoefficients (a, b) at time 0."""
     a_t, b_t = _mode_evolution(spec, a, b, np.array([float(t)]))
-    return FieldState(
-        phi=spec.synthesize(a_t[0]), p=spec.synthesize(b_t[0]), time=s0.time + t
-    )
+    return spec.synthesize(a_t[0]), spec.synthesize(b_t[0])
 
 
 def spectral_field_trajectory(spec, s0, dt, nsteps):
@@ -154,11 +167,13 @@ def energy_densities(op, s):
 
 def field_hamiltonian(op, s):
     """Total field energy (⟨p, p⟩ + ⟨K phi, K phi⟩) / 2 hbar."""
-    grid = op.grid
-    kphi = apply(op, s.phi)
-    return 0.5 * (
-        inner_product(s.p, s.p, grid) + inner_product(kphi, kphi, grid)
-    ) / op.hbar
+    return _energy(op, s.p, apply(op, s.phi))
+
+
+def _energy(op, p, k_phi):
+    """field_hamiltonian of a state with momentum p, given k_phi = K phi."""
+    dx = op.grid.dx
+    return 0.5 * (dx * float(np.dot(p, p)) + dx * float(np.dot(k_phi, k_phi))) / op.hbar
 
 
 def field_action(op, traj):

@@ -42,7 +42,7 @@ def potential_from_spec(grid, spec, mass=1.0):
         values = height * np.exp(-0.5 * ((x - center) / width) ** 2)
     elif name == "inline":
         _no_extra(name, params, ("values",))
-        values = np.asarray(params["values"], dtype=float)
+        values = as_finite_array(params.get("values"), "inline potential values")
     else:
         raise ConfigError(f"unknown potential preset {name!r}")
     return Potential(values=values)
@@ -108,13 +108,14 @@ def initial_pair_from_spec(spec, scenario):
         return spectrum.synthesize(re_c), spectrum.synthesize(im_c)
     if kind == "inline":
         _no_extra(kind, params, ("re", "im"))
-        re = np.asarray(params.get("re", np.zeros(n)), dtype=float)
-        im = np.asarray(params.get("im", np.zeros(n)), dtype=float)
+        re, im = (
+            as_finite_array(params[key], f"inline state {key}") if key in params else np.zeros(n)
+            for key in ("re", "im")
+        )
         if re.shape != (n,) or im.shape != (n,):
             raise ConfigError(
                 f"inline state needs {n} values per component, got "
-                f"{re.shape[0] if re.ndim == 1 else re.shape} re and "
-                f"{im.shape[0] if im.ndim == 1 else im.shape} im"
+                f"{re.shape[0]} re and {im.shape[0]} im"
             )
         return re, im
     raise ConfigError(f"unknown initial-state preset {kind!r}")
@@ -138,6 +139,13 @@ def as_finite(value, key):
     if not np.isfinite(number):
         raise ConfigError(f"{key} must be finite, got {number!r}")
     return number
+
+
+def as_finite_array(values, key):
+    """values, a list of numbers, as a float array; a bad entry is named as key[i]."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
+    return np.array([as_finite(v, f"{key}[{i}]") for i, v in enumerate(values)])
 
 
 def _no_extra(name, params, allowed):

@@ -8,6 +8,7 @@ and carries a sha256 inventory of everything else.
 
 import hashlib
 import json
+import math
 import time
 from collections.abc import Callable
 from contextlib import contextmanager
@@ -24,7 +25,7 @@ from . import field as fd
 from . import schrodinger as sd
 from .config import MAX_STEPS
 from .errors import ConfigError
-from .lattice import build_grid, build_operator, eigendecompose, inner_product
+from .lattice import build_grid, build_operator, eigendecompose, stencil_product
 from .presets import potential_from_spec
 
 
@@ -89,7 +90,7 @@ def _wave_snapshot(out_dir, step, op, psi, observables):
 
 
 def _field_snapshot(out_dir, step, op, state, observables, extra_fields=()):
-    p_dens, phase = cr.probability_and_phase(op, fd.FieldState(phi=state.phi, p=state.p))
+    p_dens, phase = cr.probability_and_phase(op, state)
     fields = [("phi", state.phi), ("p", state.p), *extra_fields]
     _write_snapshot(out_dir, step, op, fields, p_dens, phase, observables)
 
@@ -128,24 +129,50 @@ def _peak(values):
 
 @dataclass(frozen=True)
 class _Picture:
-    """What one picture supplies to the shared run loop `_run`."""
+    """What one picture supplies to the shared run loop `_run`.
+
+    The loop holds each state as one stacked float array `y`, next to `ky`:
+    the stencil products of `y` that its series row and its next step both
+    read.
+    """
 
     command: str
     system: str
     integrators: tuple
-    # scenario -> (initial state, step(state, k) -> state at step k)
+    # scenario -> (y0, ky0, advance); advance(y, ky, k) -> (y, ky) at step k
     stepper: Callable
     columns: tuple
-    # (op, state) -> series row in `columns` order
+    # (op, t, y, ky) -> series row in `columns` order
     row: Callable
     # (column, label) of the quantity the blow-up guard watches
     guard: tuple
+    # (t, y) -> state object, built for snapshots and to name a non-finite field
+    state: Callable
     # (out_dir, step, op, state, observables) -> None
     snapshot: Callable
     # (manifest key, column, reduction of that column over the run)
     drift: tuple
     # (label, drift key) shown in the stdout summary
     summary: tuple
+
+
+def _checked_row(picture, op, t, y, ky, first):
+    """Series row of the state y, after checking y, the row and the blow-up guard.
+
+    A non-finite state raises the state object's ValueError naming the field;
+    a non-finite row value, or a guarded value ten times its size in `first`
+    (the run's first row), aborts the run.
+    """
+    if not np.isfinite(y).all():
+        picture.state(t, y)
+    row = picture.row(op, t, y, ky)
+    # A finite state can still overflow its row (inf, or nan from inf - inf).
+    for column, value in zip(picture.columns, row):
+        if not math.isfinite(value):
+            raise RuntimeError(f"instability: {column} is {value!r} at t={t!r}; aborting run")
+    guard, what = picture.guard
+    _check_blowup(row[guard], (first or row)[guard], what)
+    return row
 
 
 def _run(picture, scenario, out_dir, quiet):
@@ -156,22 +183,25 @@ def _run(picture, scenario, out_dir, quiet):
             f"integrator {cfg.integrator!r} does not apply to the {picture.system} system"
         )
     t0 = time.perf_counter()
-    state, step = picture.stepper(scenario)
+    y, ky, advance = picture.stepper(scenario)
     nsteps = _steps(cfg)
     snaps = _snapshot_steps(nsteps, cfg.snapshot_stride)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    guard, what = picture.guard
+    # Steppers accumulate time step by step; the exact propagators evaluate it.
+    exact = cfg.integrator == "spectral"
+    t = 0.0
     rows = []
-    for k in range(nsteps + 1):
-        if k > 0:
-            state = step(state, k)
-        row = picture.row(op, state)
-        _check_blowup(row[guard], rows[0][guard] if rows else row[guard], what)
-        rows.append(row)
-        if k in snaps:
-            picture.snapshot(out_dir, k, op, state, cfg.observables)
+    # Overflow is reported by _checked_row as a non-finite state or row.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(nsteps + 1):
+            if k > 0:
+                y, ky = advance(y, ky, k)
+                t = k * cfg.dt if exact else t + cfg.dt
+            rows.append(_checked_row(picture, op, t, y, ky, rows[0] if rows else None))
+            if k in snaps:
+                picture.snapshot(out_dir, k, op, picture.state(t, y), cfg.observables)
     write_csv(out_dir / "series.csv", picture.columns, rows)
     arr = np.asarray(rows)
     drift = {key: reduce(arr[:, col]) for key, col, reduce in picture.drift}
@@ -185,18 +215,29 @@ def _run(picture, scenario, out_dir, quiet):
 
 
 def _wave_stepper(scenario):
-    cfg = scenario.config
-    re0, im0 = scenario.initial_pair
-    psi0 = sd.WaveFunction(re=re0, im=im0, time=0.0)
+    cfg, op = scenario.config, scenario.operator
+    y0 = np.stack(scenario.initial_pair)
     if cfg.integrator == "crank_nicolson":
-        cayley = sd.CrankNicolson(scenario.operator, cfg.dt)
-        return psi0, lambda psi, k: cayley.step(psi)
-    return psi0, lambda psi, k: sd.propagate_spectral(scenario.spectrum, psi0, k * cfg.dt)
+        cayley = sd.CrankNicolson(op, cfg.dt)
+
+        def advance(y, ky, k):
+            y = cayley.advance(y, ky)
+            return y, stencil_product(op, y)
+
+    else:
+        spec = scenario.spectrum
+        r, s = spec.coefficients(y0[0]), spec.coefficients(y0[1])
+
+        def advance(y, ky, k):
+            y = np.stack(sd._rotate(spec, r, s, k * cfg.dt))
+            return y, stencil_product(op, y)
+
+    return y0, stencil_product(op, y0), advance
 
 
-def _wave_row(op, psi):
-    norm = sd.norm_hamiltonian(op, psi)
-    return (psi.time, norm, sd.wave_hamiltonian(op, psi), 2.0 * op.hbar * norm)
+def _wave_row(op, t, y, ky):
+    norm = sd._norm(op, y[0], y[1])
+    return (t, norm, sd._energy(op, y, ky), 2.0 * op.hbar * norm)
 
 
 _WAVE = _Picture(
@@ -209,6 +250,7 @@ _WAVE = _Picture(
     # The wave Hamiltonian has no fixed sign and can start near 0; the norm
     # is positive and conserved by both wave integrators.
     guard=(1, "norm"),
+    state=lambda t, y: sd.WaveFunction(re=y[0], im=y[1], time=t),
     snapshot=_wave_snapshot,
     drift=(("norm_drift", 1, _spread), ("hamiltonian_drift", 2, _spread)),
     summary=("norm drift", "norm_drift"),
@@ -216,17 +258,32 @@ _WAVE = _Picture(
 
 
 def _field_stepper(scenario):
+    """ky is (K phi, K^2 phi) for leapfrog, whose next kick reads K^2 phi, else (K phi,)."""
     cfg, op = scenario.config, scenario.operator
-    phi0, p0 = scenario.initial_pair
-    s0 = fd.FieldState(phi=phi0, p=p0, time=0.0)
+    y0 = np.stack(scenario.initial_pair)
+    k_phi = stencil_product(op, y0[0])
     if cfg.integrator == "leapfrog":
-        return s0, lambda state, k: fd.step_leapfrog(op, state, cfg.dt)
-    return s0, lambda state, k: fd.propagate_spectral_field(scenario.spectrum, s0, k * cfg.dt)
+
+        def advance(y, ky, k):
+            y, k_phi, kk_phi = fd._leapfrog(op, y, ky[1], cfg.dt)
+            return y, (k_phi, kk_phi)
+
+        return y0, (k_phi, stencil_product(op, k_phi)), advance
+
+    spec = scenario.spectrum
+    a, b = spec.coefficients(y0[0]), spec.coefficients(y0[1])
+
+    def advance(y, ky, k):
+        y = np.stack(fd._propagate(spec, a, b, k * cfg.dt))
+        return y, (stencil_product(op, y[0]),)
+
+    return y0, (k_phi,), advance
 
 
-def _field_row(op, state):
-    norm = sd.norm_hamiltonian(op, cr.quantize(op, state))
-    return (state.time, norm, fd.field_hamiltonian(op, state), 2.0 * op.hbar * norm)
+def _field_row(op, t, y, ky):
+    # quantize(state) = -K phi + i p
+    norm = sd._norm(op, -ky[0], y[1])
+    return (t, norm, fd._energy(op, y[1], ky[0]), 2.0 * op.hbar * norm)
 
 
 _FIELD = _Picture(
@@ -237,6 +294,7 @@ _FIELD = _Picture(
     columns=("t", "norm", "hamiltonian", "total_probability"),
     row=_field_row,
     guard=(2, "field hamiltonian"),
+    state=lambda t, y: fd.FieldState(phi=y[0], p=y[1], time=t),
     snapshot=_field_snapshot,
     drift=(("norm_drift", 1, _spread), ("hamiltonian_drift", 2, _spread)),
     summary=("energy drift", "hamiltonian_drift"),
@@ -244,45 +302,45 @@ _FIELD = _Picture(
 
 
 def _constrained_stepper(scenario):
+    """y is (phi, p, varphi) on shell, with pi = 0; ky is K y."""
     cfg, op = scenario.config, scenario.operator
     s0 = cn.make_onshell(op, *scenario.initial_pair)
+    y0 = np.stack([s0.phi, s0.p, s0.varphi])
     if cfg.integrator == "rk4":
-        return s0, lambda state, k: cn.step_rk4(op, state, cfg.dt)
 
-    def exact(state, k):
-        ev = fd.propagate_spectral_field(
-            scenario.spectrum, fd.FieldState(phi=s0.phi, p=s0.p), k * cfg.dt
-        )
-        return cn.make_onshell(op, ev.phi, ev.p, time=ev.time)
+        def advance(y, ky, k):
+            y = cn._rk4(op, y, ky[:0:-1], cfg.dt)
+            return y, stencil_product(op, y)
 
-    return s0, exact
+    else:
+        spec = scenario.spectrum
+        a, b = spec.coefficients(s0.phi), spec.coefficients(s0.p)
+
+        def advance(y, ky, k):
+            phi, p = fd._propagate(spec, a, b, k * cfg.dt)
+            y = np.stack([phi, p, -stencil_product(op, phi)])
+            return y, stencil_product(op, y)
+
+    return y0, stencil_product(op, y0), advance
 
 
-def _constrained_row(op, state):
-    c1, c2 = cn.constraint_residuals(op, state)
-    norm = 0.5 * (
-        inner_product(state.varphi, state.varphi, op.grid)
-        + inner_product(state.p, state.p, op.grid)
-    ) / op.hbar
+def _constrained_row(op, t, y, ky):
+    _, p, varphi = y
+    pi = np.zeros_like(p)
+    norm = sd._norm(op, varphi, p)
     return (
-        state.time,
+        t,
         norm,
-        cn.constrained_hamiltonian(op, state),
-        float(np.max(np.abs(c1))),
-        float(np.max(np.abs(c2))),
+        cn._hamiltonian(op, y, ky, pi),
+        float(np.abs(varphi + ky[0]).max()),
+        float(np.abs(pi).max()),
         2.0 * op.hbar * norm,
     )
 
 
 def _constrained_snapshot(out_dir, step, op, state, observables):
-    _field_snapshot(
-        out_dir,
-        step,
-        op,
-        fd.FieldState(phi=state.phi, p=state.p, time=state.time),
-        observables,
-        extra_fields=[("varphi", state.varphi), ("pi", state.pi)],
-    )
+    extra_fields = [("varphi", state.varphi), ("pi", state.pi)]
+    _field_snapshot(out_dir, step, op, state, observables, extra_fields)
 
 
 _CONSTRAINED = _Picture(
@@ -293,6 +351,9 @@ _CONSTRAINED = _Picture(
     columns=("t", "norm", "hamiltonian", "c1_inf", "c2_inf", "total_probability"),
     row=_constrained_row,
     guard=(2, "constrained hamiltonian"),
+    state=lambda t, y: cn.ConstrainedState(
+        phi=y[0], p=y[1], varphi=y[2], pi=np.zeros_like(y[0]), time=t
+    ),
     snapshot=_constrained_snapshot,
     drift=(("hamiltonian_drift", 2, _spread), ("c1_max", 3, _peak), ("c2_max", 4, _peak)),
     summary=("max |c1|", "c1_max"),

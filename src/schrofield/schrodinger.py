@@ -97,11 +97,15 @@ class CrankNicolson:
         self._a = 0.5 * dt / op.hbar
         self._solver = CayleySolver(op, self._a)
 
+    def advance(self, y, ky):
+        """Stacked (re, im) one step on, from y = (re, im) and ky = K y."""
+        z = self._solver.solve((y[0] - self._a * ky[1]) + 1j * (y[1] + self._a * ky[0]))
+        return np.stack([z.real, z.imag])
+
     def step(self, psi):
-        k_re, k_im = apply(self.op, np.stack([psi.re, psi.im]))
-        rhs = (psi.re - self._a * k_im) + 1j * (psi.im + self._a * k_re)
-        z = self._solver.solve(rhs)
-        return WaveFunction(re=z.real, im=z.imag, time=psi.time + self.dt)
+        y = (psi.re, psi.im)
+        re, im = self.advance(y, apply(self.op, y))
+        return WaveFunction(re=re, im=im, time=psi.time + self.dt)
 
 
 def step_crank_nicolson(op, psi, dt):
@@ -121,15 +125,15 @@ def crank_nicolson_trajectory(op, psi0, dt, nsteps):
 
 def propagate_spectral(spec, psi0, t):
     """Exact evolution by time t: each eigencoefficient picks up e^{i kappa t / hbar}."""
-    r = spec.coefficients(psi0.re)
-    s = spec.coefficients(psi0.im)
+    re, im = _rotate(spec, spec.coefficients(psi0.re), spec.coefficients(psi0.im), t)
+    return WaveFunction(re=re, im=im, time=psi0.time + t)
+
+
+def _rotate(spec, r, s, t):
+    """(re, im) at time t of the state with eigencoefficients (r, s) at time 0."""
     theta = spec.eigenvalues * (t / spec.hbar)
     c, sn = np.cos(theta), np.sin(theta)
-    return WaveFunction(
-        re=spec.synthesize(r * c - s * sn),
-        im=spec.synthesize(s * c + r * sn),
-        time=psi0.time + t,
-    )
+    return spec.synthesize(r * c - s * sn), spec.synthesize(s * c + r * sn)
 
 
 def spectral_trajectory(spec, psi0, dt, nsteps):
@@ -173,19 +177,26 @@ def wave_hamiltonian(op, psi):
     Equals the gradient-plus-potential form after integration by parts, which
     is exact under both boundary closures.
     """
-    grid = op.grid
-    quad = inner_product(psi.re, apply(op, psi.re), grid) + inner_product(
-        psi.im, apply(op, psi.im), grid
-    )
+    y = (psi.re, psi.im)
+    return _energy(op, y, apply(op, y))
+
+
+def _energy(op, y, ky):
+    """wave_hamiltonian of y = (re, im), given ky = K y."""
+    dx = op.grid.dx
+    quad = dx * float(np.dot(y[0], ky[0])) + dx * float(np.dot(y[1], ky[1]))
     return -0.5 * quad / op.hbar
 
 
 def norm_hamiltonian(op, psi):
     """Free-field Hamiltonian of the non-canonical form: integral of |Psi|^2 / 2 hbar."""
-    grid = op.grid
-    return 0.5 * (
-        inner_product(psi.re, psi.re, grid) + inner_product(psi.im, psi.im, grid)
-    ) / op.hbar
+    return _norm(op, psi.re, psi.im)
+
+
+def _norm(op, re, im):
+    """norm_hamiltonian of the wave function re + i im."""
+    dx = op.grid.dx
+    return 0.5 * (dx * float(np.dot(re, re)) + dx * float(np.dot(im, im))) / op.hbar
 
 
 def hamiltonian_action(op, traj):

@@ -15,6 +15,7 @@ from schrofield import (
     schrodinger_rhs,
     verify_dirac_relations,
 )
+from schrofield import brackets
 from schrofield.brackets import (
     BlockTable,
     BracketTable,
@@ -215,6 +216,33 @@ def test_generalized_hamiltonian_checks(free3, rng):
     assert np.max(np.abs(flow[:3] - dre)) < 1e-13
     assert np.max(np.abs(flow[3:] - dim)) < 1e-13
     assert np.max(np.abs(flow[3:] - k0 * u0 / free3.hbar)) < 1e-12
+
+
+def test_generalized_energy_conserved_at_n3200():
+    # grad . J' grad rounds off in proportion to |grad| |J' grad|, and ||J'||
+    # grows like n^3; scaled by |grad|^2 this read 3.2e-12 on correct code.
+    grid = build_grid(3200, -20.0, 20.0)
+    x = grid.points()
+    op = build_operator(grid, Potential(0.5 * x * x))
+    for seed in range(3):
+        report = generalized_hamiltonian_check(op, _layout(op), rng=np.random.default_rng(seed))
+        assert all(entry["passed"] for entry in report), report
+
+
+def test_generalized_energy_conserved_flags_a_symmetric_part(small_harmonic, monkeypatch):
+    op, _ = small_harmonic
+    jp = noncanonical_structure(op, _layout(op))
+
+    class Tilted:
+        """J' plus a symmetric part 1e-9 of its size along grad."""
+
+        def __matmul__(self, grad):
+            flow = jp @ grad
+            return flow + 1e-9 * (np.linalg.norm(flow) / np.linalg.norm(grad)) * grad
+
+    monkeypatch.setattr(brackets, "noncanonical_structure", lambda op, layout: Tilted())
+    by_name = {e["name"]: e for e in generalized_hamiltonian_check(op, _layout(op))}
+    assert 5e-10 < by_name["generalized_energy_conserved"]["violation"] < 2e-9
 
 
 def test_dirac_flow_checks(small_harmonic, rng):

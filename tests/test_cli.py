@@ -183,6 +183,74 @@ def test_preset_numbers_name_their_key(tmp_path, capsys, potential, initial_stat
 
 
 @pytest.mark.parametrize(
+    "potential, initial_state, message",
+    [
+        ({"name": "inline", "values": [0, "x", 0, 0]}, "gaussian",
+         "inline potential values[1] must be a number, got 'x'"),
+        ({"name": "inline", "values": [0.0, 1.0, float("nan")]}, "gaussian",
+         "inline potential values[2] must be finite, got nan"),
+        ({"name": "inline", "values": 3.0}, "gaussian",
+         "inline potential values must be a list of numbers, got 3.0"),
+        # a missing list used to end in a KeyError traceback
+        ({"name": "inline"}, "gaussian",
+         "inline potential values must be a list of numbers, got None"),
+        ({"name": "harmonic"}, {"type": "inline", "re": [0, 1, "z", 0]},
+         "inline state re[2] must be a number, got 'z'"),
+        ({"name": "harmonic"}, {"type": "inline", "im": [0.0, float("-inf")]},
+         "inline state im[1] must be finite, got -inf"),
+    ],
+)
+def test_inline_arrays_name_their_key(tmp_path, capsys, potential, initial_state, message):
+    # these used to fail with "could not convert string to float" and no key
+    code, err, written = _run_rejected(
+        tmp_path, capsys, potential=potential, initial_state=initial_state
+    )
+    assert (code, written) == (2, False)
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "command, integrator, amplitude",
+    [
+        ("run-schrodinger", "crank_nicolson", 1e155),
+        ("run-field", "leapfrog", 1e160),
+        ("run-constrained", "rk4", 1e160),
+    ],
+)
+def test_guard_aborts_on_a_non_finite_series_value(
+    tmp_path, capsys, command, integrator, amplitude
+):
+    # these runs used to exit 0, with inf and nan in series.csv and NaN in the manifest
+    n = 40
+    cfg = _harmonic_cfg(
+        grid={"n": n, "x_min": -20.0, "x_max": 20.0},
+        integrator=integrator,
+        initial_state={"type": "inline", "re": [amplitude] * n, "im": [0.0] * n},
+    )
+    out = tmp_path / "run"
+    code = main([command, "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("aborted: instability: norm is inf at t=0.0")
+    assert captured.out == ""
+    assert not (out / "manifest.json").exists()
+
+
+def test_run_loop_rejects_a_non_finite_state(tmp_path, monkeypatch):
+    advance = sd.CrankNicolson.advance
+
+    def poisoned(self, y, ky):
+        out = advance(self, y, ky)
+        out[1, 3] = np.nan
+        return out
+
+    monkeypatch.setattr(sd.CrankNicolson, "advance", poisoned)
+    scenario = build_scenario(config_from_dict(_harmonic_cfg()))
+    with pytest.raises(ValueError, match="^im must be finite$"):
+        run_schrodinger(scenario, tmp_path / "run", quiet=True)
+
+
+@pytest.mark.parametrize(
     "command, integrator",
     [("run-schrodinger", "crank_nicolson"), ("run-field", "leapfrog"), ("verify", "spectral")],
 )
@@ -296,13 +364,12 @@ def test_cli_wave_run_with_near_zero_hamiltonian_completes(tmp_path):
 
 
 def test_wave_guard_aborts_when_norm_grows(tmp_path, monkeypatch):
-    step = sd.CrankNicolson.step
+    advance = sd.CrankNicolson.advance
 
-    def inflating(self, psi):
-        out = step(self, psi)
-        return sd.WaveFunction(re=1.5 * out.re, im=1.5 * out.im, time=out.time)
+    def inflating(self, y, ky):
+        return 1.5 * advance(self, y, ky)
 
-    monkeypatch.setattr(sd.CrankNicolson, "step", inflating)
+    monkeypatch.setattr(sd.CrankNicolson, "advance", inflating)
     with pytest.raises(RuntimeError, match="instability: norm grew"):
         scenario = build_scenario(config_from_dict(_harmonic_cfg()))
         run_schrodinger(scenario, tmp_path / "run", quiet=True)
