@@ -30,10 +30,10 @@ from .lattice import (
     inner_product,
     solve_elliptic,
 )
+from .quadrature import Trajectory
 from .schrodinger import (
     CrankNicolson,
     WaveFunction,
-    WaveTrajectory,
     hamiltonian_action,
     norm_hamiltonian,
     propagate_spectral,
@@ -44,7 +44,6 @@ from .schrodinger import (
 )
 from .field import (
     FieldState,
-    FieldTrajectory,
     energy_densities,
     field_action,
     field_hamiltonian,
@@ -67,7 +66,6 @@ from .correspondence import (
 )
 from .constrained import (
     ConstrainedState,
-    ConstrainedTrajectory,
     constrained_hamiltonian,
     constrained_rhs,
     constraint_residuals,

@@ -25,6 +25,7 @@ from . import quadrature
 from .errors import OffShellError, StabilityError
 from .field import FieldState
 from .lattice import apply, spectral_radius, stencil_product
+from .quadrature import Trajectory
 from .schrodinger import WaveFunction, _field_array
 
 RK4_STABILITY = 2.8  # |kappa| dt / hbar must stay below this
@@ -54,25 +55,6 @@ class ConstrainedState:
         for name, a in arrays.items():
             object.__setattr__(self, name, a)
         object.__setattr__(self, "time", float(self.time))
-
-
-@dataclass(frozen=True)
-class ConstrainedTrajectory:
-    """Time-ordered constrained-state samples."""
-
-    times: np.ndarray
-    states: tuple
-
-    def __post_init__(self):
-        t = _field_array(self.times, "times")
-        states = tuple(self.states)
-        if len(states) != t.shape[0]:
-            raise ValueError("times and states must align")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", states)
-
-    def stack(self, name):
-        return np.stack([getattr(s, name) for s in self.states])
 
 
 def multiplier_v(op, s):
@@ -176,11 +158,14 @@ def _rk4(op, y, k_varphi_p, dt):
 
 
 def rk4_trajectory(op, s0, dt, nsteps):
-    states = [s0]
-    for _ in range(int(nsteps)):
-        states.append(step_rk4(op, states[-1], dt))
-    times = s0.time + dt * np.arange(len(states))
-    return ConstrainedTrajectory(times=times, states=tuple(states))
+    """Trajectory of nsteps RK4 steps from s0; pi keeps its initial value."""
+    y = np.empty((int(nsteps) + 1, 3, op.n))
+    y[0] = s0.phi, s0.p, s0.varphi
+    for k in range(int(nsteps)):
+        y[k + 1] = _rk4(op, y[k], stencil_product(op, y[k, :0:-1]), dt)
+    pi = np.broadcast_to(s0.pi, (y.shape[0], op.n))
+    times = s0.time + dt * np.arange(y.shape[0])
+    return Trajectory(times, phi=y[:, 0], p=y[:, 1], varphi=y[:, 2], pi=pi)
 
 
 def _require_onshell(op, s):
@@ -218,8 +203,7 @@ def lagrangian_residuals(op, traj):
     differences), r2 = varphi + K phi on all samples.
     """
     dt = quadrature.uniform_dt(traj.times)
-    phi = traj.stack("phi")
-    varphi = traj.stack("varphi")
+    phi, varphi = traj.phi, traj.varphi
     r1 = op.hbar * op.hbar * quadrature.d2dt2_interior(phi, dt) - apply(op, varphi[1:-1])
     r2 = varphi + apply(op, phi)
     return r1, r2
@@ -233,8 +217,7 @@ def singular_action(op, traj):
     of the shifted field, which is the decoupling checked in the tests.
     """
     dt = quadrature.uniform_dt(traj.times)
-    phi = traj.stack("phi")
-    varphi = traj.stack("varphi")
+    phi, varphi = traj.phi, traj.varphi
     phi_dot = quadrature.ddt(phi, dt)
     kphi = apply(op, phi)
     density = (

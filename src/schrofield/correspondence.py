@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .field import FieldState, FieldTrajectory, energy_densities
+from .field import FieldState, energy_densities
 from .lattice import apply, solve_elliptic
-from .schrodinger import WaveFunction, WaveTrajectory
+from .quadrature import Trajectory
+from .schrodinger import WaveFunction
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,8 +65,7 @@ def wave_to_field(op, psi):
 
 def quantize_trajectory(op, traj):
     """Pointwise quantize; Schrodinger residual decays at second order in dt."""
-    states = tuple(quantize(op, s) for s in traj.states)
-    return WaveTrajectory(times=traj.times, states=states)
+    return Trajectory(traj.times, re=-apply(op, traj.phi), im=traj.p)
 
 
 def kernel_basis(spec):
@@ -118,14 +118,9 @@ def dequantize_quadrature(spec, traj, tol=1e-10):
     dt = quadrature.uniform_dt(traj.times)
     if abs(float(traj.times[0])) > 1e-12 * max(dt, 1.0):
         raise ValueError("trajectory must start at t = 0")
-    c_const = solve_elliptic(spec, -traj.states[0].re, tol)
-    im = traj.im_matrix()
-    phi_all = c_const + quadrature.cumulative_trapezoid(im, dt) / spec.hbar
-    states = tuple(
-        FieldState(phi=phi_all[k], p=im[k], time=traj.times[k])
-        for k in range(im.shape[0])
-    )
-    return FieldTrajectory(times=traj.times, states=states)
+    c_const = solve_elliptic(spec, -traj.re[0], tol)
+    phi = c_const + quadrature.cumulative_trapezoid(traj.im, dt) / spec.hbar
+    return Trajectory(traj.times, phi=phi, p=traj.im)
 
 
 def probability_and_phase(op, s):
@@ -159,15 +154,9 @@ def current_residual(op, traj, p_floor_rel=1e-8):
     scale = hbar / np.sqrt(2.0 * op.mass)
     dx = op.grid.dx
 
-    e_all = np.stack([energy_densities(op, s)[2] for s in traj.states])
-    p_all = []
-    s_all = []
-    for s in traj.states:
-        p_dens, phase = probability_and_phase(op, s)
-        p_all.append(p_dens)
-        s_all.append(np.unwrap(phase, period=2.0 * np.pi * hbar))
-    p_all = np.stack(p_all)
-    s_all = np.stack(s_all)
+    e_all = energy_densities(op, traj)[2]
+    p_all, phase = probability_and_phase(op, traj)
+    s_all = np.unwrap(phase, period=2.0 * np.pi * hbar)
 
     def grad_x(f):
         out = np.full_like(f, np.nan)

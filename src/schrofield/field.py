@@ -16,6 +16,7 @@ import numpy as np
 from . import quadrature
 from .errors import StabilityError
 from .lattice import Grid, apply, spectral_radius, stencil_product
+from .quadrature import Trajectory
 from .schrodinger import _field_array
 
 
@@ -35,28 +36,6 @@ class FieldState:
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "time", float(self.time))
-
-
-@dataclass(frozen=True)
-class FieldTrajectory:
-    """Time-ordered field samples."""
-
-    times: np.ndarray
-    states: tuple
-
-    def __post_init__(self):
-        t = _field_array(self.times, "times")
-        states = tuple(self.states)
-        if len(states) != t.shape[0]:
-            raise ValueError("times and states must align")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", states)
-
-    def phi_matrix(self):
-        return np.stack([s.phi for s in self.states])
-
-    def p_matrix(self):
-        return np.stack([s.p for s in self.states])
 
 
 def field_rhs(op, s):
@@ -100,11 +79,14 @@ def _leapfrog(op, y, kk_phi, dt):
 
 
 def leapfrog_trajectory(op, s0, dt, nsteps):
-    states = [s0]
-    for _ in range(int(nsteps)):
-        states.append(step_leapfrog(op, states[-1], dt))
-    times = s0.time + dt * np.arange(len(states))
-    return FieldTrajectory(times=times, states=tuple(states))
+    """Trajectory of nsteps leapfrog steps from s0; each step takes two stencil products."""
+    y = np.empty((int(nsteps) + 1, 2, op.n))
+    y[0] = s0.phi, s0.p
+    kk_phi = stencil_product(op, stencil_product(op, y[0, 0]))
+    for k in range(int(nsteps)):
+        y[k + 1], _, kk_phi = _leapfrog(op, y[k], kk_phi, dt)
+    times = s0.time + dt * np.arange(y.shape[0])
+    return Trajectory(times, phi=y[:, 0], p=y[:, 1])
 
 
 def _mode_evolution(spec, a, b, offsets):
@@ -149,12 +131,7 @@ def spectral_field_trajectory(spec, s0, dt, nsteps):
     a_t, b_t = _mode_evolution(spec, a, b, offsets)
     phi_all = a_t @ spec.vectors.T
     p_all = b_t @ spec.vectors.T
-    times = s0.time + offsets
-    states = tuple(
-        FieldState(phi=phi_all[k], p=p_all[k], time=times[k])
-        for k in range(offsets.size)
-    )
-    return FieldTrajectory(times=times, states=states)
+    return Trajectory(s0.time + offsets, phi=phi_all, p=p_all)
 
 
 def energy_densities(op, s):
@@ -179,7 +156,7 @@ def _energy(op, p, k_phi):
 def field_action(op, traj):
     """Time integral of (hbar/2) phi_dot^2 - (K phi)^2 / 2 hbar over the grid."""
     dt = quadrature.uniform_dt(traj.times)
-    phi = traj.phi_matrix()
+    phi = traj.phi
     phi_dot = quadrature.ddt(phi, dt)
     kphi = apply(op, phi)
     density = 0.5 * op.hbar * phi_dot * phi_dot - 0.5 * kphi * kphi / op.hbar
@@ -194,8 +171,7 @@ def field_equation_residuals(op, traj):
     (len(times) - 2, n); second order small on exact trajectories.
     """
     dt = quadrature.uniform_dt(traj.times)
-    phi = traj.phi_matrix()
-    p = traj.p_matrix()
+    phi, p = traj.phi, traj.p
     r1 = op.hbar * quadrature.ddt_interior(phi, dt) - p[1:-1]
     r2 = op.hbar * quadrature.ddt_interior(p, dt) + apply(op, apply(op, phi[1:-1]))
     return r1, r2

@@ -131,7 +131,12 @@ def as_integer(value, key):
 
 
 def as_finite(value, key):
-    """value as a finite float; JSON admits NaN and Infinity, the physics does not."""
+    """value as a finite float; bools and strings are not numbers.
+
+    JSON admits NaN and Infinity, the physics does not.
+    """
+    if isinstance(value, (bool, str)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
     try:
         number = float(value)
     except (TypeError, ValueError) as exc:

@@ -1,6 +1,44 @@
-"""Uniform-grid time differencing and quadrature, second order throughout."""
+"""Sampled trajectories, and uniform-grid time differencing and quadrature.
+
+The differences and quadratures are second order throughout.
+"""
 
 import numpy as np
+
+
+class Trajectory:
+    """A state with a leading time axis: `times` (T,) and named (T, n) fields.
+
+    The fields are read by attribute (`traj.re`, `traj.phi`, ...) and are the
+    same names the state classes use, so elementwise functions of a state
+    (`energy_densities`, `constraint_residuals`, ...) accept a trajectory.
+    Every array is a read-only copy.
+    """
+
+    def __init__(self, times, **fields):
+        t = np.array(times, dtype=float)
+        if t.ndim != 1:
+            raise ValueError("times must be one-dimensional")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("times must be finite")
+        if not fields:
+            raise ValueError("a trajectory needs at least one field")
+        t.setflags(write=False)
+        self.times = t
+        n = None
+        for name, values in fields.items():
+            v = np.array(values, dtype=float)
+            if v.ndim != 2 or v.shape[0] != t.shape[0]:
+                raise ValueError(
+                    f"{name} has shape {v.shape}, expected ({t.shape[0]}, n) for {t.shape[0]} times"
+                )
+            if n is not None and v.shape[1] != n:
+                raise ValueError(f"{name} has {v.shape[1]} points, expected {n}")
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be finite")
+            n = v.shape[1]
+            v.setflags(write=False)
+            setattr(self, name, v)
 
 
 def uniform_dt(times):

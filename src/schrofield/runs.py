@@ -487,20 +487,23 @@ def _faulted_dirac(op, layout, fault):
 
 def _commuting_diagram_orders(op, spec, phi0, p0, dt, nsteps):
     """Measured convergence order of both reduction-vs-evolution diagrams."""
+    s0 = cn.make_onshell(op, phi0, p0)
     errs_wave = []
     errs_field = []
     for level in range(3):
         d = dt / 2**level
         steps = nsteps * 2**level
-        traj = cn.rk4_trajectory(op, cn.make_onshell(op, phi0, p0), d, steps)
-        end = traj.states[-1]
+        traj = cn.rk4_trajectory(op, s0, d, steps)
+        end = cn.ConstrainedState(
+            phi=traj.phi[-1], p=traj.p[-1], varphi=traj.varphi[-1], pi=traj.pi[-1]
+        )
         t_end = steps * d
 
-        wave0 = cn.reduce_to_wave(op, traj.states[0])
+        wave0 = cn.reduce_to_wave(op, s0)
         ref_w = sd.propagate_spectral(spec, wave0, t_end)
         got_w = cn.reduce_to_wave(op, end)
         errs_wave.append(_max_error((got_w.re, ref_w.re), (got_w.im, ref_w.im)))
-        field0 = cn.reduce_to_field(op, traj.states[0])
+        field0 = cn.reduce_to_field(op, s0)
         ref_f = fd.propagate_spectral_field(spec, field0, t_end)
         got_f = cn.reduce_to_field(op, end)
         errs_field.append(_max_error((got_f.phi, ref_f.phi), (got_f.p, ref_f.p)))
@@ -825,26 +828,23 @@ def run_convergence(scenario, out_dir, levels=3, quiet=False):
         steps = base_steps["crank_nicolson"] * scale
         traj = sd.crank_nicolson_trajectory(op, psi0, dt, steps)
         ref = sd.propagate_spectral(spec, psi0, steps * dt)
-        got = traj.states[-1]
-        record("crank_nicolson", level, dt, _max_error((got.re, ref.re), (got.im, ref.im)))
+        err = _max_error((traj.re[-1], ref.re), (traj.im[-1], ref.im))
+        record("crank_nicolson", level, dt, err)
 
         dt = base_dt["leapfrog"] / scale
         steps = base_steps["leapfrog"] * scale
         ftraj = fd.leapfrog_trajectory(op, s0, dt, steps)
         fref = fd.propagate_spectral_field(spec, s0, steps * dt)
-        fgot = ftraj.states[-1]
-        record("leapfrog", level, dt, _max_error((fgot.phi, fref.phi), (fgot.p, fref.p)))
+        err = _max_error((ftraj.phi[-1], fref.phi), (ftraj.p[-1], fref.p))
+        record("leapfrog", level, dt, err)
 
         dt = base_dt["rk4"] / scale
         steps = base_steps["rk4"] * scale
         ctraj = cn.rk4_trajectory(op, cn.make_onshell(op, re0, im0), dt, steps)
-        cref = fd.propagate_spectral_field(spec, fd.FieldState(phi=re0, p=im0), steps * dt)
-        cgot = ctraj.states[-1]
-        record("rk4", level, dt, _max_error((cgot.phi, cref.phi), (cgot.p, cref.p)))
-        drift = max(
-            float(np.max(np.abs(cn.constraint_residuals(op, st)[0])))
-            for st in ctraj.states
-        )
+        cref = fd.propagate_spectral_field(spec, s0, steps * dt)
+        err = _max_error((ctraj.phi[-1], cref.phi), (ctraj.p[-1], cref.p))
+        record("rk4", level, dt, err)
+        drift = float(np.max(np.abs(cn.constraint_residuals(op, ctraj)[0])))
         record("constraint_drift", level, dt, drift)
 
         dt = base_dt["schrodinger_residual"] / scale

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .lattice import CayleySolver, apply, inner_product
+from .lattice import CayleySolver, apply, stencil_product
+from .quadrature import Trajectory
 
 
 def _field_array(values, name):
@@ -48,28 +49,6 @@ class WaveFunction:
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
         object.__setattr__(self, "time", float(self.time))
-
-
-@dataclass(frozen=True)
-class WaveTrajectory:
-    """Time-ordered wave function samples."""
-
-    times: np.ndarray
-    states: tuple
-
-    def __post_init__(self):
-        t = _field_array(self.times, "times")
-        states = tuple(self.states)
-        if len(states) != t.shape[0]:
-            raise ValueError("times and states must align")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", states)
-
-    def re_matrix(self):
-        return np.stack([s.re for s in self.states])
-
-    def im_matrix(self):
-        return np.stack([s.im for s in self.states])
 
 
 def schrodinger_rhs(op, psi):
@@ -116,11 +95,12 @@ def step_crank_nicolson(op, psi, dt):
 def crank_nicolson_trajectory(op, psi0, dt, nsteps):
     """Trajectory of nsteps Crank-Nicolson steps starting from psi0."""
     stepper = CrankNicolson(op, dt)
-    states = [psi0]
-    for _ in range(int(nsteps)):
-        states.append(stepper.step(states[-1]))
-    times = psi0.time + dt * np.arange(len(states))
-    return WaveTrajectory(times=times, states=tuple(states))
+    y = np.empty((int(nsteps) + 1, 2, op.n))
+    y[0] = psi0.re, psi0.im
+    for k in range(int(nsteps)):
+        y[k + 1] = stepper.advance(y[k], stencil_product(op, y[k]))
+    times = psi0.time + dt * np.arange(y.shape[0])
+    return Trajectory(times, re=y[:, 0], im=y[:, 1])
 
 
 def propagate_spectral(spec, psi0, t):
@@ -145,12 +125,7 @@ def spectral_trajectory(spec, psi0, dt, nsteps):
     c, sn = np.cos(theta), np.sin(theta)
     re_all = (r * c - s * sn) @ spec.vectors.T
     im_all = (s * c + r * sn) @ spec.vectors.T
-    times = psi0.time + offsets
-    states = tuple(
-        WaveFunction(re=re_all[k], im=im_all[k], time=times[k])
-        for k in range(offsets.size)
-    )
-    return WaveTrajectory(times=times, states=states)
+    return Trajectory(psi0.time + offsets, re=re_all, im=im_all)
 
 
 def schrodinger_residual(op, traj):
@@ -162,8 +137,7 @@ def schrodinger_residual(op, traj):
     shape (len(times) - 2, n).
     """
     dt = quadrature.uniform_dt(traj.times)
-    re = traj.re_matrix()
-    im = traj.im_matrix()
+    re, im = traj.re, traj.im
     re_dot = quadrature.ddt_interior(re, dt)
     im_dot = quadrature.ddt_interior(im, dt)
     r1 = op.hbar * re_dot + apply(op, im[1:-1])
@@ -205,12 +179,11 @@ def hamiltonian_action(op, traj):
     Stationary to O(eps^2) under interior perturbations of exact solutions.
     """
     dt = quadrature.uniform_dt(traj.times)
-    re_dot = quadrature.ddt(traj.re_matrix(), dt)
-    grid = op.grid
-    integrand = np.array(
-        [
-            inner_product(state.im, re_dot[k], grid) - wave_hamiltonian(op, state)
-            for k, state in enumerate(traj.states)
-        ]
-    )
+    re_dot = quadrature.ddt(traj.re, dt)
+    y = np.stack([traj.re, traj.im], axis=1)
+    ky = stencil_product(op, y)
+    integrand = [
+        op.grid.dx * float(np.dot(y_k[1], re_dot_k)) - _energy(op, y_k, ky_k)
+        for y_k, ky_k, re_dot_k in zip(y, ky, re_dot)
+    ]
     return quadrature.trapezoid(integrand, dt)

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from schrofield import (
+    ConstrainedState,
     FieldState,
-    FieldTrajectory,
     Potential,
+    Trajectory,
     WaveFunction,
     build_grid,
     build_operator,
@@ -88,11 +89,12 @@ def test_criterion_01_potential_map_soundness(scenarios):
         r1, r2 = schrodinger_residual(op, wtraj)
         residual = max(np.max(np.abs(r1)), np.max(np.abs(r2)))
         assert residual <= 1e-8, (name, residual)
+        wave0 = WaveFunction(re=wtraj.re[0], im=wtraj.im[0])
         for k, t in enumerate(wtraj.times):
-            ref = propagate_spectral(spec, wtraj.states[0], float(t))
+            ref = propagate_spectral(spec, wave0, float(t))
             gap = max(
-                np.max(np.abs(wtraj.states[k].re - ref.re)),
-                np.max(np.abs(wtraj.states[k].im - ref.im)),
+                np.max(np.abs(wtraj.re[k] - ref.re)),
+                np.max(np.abs(wtraj.im[k] - ref.im)),
             )
             assert gap <= 1e-9, (name, gap)
     # the identity clause holds for arbitrary states, not just low-frequency ones
@@ -182,7 +184,7 @@ def test_criterion_04_current_equation():
 
         # oracle: standard complex probability-current divergence
         wtraj = quantize_trajectory(op, traj)
-        psi_mat = wtraj.re_matrix() + 1j * wtraj.im_matrix()
+        psi_mat = wtraj.re + 1j * wtraj.im
         dx = grid.dx
         dpsi = np.full_like(psi_mat, np.nan + 0j)
         dpsi[:, 1:-1] = (psi_mat[:, 2:] - psi_mat[:, :-2]) / (2.0 * dx)
@@ -227,7 +229,10 @@ def test_criterion_05_constrained_dynamics(harmonic400, small_harmonic):
     t_final = 1.0
     for steps in (50, 100, 200):
         d = t_final / steps
-        end = rk4_trajectory(op_s, s0, d, steps).states[-1]
+        traj = rk4_trajectory(op_s, s0, d, steps)
+        end = ConstrainedState(
+            phi=traj.phi[-1], p=traj.p[-1], varphi=traj.varphi[-1], pi=traj.pi[-1]
+        )
         ref_w = propagate_spectral(spec_s, reduce_to_wave(op_s, s0), t_final)
         got_w = reduce_to_wave(op_s, end)
         errs_wave.append(
@@ -307,10 +312,9 @@ def test_criterion_08_correspondence_maps(harmonic400, periodic_free64, small_ha
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
         traj = spectral_trajectory(spec_s, psi0, dt, 16)
-        states = tuple(wave_to_field(op_s, w) for w in traj.states)
-        r1, r2 = field_equation_residuals(
-            op_s, FieldTrajectory(times=traj.times, states=states)
-        )
+        rows = [wave_to_field(op_s, WaveFunction(re, im)) for re, im in zip(traj.re, traj.im)]
+        ftraj = Trajectory(traj.times, phi=[s.phi for s in rows], p=[s.p for s in rows])
+        r1, r2 = field_equation_residuals(op_s, ftraj)
         errs.append(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders >= 1.7), orders
@@ -329,19 +333,19 @@ def test_criterion_09_integrator_orders(small_harmonic):
     errs = {"crank_nicolson": [], "leapfrog": [], "rk4": []}
     for steps in (100, 200, 400):
         dt = t_final / steps
-        got = crank_nicolson_trajectory(op, psi0, dt, steps).states[-1]
+        got = crank_nicolson_trajectory(op, psi0, dt, steps)
         ref = propagate_spectral(spec, psi0, t_final)
         errs["crank_nicolson"].append(
-            max(np.max(np.abs(got.re - ref.re)), np.max(np.abs(got.im - ref.im)))
+            max(np.max(np.abs(got.re[-1] - ref.re)), np.max(np.abs(got.im[-1] - ref.im)))
         )
-        gotf = leapfrog_trajectory(op, s0, dt, steps).states[-1]
+        gotf = leapfrog_trajectory(op, s0, dt, steps)
         reff = propagate_spectral_field(spec, s0, t_final)
         errs["leapfrog"].append(
-            max(np.max(np.abs(gotf.phi - reff.phi)), np.max(np.abs(gotf.p - reff.p)))
+            max(np.max(np.abs(gotf.phi[-1] - reff.phi)), np.max(np.abs(gotf.p[-1] - reff.p)))
         )
-        gotc = rk4_trajectory(op, make_onshell(op, s0.phi, s0.p), dt, steps).states[-1]
+        gotc = rk4_trajectory(op, make_onshell(op, s0.phi, s0.p), dt, steps)
         errs["rk4"].append(
-            max(np.max(np.abs(gotc.phi - reff.phi)), np.max(np.abs(gotc.p - reff.p)))
+            max(np.max(np.abs(gotc.phi[-1] - reff.phi)), np.max(np.abs(gotc.p[-1] - reff.p)))
         )
     measured = {}
     for name, seq in errs.items():

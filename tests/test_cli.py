@@ -111,12 +111,32 @@ def test_parse_rejects_non_numeric_numbers(tmp_path, capsys):
         ({"output": {"observables": "PS"}}, "observables must be a list"),
         ({"initial_state": "eigenstate:x"}, "initial_state 'eigenstate:x'"),
         ({"initial_state": "eigenstate:1.5"}, "initial_state 'eigenstate:1.5'"),
+        # bools and numeric strings used to run as the number float() made of them
+        ({"dt": "0.001"}, "dt must be a number, got '0.001'"),
+        ({"hbar": True}, "hbar must be a number, got True"),
+        ({"potential": {"name": "harmonic", "omega": True}}, "omega must be a number, got True"),
+        (
+            {"initial_state": {"type": "gaussian", "width": "1.5"}},
+            "width must be a number, got '1.5'",
+        ),
+        (
+            {"potential": {"name": "inline", "values": [0.0] * 63 + [False]}},
+            r"inline potential values\[63\] must be a number, got False",
+        ),
+        (
+            {"initial_state": {"type": "inline", "re": ["1"] + [0.0] * 63}},
+            r"inline state re\[0\] must be a number, got '1'",
+        ),
     ]:
         with pytest.raises(ConfigError, match=message):
-            config_from_dict(_harmonic_cfg(**overrides))
+            build_scenario(config_from_dict(_harmonic_cfg(**overrides)))
     code, err, written = _run_rejected(tmp_path, capsys, initial_state="eigenstate:x")
     assert (code, written) == (2, False)
     assert "config error: initial_state 'eigenstate:x'" in err
+    omega = {"name": "harmonic", "omega": True}
+    code, err, written = _run_rejected(tmp_path, capsys, potential=omega)
+    assert (code, written) == (2, False)
+    assert "config error: omega must be a number, got True" in err
 
 
 @pytest.mark.parametrize(
@@ -167,7 +187,9 @@ def test_preset_indices_accept_integral_floats():
         ({"name": "harmonic", "omega": 1.0}, {"type": "modes", "coefficients": [[0, 1.0, None]]},
          "mode coefficients[0] im must be a number, got None"),
         ({"name": "square_well", "depth": [1.0]}, "eigenstate:0", "depth must be a number"),
-        ({"name": "gaussian_barrier", "center": "inf"}, "eigenstate:0", "center must be finite"),
+        # JSON's Infinity token; the string "inf" is refused as a string
+        ({"name": "gaussian_barrier", "center": float("inf")}, "eigenstate:0",
+         "center must be finite"),
         ({"name": "harmonic", "omega": 1.0}, {"type": "gaussian", "momentum": "p"},
          "momentum must be a number, got 'p'"),
     ],

@@ -3,10 +3,10 @@ import pytest
 
 from schrofield import (
     ConstrainedState,
-    ConstrainedTrajectory,
     FieldState,
     OffShellError,
     StabilityError,
+    Trajectory,
     WaveFunction,
     apply,
     constrained_hamiltonian,
@@ -26,7 +26,7 @@ from schrofield import (
     step_rk4,
 )
 from schrofield.constrained import offshell_pi_rate, rk4_stability_bound, rk4_trajectory
-from schrofield.field import FieldTrajectory, spectral_field_trajectory
+from schrofield.field import spectral_field_trajectory
 
 from conftest import low_mode_coefficients, stencil_error_bound
 
@@ -36,12 +36,24 @@ def _zero_state(n):
     return ConstrainedState(phi=z, p=z, varphi=z, pi=z)
 
 
+def _row(traj, k):
+    return ConstrainedState(phi=traj.phi[k], p=traj.p[k], varphi=traj.varphi[k], pi=traj.pi[k])
+
+
+def _onshell(op, times, phi, p):
+    """make_onshell on every sample: varphi = -K phi, pi = 0."""
+    return Trajectory(times, phi=phi, p=p, varphi=-apply(op, phi), pi=np.zeros_like(phi))
+
+
 def _onshell_trajectory(op, spec, s0, dt, nsteps):
     ftraj = spectral_field_trajectory(spec, s0, dt, nsteps)
-    states = tuple(
-        make_onshell(op, st.phi, st.p, time=st.time) for st in ftraj.states
-    )
-    return ConstrainedTrajectory(times=ftraj.times, states=states)
+    return _onshell(op, ftraj.times, ftraj.phi, ftraj.p)
+
+
+def _constant(state):
+    """Three samples 0.1 apart, each equal to the constrained state."""
+    names = ("phi", "p", "varphi", "pi")
+    return Trajectory([0.0, 0.1, 0.2], **{name: [getattr(state, name)] * 3 for name in names})
 
 
 def test_multiplier_examples(small_harmonic, rng):
@@ -135,7 +147,7 @@ def test_rk4_zero_fixed_point_and_pi_exactly_zero(small_harmonic, rng):
         assert not getattr(out, name).any()
     s = make_onshell(op, rng.standard_normal(40), rng.standard_normal(40))
     traj = rk4_trajectory(op, s, 1e-2, 200)
-    assert all(not st.pi.any() for st in traj.states)
+    assert not traj.pi.any()
 
 
 def test_rk4_rejects_unstable_dt(small_harmonic):
@@ -154,10 +166,10 @@ def test_rk4_fourth_order_vs_spectral(small_harmonic, rng):
     errors = []
     for steps in (50, 100, 200):
         dt = t_final / steps
-        got = rk4_trajectory(op, make_onshell(op, phi0, p0), dt, steps).states[-1]
+        got = rk4_trajectory(op, make_onshell(op, phi0, p0), dt, steps)
         ref = propagate_spectral_field(spec, FieldState(phi=phi0, p=p0), t_final)
         errors.append(
-            max(np.max(np.abs(got.phi - ref.phi)), np.max(np.abs(got.p - ref.p)))
+            max(np.max(np.abs(got.phi[-1] - ref.phi)), np.max(np.abs(got.p[-1] - ref.p)))
         )
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all((orders > 3.6) & (orders < 4.4))
@@ -167,9 +179,7 @@ def test_rk4_constraint_drift_small(small_harmonic, rng):
     op, _ = small_harmonic
     s = make_onshell(op, rng.standard_normal(40), rng.standard_normal(40))
     traj = rk4_trajectory(op, s, 1e-2, 500)
-    worst = max(
-        np.max(np.abs(constraint_residuals(op, st)[0])) for st in traj.states
-    )
+    worst = np.max(np.abs(constraint_residuals(op, traj)[0]))
     assert worst < 1e-10
 
 
@@ -207,7 +217,7 @@ def test_reduced_eigenmode_matches_wave_evolution(small_harmonic):
     traj = rk4_trajectory(op, s0, dt, steps)
     for k in (100, 250, 400):
         t = k * dt
-        psi = reduce_to_wave(op, traj.states[k])
+        psi = reduce_to_wave(op, _row(traj, k))
         assert np.max(np.abs(psi.re - u0 * np.cos(e0 * t))) < 1e-9
         assert np.max(np.abs(psi.im + u0 * np.sin(e0 * t))) < 1e-9
 
@@ -221,7 +231,7 @@ def test_commuting_diagram_wave_side(small_harmonic, rng):
     t_final = 1.0
     for steps in (50, 100, 200):
         dt = t_final / steps
-        evolved = rk4_trajectory(op, s0, dt, steps).states[-1]
+        evolved = _row(rk4_trajectory(op, s0, dt, steps), -1)
         red_then_ev = propagate_spectral(spec, reduce_to_wave(op, s0), t_final)
         ev_then_red = reduce_to_wave(op, evolved)
         errors.append(
@@ -243,7 +253,7 @@ def test_commuting_diagram_field_side(small_harmonic, rng):
     t_final = 1.0
     for steps in (50, 100, 200):
         dt = t_final / steps
-        evolved = rk4_trajectory(op, s0, dt, steps).states[-1]
+        evolved = _row(rk4_trajectory(op, s0, dt, steps), -1)
         red_then_ev = propagate_spectral_field(spec, reduce_to_field(op, s0), t_final)
         ev_then_red = reduce_to_field(op, evolved)
         errors.append(
@@ -274,24 +284,19 @@ def test_lagrangian_residuals_on_exact_data(small_harmonic, rng):
 
 def test_lagrangian_residuals_zero_and_injected_violation(small_harmonic, rng):
     op, _ = small_harmonic
-    zero = _zero_state(40)
-    traj = ConstrainedTrajectory(times=np.array([0.0, 0.1, 0.2]), states=(zero,) * 3)
-    r1, r2 = lagrangian_residuals(op, traj)
+    r1, r2 = lagrangian_residuals(op, _constant(_zero_state(40)))
     assert not r1.any() and not r2.any()
     bump = rng.standard_normal(40)
     bad = ConstrainedState(
         phi=np.zeros(40), p=np.zeros(40), varphi=bump, pi=np.zeros(40)
     )
-    traj = ConstrainedTrajectory(times=np.array([0.0, 0.1, 0.2]), states=(bad,) * 3)
-    _, r2 = lagrangian_residuals(op, traj)
+    _, r2 = lagrangian_residuals(op, _constant(bad))
     assert np.array_equal(r2[0], bump)
 
 
 def test_singular_action_values(small_harmonic, rng):
     op, spec = small_harmonic
-    zero = _zero_state(40)
-    ztraj = ConstrainedTrajectory(times=np.array([0.0, 0.1, 0.2]), states=(zero,) * 3)
-    assert singular_action(op, ztraj) == 0.0
+    assert singular_action(op, _constant(_zero_state(40))) == 0.0
 
     s0 = FieldState(
         phi=spec.synthesize(low_mode_coefficients(rng, 40, 4)),
@@ -299,12 +304,8 @@ def test_singular_action_values(small_harmonic, rng):
     )
     dt, steps = 5e-3, 200
     traj = _onshell_trajectory(op, spec, s0, dt, steps)
-    ftraj = FieldTrajectory(
-        times=traj.times,
-        states=tuple(FieldState(phi=st.phi, p=st.p, time=st.time) for st in traj.states),
-    )
     s_sing = singular_action(op, traj)
-    s_field = field_action(op, ftraj)
+    s_field = field_action(op, Trajectory(traj.times, phi=traj.phi, p=traj.p))
     assert abs(s_sing - s_field) < 1e-9 * max(1.0, abs(s_field))
 
 
@@ -318,17 +319,9 @@ def test_shifted_field_decoupling_offshell(small_harmonic, rng):
     times = dt * np.arange(steps + 1)
     phi = rng.standard_normal((steps + 1, 40))
     varphi = rng.standard_normal((steps + 1, 40))
-    states = tuple(
-        ConstrainedState(
-            phi=phi[k], p=np.zeros(40), varphi=varphi[k], pi=np.zeros(40), time=times[k]
-        )
-        for k in range(steps + 1)
-    )
-    traj = ConstrainedTrajectory(times=times, states=states)
-    ftraj = FieldTrajectory(
-        times=times,
-        states=tuple(FieldState(phi=phi[k], p=np.zeros(40)) for k in range(steps + 1)),
-    )
+    zero = np.zeros_like(phi)
+    traj = Trajectory(times, phi=phi, p=zero, varphi=varphi, pi=zero)
+    ftraj = Trajectory(times, phi=phi, p=zero)
     shifted = varphi + phi @ op.matrix
     integrand = 0.5 * op.grid.dx * np.sum(shifted * shifted, axis=1) / op.hbar
     extra = quadrature.trapezoid(integrand, dt)
@@ -349,13 +342,7 @@ def test_singular_action_stationary(small_harmonic, rng):
     dphi = rng.standard_normal((steps + 1, 40)) * bump[:, None]
 
     def perturbed(eps):
-        states = tuple(
-            make_onshell(op, st.phi + eps * dphi[k], st.p, time=st.time)
-            for k, st in enumerate(base.states)
-        )
-        return singular_action(
-            op, ConstrainedTrajectory(times=base.times, states=states)
-        )
+        return singular_action(op, _onshell(op, base.times, base.phi + eps * dphi, base.p))
 
     deltas = [abs(perturbed(eps) - s_base) for eps in (1e-2, 1e-3)]
     c_fit = deltas[0] / 1e-4

@@ -4,8 +4,8 @@ import pytest
 from schrofield import (
     EllipticObstructionError,
     FieldState,
-    FieldTrajectory,
     Potential,
+    Trajectory,
     WaveFunction,
     apply,
     build_grid,
@@ -75,10 +75,11 @@ def test_quantized_spectral_trajectory_residual_and_match(harmonic400, rng):
     r1, r2 = schrodinger_residual(op, wtraj)
     assert max(np.max(np.abs(r1)), np.max(np.abs(r2))) <= 1e-8
     # independent oracle: spectral propagation of the quantized initial state
+    psi0 = WaveFunction(re=wtraj.re[0], im=wtraj.im[0])
     for k, t in enumerate(wtraj.times):
-        ref = propagate_spectral(spec, wtraj.states[0], float(t))
-        assert np.max(np.abs(wtraj.states[k].re - ref.re)) < 1e-9
-        assert np.max(np.abs(wtraj.states[k].im - ref.im)) < 1e-9
+        ref = propagate_spectral(spec, psi0, float(t))
+        assert np.max(np.abs(wtraj.re[k] - ref.re)) < 1e-9
+        assert np.max(np.abs(wtraj.im[k] - ref.im)) < 1e-9
 
 
 def test_quantized_leapfrog_trajectory_residual_decays(small_harmonic, rng):
@@ -142,13 +143,9 @@ def test_dequantize_obstruction(periodic_free64):
 
 def test_dequantize_quadrature_zero(free3):
     spec = eigendecompose(free3)
-    zero = WaveFunction(re=np.zeros(3), im=np.zeros(3))
-    from schrofield.schrodinger import WaveTrajectory
-
-    traj = WaveTrajectory(times=np.array([0.0, 0.1, 0.2]), states=(zero,) * 3)
+    traj = Trajectory([0.0, 0.1, 0.2], re=np.zeros((3, 3)), im=np.zeros((3, 3)))
     out = dequantize_quadrature(spec, traj)
-    for s in out.states:
-        assert not s.phi.any() and not s.p.any()
+    assert not out.phi.any() and not out.p.any()
 
 
 def test_dequantize_quadrature_matches_closed_form_second_order(harmonic400):
@@ -162,7 +159,7 @@ def test_dequantize_quadrature_matches_closed_form_second_order(harmonic400):
         traj = crank_nicolson_trajectory(op, psi0, dt, steps)
         out = dequantize_quadrature(spec, traj)
         ref = dequantize(spec, psi0, t_final)
-        errs.append(np.max(np.abs(out.states[-1].phi - ref.phi)))
+        errs.append(np.max(np.abs(out.phi[-1] - ref.phi)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all((orders > 1.7) & (orders < 2.3))
 
@@ -185,19 +182,11 @@ def test_dequantize_quadrature_round_trip_residual_decays(small_harmonic, rng):
 
 def test_dequantize_quadrature_rejects_bad_time_grids(free3):
     spec = eigendecompose(free3)
-    zero = WaveFunction(re=np.zeros(3), im=np.zeros(3))
-    from schrofield.schrodinger import WaveTrajectory
-
+    zero = np.zeros((3, 3))
     with pytest.raises(ValueError):
-        dequantize_quadrature(
-            spec,
-            WaveTrajectory(times=np.array([0.0, 0.1, 0.3]), states=(zero,) * 3),
-        )
+        dequantize_quadrature(spec, Trajectory([0.0, 0.1, 0.3], re=zero, im=zero))
     with pytest.raises(ValueError):
-        dequantize_quadrature(
-            spec,
-            WaveTrajectory(times=np.array([1.0, 1.1, 1.2]), states=(zero,) * 3),
-        )
+        dequantize_quadrature(spec, Trajectory([1.0, 1.1, 1.2], re=zero, im=zero))
 
 
 def test_wave_to_field_zero_and_eigenstate(harmonic400):
@@ -229,8 +218,8 @@ def test_wave_to_field_transports_solutions(small_harmonic, rng):
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
         traj = spectral_trajectory(spec, psi0, dt, 16)
-        states = tuple(wave_to_field(op, w) for w in traj.states)
-        ftraj = FieldTrajectory(times=traj.times, states=states)
+        rows = [wave_to_field(op, WaveFunction(re, im)) for re, im in zip(traj.re, traj.im)]
+        ftraj = Trajectory(traj.times, phi=[s.phi for s in rows], p=[s.p for s in rows])
         r1, r2 = field_equation_residuals(op, ftraj)
         errs.append(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -369,7 +358,7 @@ def test_current_residual_matches_complex_current(rng):
         res = current_residual(op, traj)
 
         wtraj = quantize_trajectory(op, traj)
-        psi_mat = wtraj.re_matrix() + 1j * wtraj.im_matrix()
+        psi_mat = wtraj.re + 1j * wtraj.im
         dx = op.grid.dx
         dpsi = np.full_like(psi_mat, np.nan + 0j)
         dpsi[:, 1:-1] = (psi_mat[:, 2:] - psi_mat[:, :-2]) / (2.0 * dx)

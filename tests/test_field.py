@@ -3,8 +3,8 @@ import pytest
 
 from schrofield import (
     FieldState,
-    FieldTrajectory,
     StabilityError,
+    Trajectory,
     apply,
     build_operator,
     Potential,
@@ -109,10 +109,10 @@ def test_leapfrog_second_order(small_harmonic, rng):
     errors = []
     for steps in (100, 200, 400):
         dt = t_final / steps
-        got = leapfrog_trajectory(op, s0, dt, steps).states[-1]
+        got = leapfrog_trajectory(op, s0, dt, steps)
         ref = propagate_spectral_field(spec, s0, t_final)
         errors.append(
-            max(np.max(np.abs(got.phi - ref.phi)), np.max(np.abs(got.p - ref.p)))
+            max(np.max(np.abs(got.phi[-1] - ref.phi)), np.max(np.abs(got.p[-1] - ref.p)))
         )
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all((orders > 1.7) & (orders < 2.3))
@@ -216,8 +216,7 @@ def test_field_action_zero():
     import schrofield as sf
 
     op = build_operator(sf.build_grid(5, 0.0, 1.0), Potential(np.zeros(5)))
-    zero = FieldState(phi=np.zeros(5), p=np.zeros(5))
-    traj = FieldTrajectory(times=np.array([0.0, 0.1, 0.2]), states=(zero,) * 3)
+    traj = Trajectory([0.0, 0.1, 0.2], phi=np.zeros((3, 5)), p=np.zeros((3, 5)))
     assert field_action(op, traj) == 0.0
 
 
@@ -246,11 +245,7 @@ def test_field_action_stationary(small_harmonic, rng):
     dphi = rng.standard_normal((steps + 1, 40)) * bump[:, None]
 
     def perturbed(eps):
-        states = tuple(
-            FieldState(phi=st.phi + eps * dphi[k], p=st.p, time=st.time)
-            for k, st in enumerate(traj.states)
-        )
-        return field_action(op, FieldTrajectory(times=traj.times, states=states))
+        return field_action(op, Trajectory(traj.times, phi=traj.phi + eps * dphi, p=traj.p))
 
     deltas = [abs(perturbed(eps) - s_base) for eps in (1e-2, 1e-3)]
     c_fit = deltas[0] / 1e-4
@@ -268,8 +263,8 @@ def test_first_and_second_order_residuals_decay(small_harmonic, rng):
         traj = spectral_field_trajectory(spec, s0, dt, 16)
         r1, r2 = field_equation_residuals(op, traj)
         errs1.append(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
-        res_phi = second_order_residual(op, traj.phi_matrix(), dt)
-        res_p = second_order_residual(op, traj.p_matrix(), dt)
+        res_phi = second_order_residual(op, traj.phi, dt)
+        res_p = second_order_residual(op, traj.p, dt)
         errs2.append(max(np.max(np.abs(res_phi)), np.max(np.abs(res_p))))
     for errs in (errs1, errs2):
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -299,12 +294,11 @@ def test_rescale_free_action_invariant(rng):
     traj = spectral_field_trajectory(spec, s0, dt, steps)
     act = field_action(op, traj)
 
-    new_states = []
-    new_grid = None
-    for st in traj.states:
-        ns, new_grid = rescale_state(st, grid, hbar)
-        new_states.append(ns)
-    new_traj = FieldTrajectory(times=traj.times / hbar, states=tuple(new_states))
+    rows = [rescale_state(FieldState(phi, p), grid, hbar) for phi, p in zip(traj.phi, traj.p)]
+    new_grid = rows[0][1]
+    new_traj = Trajectory(
+        traj.times / hbar, phi=[ns.phi for ns, _ in rows], p=[ns.p for ns, _ in rows]
+    )
     op_unit = sf.build_operator(new_grid, Potential(np.zeros(48)), hbar=1.0, mass=1.0)
     act_unit = field_action(op_unit, new_traj)
     assert abs(act - act_unit) < 1e-10 * max(1.0, abs(act))

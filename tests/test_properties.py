@@ -1,5 +1,6 @@
 """Property tests over random small grids: the O(n) stencil, Cayley solve and
-bracket tables against their dense oracles.
+bracket tables against their dense oracles, and the quantize/dequantize round
+trip against exact propagation.
 
 Each example draws a grid of n = 3..24 points with either closure, physical
 constants and a potential that is zero (a free grid; periodic free grids
@@ -10,7 +11,18 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schrofield import Potential, apply, build_grid, build_operator, eigendecompose
+from schrofield import (
+    Potential,
+    WaveFunction,
+    apply,
+    build_grid,
+    build_operator,
+    dequantize,
+    eigendecompose,
+    kernel_basis,
+    propagate_spectral,
+    quantize,
+)
 from schrofield.brackets import (
     BlockTable,
     PhaseLayout,
@@ -142,3 +154,30 @@ def test_sector_singular_values_match_dense_svd(op):
     if op.grid.boundary == "periodic" and np.all(op.diagonal == -2.0 * op.coupling):
         # a free periodic grid: the constant mode sits in K's kernel
         assert got["varphi_p"] <= 64 * op.n * EPS * spectral_radius(op) / op.grid.dx
+
+
+@SETTINGS
+@given(op=operators(), t=st.floats(0.1, 5.0), seed=st.integers(0, 2**32 - 1))
+@example(op=_free_periodic(), t=5.0, seed=0)
+def test_quantize_dequantize_round_trip_is_exact_evolution(op, t, seed):
+    # The state is drawn as verify's reconstruction_round_trip draws it, and
+    # its real kernel content, outside the image of the map, projected out.
+    spec = eigendecompose(op)
+    rng = np.random.default_rng(seed)
+    re0 = rng.standard_normal(op.n)
+    kernel = kernel_basis(spec)
+    if kernel.count:
+        re0 = re0 - kernel.modes @ (op.grid.dx * (kernel.modes.T @ re0))
+    psi0 = WaveFunction(re=re0, im=rng.standard_normal(op.n))
+    back = quantize(op, dequantize(spec, psi0, t, tol=1e-10))
+    ref = propagate_spectral(spec, psi0, t)
+    amp = max(np.max(np.abs(ref.re)), np.max(np.abs(ref.im)))
+    err = max(np.max(np.abs(back.re - ref.re)), np.max(np.abs(back.im - ref.im))) / amp
+    # Verify's tolerance, 1e-10, unless roundoff must exceed it: dequantize
+    # divides by kappa (error ~ eps cond K), and quantize applies K to the
+    # linear drift of the zero modes (error ~ eps max|kappa| t / hbar).
+    kappa = np.abs(spec.eigenvalues)
+    live = np.delete(kappa, spec.zero_modes)
+    cond = live.max() / live.min()
+    phase = kappa.max() * t / op.hbar
+    assert err <= max(1e-10, 64 * EPS * (cond + phase))

@@ -1,8 +1,11 @@
-"""The fused run loop against the public library API, compared with ==.
+"""The fused run loop and the trajectory helpers against the public library
+API, compared with ==.
 
 `runs._run` steps stacked arrays and shares each state's stencil products
 between its series row and its next step. Every number it writes must still
-be the one that repeated public steps and the public observables give.
+be the one that repeated public steps and the public observables give. The
+`*_trajectory` helpers step the same kernels, and each of their rows must be
+the state that the same number of public steps gives.
 """
 
 import csv
@@ -13,7 +16,7 @@ import pytest
 from schrofield import constrained as cn
 from schrofield import correspondence as cr
 from schrofield import field as fd
-from schrofield import runs
+from schrofield import lattice, runs
 from schrofield import schrodinger as sd
 from schrofield.config import build_scenario, config_from_dict
 
@@ -146,3 +149,43 @@ def test_run_loop_matches_public_api(tmp_path, case, boundary):
                 assert [r[name] for r in snap] == values.tolist(), (k, name)
             snapshots += 1
     assert snapshots == len(list(tmp_path.glob("snapshot_*.csv")))
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize(
+    "integrator, states, helper, fields",
+    [
+        ("crank_nicolson", _wave_states, sd.crank_nicolson_trajectory, ("re", "im")),
+        ("leapfrog", _field_states, fd.leapfrog_trajectory, ("phi", "p")),
+        ("rk4", _constrained_states, cn.rk4_trajectory, ("phi", "p", "varphi", "pi")),
+    ],
+)
+def test_trajectory_helpers_match_public_steps(integrator, states, helper, fields, boundary):
+    scenario = build_scenario(config_from_dict(_config(integrator, boundary)))
+    dt = scenario.config.dt
+    expected = list(states(scenario))
+    traj = helper(scenario.operator, expected[0], dt, NSTEPS)
+    assert traj.times.tolist() == (dt * np.arange(NSTEPS + 1)).tolist()
+    for k, state in enumerate(expected):
+        for name in fields:
+            assert getattr(traj, name)[k].tolist() == getattr(state, name).tolist(), (k, name)
+
+
+def test_leapfrog_trajectory_takes_two_stencil_products_per_step(monkeypatch):
+    scenario = build_scenario(config_from_dict(_config("leapfrog", "periodic")))
+    s0 = fd.FieldState(*scenario.initial_pair)
+    calls = []
+    product = lattice.stencil_product
+
+    def counted(op, f):
+        calls.append(f.shape)
+        return product(op, f)
+
+    # field imports the name, and apply looks it up in lattice: count both
+    monkeypatch.setattr(lattice, "stencil_product", counted)
+    monkeypatch.setattr(fd, "stencil_product", counted)
+    for nsteps in (10, 20):
+        calls.clear()
+        fd.leapfrog_trajectory(scenario.operator, s0, scenario.config.dt, nsteps)
+        # K^2 phi of the initial state, then K phi and K^2 phi per step
+        assert len(calls) == 2 + 2 * nsteps

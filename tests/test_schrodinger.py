@@ -3,8 +3,8 @@ import pytest
 
 from schrofield import (
     Potential,
+    Trajectory,
     WaveFunction,
-    WaveTrajectory,
     build_grid,
     build_operator,
     hamiltonian_action,
@@ -79,10 +79,10 @@ def test_crank_nicolson_second_order(small_harmonic, rng):
     errors = []
     for steps in (100, 200, 400):
         dt = t_final / steps
-        got = crank_nicolson_trajectory(op, psi0, dt, steps).states[-1]
+        got = crank_nicolson_trajectory(op, psi0, dt, steps)
         ref = propagate_spectral(spec, psi0, t_final)
         errors.append(
-            max(np.max(np.abs(got.re - ref.re)), np.max(np.abs(got.im - ref.im)))
+            max(np.max(np.abs(got.re[-1] - ref.re)), np.max(np.abs(got.im[-1] - ref.im)))
         )
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all((orders > 1.7) & (orders < 2.3))
@@ -147,10 +147,7 @@ def test_norm_hamiltonian_values(harmonic400):
 
 
 def test_action_zero_trajectory(free3):
-    zero = WaveFunction(re=np.zeros(3), im=np.zeros(3))
-    traj = WaveTrajectory(
-        times=np.array([0.0, 0.1, 0.2]), states=(zero, zero, zero)
-    )
+    traj = Trajectory([0.0, 0.1, 0.2], re=np.zeros((3, 3)), im=np.zeros((3, 3)))
     assert hamiltonian_action(free3, traj) == 0.0
 
 
@@ -184,11 +181,8 @@ def test_action_stationary_at_solutions(small_harmonic, rng):
     dim[1:-1] *= bump[:, None]
 
     def perturbed(eps):
-        states = tuple(
-            WaveFunction(re=st.re + eps * dre[k], im=st.im + eps * dim[k], time=st.time)
-            for k, st in enumerate(traj.states)
-        )
-        return hamiltonian_action(op, WaveTrajectory(times=traj.times, states=states))
+        moved = Trajectory(traj.times, re=traj.re + eps * dre, im=traj.im + eps * dim)
+        return hamiltonian_action(op, moved)
 
     deltas = [abs(perturbed(eps) - s0) for eps in (1e-2, 1e-3)]
     # second-order scaling: fitting |dS| = C eps^2 at eps=1e-2 must bound eps=1e-3
@@ -197,10 +191,9 @@ def test_action_stationary_at_solutions(small_harmonic, rng):
 
 
 def test_action_requires_three_samples(free3):
-    zero = WaveFunction(re=np.zeros(3), im=np.zeros(3))
-    traj_args = dict(times=np.array([0.0, 0.1]), states=(zero, zero))
+    traj = Trajectory([0.0, 0.1], re=np.zeros((2, 3)), im=np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        hamiltonian_action(free3, WaveTrajectory(**traj_args))
+        hamiltonian_action(free3, traj)
 
 
 def test_residual_second_order_on_exact_samples(small_harmonic, rng):
