@@ -1,9 +1,10 @@
 """Run orchestration: time series, snapshots, manifests, verification.
 
 All numeric output is CSV with a header row and shortest round-trip float
-formatting, so identical configs produce byte-identical files. The manifest
+formatting, so identical configs produce byte-identical files. Every command
+writes its files through one run directory (`_RunDir`), whose manifest
 isolates the only non-reproducible quantity (wall time) in a single field
-and carries a sha256 inventory of everything else.
+and carries a sha256 inventory of exactly the files the command wrote.
 """
 
 import hashlib
@@ -25,35 +26,41 @@ from . import field as fd
 from . import schrodinger as sd
 from .config import MAX_STEPS
 from .errors import ConfigError
-from .lattice import build_grid, build_operator, eigendecompose, stencil_product
+from .lattice import build_grid, build_operator, eigendecompose, solve_elliptic, stencil_product
 from .presets import potential_from_spec
 
 
-def format_float(value):
-    """Shortest decimal that round-trips the float exactly."""
-    return repr(float(value))
-
-
 def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_float(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the header row, then each row as it comes.
+
+    A row is a sequence or a 1-D array. Floats are written as repr(float)
+    writes them, the shortest decimal that round-trips; ints and strings are
+    written as they are.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            if isinstance(row, np.ndarray):
+                row = row.tolist()
+            fh.write(",".join(map(str, row)) + "\n")
+
+
+def write_json(path, obj):
+    """Indented JSON with sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_manifest(out_dir, command, cfg_dict, wall_time, drift, extra=None):
+def write_manifest(out_dir, names, command, cfg_dict, wall_time, drift, extra=None):
+    """manifest.json listing the files `names` of out_dir, sorted, with size and sha256."""
     out_dir = Path(out_dir)
-    files = []
-    for p in sorted(out_dir.iterdir()):
-        if p.name == "manifest.json" or not p.is_file():
-            continue
-        files.append(
-            {"path": p.name, "bytes": p.stat().st_size, "sha256": _sha256(p)}
-        )
+    files = [
+        {"path": name, "bytes": (out_dir / name).stat().st_size, "sha256": _sha256(out_dir / name)}
+        for name in sorted(names)
+    ]
     manifest = {
         "tool": "schrofield",
         "tool_version": __version__,
@@ -65,34 +72,54 @@ def write_manifest(out_dir, command, cfg_dict, wall_time, drift, extra=None):
     }
     if extra:
         manifest.update(extra)
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out_dir / "manifest.json", manifest)
     return manifest
 
 
-def _write_snapshot(out_dir, step, op, fields, p_dens, phase, observables):
-    """snapshot_<step>.csv: x, the picture's fields, then the selected P, S, E."""
-    extras = {"P": p_dens, "S": phase, "E": 0.5 * p_dens / op.hbar}
-    cols = [("x", op.grid.points()), *fields] + [(k, extras[k]) for k in observables]
-    write_csv(
-        Path(out_dir) / f"snapshot_{step:06d}.csv",
-        [name for name, _ in cols],
-        zip(*(values for _, values in cols)),
-    )
+class _RunDir:
+    """The --out directory of one command and the files the command writes there.
+
+    Made on construction. `csv` and `json` write a file and record its name;
+    `close` writes manifest.json over exactly the recorded names, so a file
+    the directory held before the command is never listed, and prints the
+    summary unless quiet. `started` is the command's perf_counter start.
+    """
+
+    def __init__(self, out_dir, command, cfg, started, quiet):
+        self._path = Path(out_dir)
+        self._path.mkdir(parents=True, exist_ok=True)
+        self._command, self._cfg, self._started, self._quiet = command, cfg, started, quiet
+        self._names = []
+
+    def csv(self, name, header, rows):
+        write_csv(self._path / name, header, rows)
+        self._names.append(name)
+
+    def json(self, name, obj):
+        write_json(self._path / name, obj)
+        self._names.append(name)
+
+    def close(self, drift, summary, extra=None):
+        """Write manifest.json, print `summary` unless quiet, return the manifest."""
+        wall_time = time.perf_counter() - self._started
+        manifest = write_manifest(
+            self._path, self._names, self._command, self._cfg.as_dict(), wall_time, drift, extra
+        )
+        if not self._quiet:
+            print(summary)
+        return manifest
 
 
-def _wave_snapshot(out_dir, step, op, psi, observables):
-    p_dens = psi.re * psi.re + psi.im * psi.im
-    phase = op.hbar * np.arctan2(psi.im, psi.re)
-    fields = [("re", psi.re), ("im", psi.im)]
-    _write_snapshot(out_dir, step, op, fields, p_dens, phase, observables)
+def _write_snapshot(run, step, op, fields, re, im, observables):
+    """snapshot_<step>.csv: x, the picture's fields, then the selected P, S, E.
 
-
-def _field_snapshot(out_dir, step, op, state, observables, extra_fields=()):
-    p_dens, phase = cr.probability_and_phase(op, state)
-    fields = [("phi", state.phi), ("p", state.p), *extra_fields]
-    _write_snapshot(out_dir, step, op, fields, p_dens, phase, observables)
+    All three are read off the wave function Psi = re + i im: P = |Psi|^2,
+    S = hbar arg(Psi) and E = P / 2 hbar.
+    """
+    p_dens = re * re + im * im
+    extras = {"P": p_dens, "S": op.hbar * np.arctan2(im, re), "E": 0.5 * p_dens / op.hbar}
+    names, values = zip(("x", op.grid.points()), *fields, *((k, extras[k]) for k in observables))
+    run.csv(f"snapshot_{step:06d}.csv", names, np.column_stack(values))
 
 
 def _max_error(*pairs):
@@ -146,10 +173,11 @@ class _Picture:
     row: Callable
     # (column, label) of the quantity the blow-up guard watches
     guard: tuple
-    # (t, y) -> state object, built for snapshots and to name a non-finite field
-    state: Callable
-    # (out_dir, step, op, state, observables) -> None
-    snapshot: Callable
+    # y -> ((name, values), ...): the fields a snapshot writes after x, in the
+    # order a non-finite field is looked for
+    fields: Callable
+    # (y, ky) -> (re, im) of the wave function Psi the snapshot's P, S, E are read off
+    wave: Callable
     # (manifest key, column, reduction of that column over the run)
     drift: tuple
     # (label, drift key) shown in the stdout summary
@@ -159,12 +187,13 @@ class _Picture:
 def _checked_row(picture, op, t, y, ky, first):
     """Series row of the state y, after checking y, the row and the blow-up guard.
 
-    A non-finite state raises the state object's ValueError naming the field;
+    A non-finite state raises a ValueError naming its first non-finite field;
     a non-finite row value, or a guarded value ten times its size in `first`
     (the run's first row), aborts the run.
     """
     if not np.isfinite(y).all():
-        picture.state(t, y)
+        name = next(name for name, f in picture.fields(y) if not np.isfinite(f).all())
+        raise ValueError(f"{name} must be finite")
     row = picture.row(op, t, y, ky)
     # A finite state can still overflow its row (inf, or nan from inf - inf).
     for column, value in zip(picture.columns, row):
@@ -186,8 +215,7 @@ def _run(picture, scenario, out_dir, quiet):
     y, ky, advance = picture.stepper(scenario)
     nsteps = _steps(cfg)
     snaps = _snapshot_steps(nsteps, cfg.snapshot_stride)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    run = _RunDir(out_dir, picture.command, cfg, t0, quiet)
 
     # Steppers accumulate time step by step; the exact propagators evaluate it.
     exact = cfg.integrator == "spectral"
@@ -201,17 +229,13 @@ def _run(picture, scenario, out_dir, quiet):
                 t = k * cfg.dt if exact else t + cfg.dt
             rows.append(_checked_row(picture, op, t, y, ky, rows[0] if rows else None))
             if k in snaps:
-                picture.snapshot(out_dir, k, op, picture.state(t, y), cfg.observables)
-    write_csv(out_dir / "series.csv", picture.columns, rows)
+                fields, wave = picture.fields(y), picture.wave(y, ky)
+                _write_snapshot(run, k, op, fields, *wave, cfg.observables)
     arr = np.asarray(rows)
+    run.csv("series.csv", picture.columns, arr)
     drift = {key: reduce(arr[:, col]) for key, col, reduce in picture.drift}
-    manifest = write_manifest(
-        out_dir, picture.command, cfg.as_dict(), time.perf_counter() - t0, drift
-    )
-    if not quiet:
-        label, key = picture.summary
-        print(f"{picture.command}: {nsteps} steps, {label} {drift[key]:.3e}")
-    return manifest
+    label, key = picture.summary
+    return run.close(drift, f"{picture.command}: {nsteps} steps, {label} {drift[key]:.3e}")
 
 
 def _wave_stepper(scenario):
@@ -250,8 +274,8 @@ _WAVE = _Picture(
     # The wave Hamiltonian has no fixed sign and can start near 0; the norm
     # is positive and conserved by both wave integrators.
     guard=(1, "norm"),
-    state=lambda t, y: sd.WaveFunction(re=y[0], im=y[1], time=t),
-    snapshot=_wave_snapshot,
+    fields=lambda y: (("re", y[0]), ("im", y[1])),
+    wave=lambda y, ky: y,
     drift=(("norm_drift", 1, _spread), ("hamiltonian_drift", 2, _spread)),
     summary=("norm drift", "norm_drift"),
 )
@@ -294,8 +318,9 @@ _FIELD = _Picture(
     columns=("t", "norm", "hamiltonian", "total_probability"),
     row=_field_row,
     guard=(2, "field hamiltonian"),
-    state=lambda t, y: fd.FieldState(phi=y[0], p=y[1], time=t),
-    snapshot=_field_snapshot,
+    fields=lambda y: (("phi", y[0]), ("p", y[1])),
+    # quantize(state) = -K phi + i p
+    wave=lambda y, ky: (-ky[0], y[1]),
     drift=(("norm_drift", 1, _spread), ("hamiltonian_drift", 2, _spread)),
     summary=("energy drift", "hamiltonian_drift"),
 )
@@ -338,11 +363,6 @@ def _constrained_row(op, t, y, ky):
     )
 
 
-def _constrained_snapshot(out_dir, step, op, state, observables):
-    extra_fields = [("varphi", state.varphi), ("pi", state.pi)]
-    _field_snapshot(out_dir, step, op, state, observables, extra_fields)
-
-
 _CONSTRAINED = _Picture(
     command="run-constrained",
     system="constrained",
@@ -351,10 +371,8 @@ _CONSTRAINED = _Picture(
     columns=("t", "norm", "hamiltonian", "c1_inf", "c2_inf", "total_probability"),
     row=_constrained_row,
     guard=(2, "constrained hamiltonian"),
-    state=lambda t, y: cn.ConstrainedState(
-        phi=y[0], p=y[1], varphi=y[2], pi=np.zeros_like(y[0]), time=t
-    ),
-    snapshot=_constrained_snapshot,
+    fields=lambda y: (*_FIELD.fields(y), ("varphi", y[2]), ("pi", np.zeros_like(y[0]))),
+    wave=_FIELD.wave,
     drift=(("hamiltonian_drift", 2, _spread), ("c1_max", 3, _peak), ("c2_max", 4, _peak)),
     summary=("max |c1|", "c1_max"),
 )
@@ -380,21 +398,13 @@ def run_dequantize(scenario, out_dir, quiet=False):
     t0 = time.perf_counter()
     cfg = scenario.config
     op, spec = scenario.operator, scenario.spectrum
-    re0, im0 = scenario.initial_pair
-    psi0 = sd.WaveFunction(re=re0, im=im0, time=0.0)
+    psi0 = sd.WaveFunction(*scenario.initial_pair)
     nsteps = _steps(cfg)
     snaps = sorted(_snapshot_steps(nsteps, cfg.snapshot_stride))
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    from .lattice import solve_elliptic
+    run = _RunDir(out_dir, "dequantize", cfg, t0, quiet)
 
     c_const = solve_elliptic(spec, -psi0.re, tol=1e-10)
-    write_csv(
-        out_dir / "integration_constant.csv",
-        ["x", "C"],
-        zip(op.grid.points(), c_const),
-    )
+    run.csv("integration_constant.csv", ["x", "C"], np.column_stack([op.grid.points(), c_const]))
     basis = cr.kernel_basis(spec)
 
     rows = []
@@ -403,31 +413,18 @@ def run_dequantize(scenario, out_dir, quiet=False):
         state = cr.dequantize(spec, psi0, t, tol=1e-10)
         back = cr.quantize(op, state)
         ref = sd.propagate_spectral(spec, psi0, t)
-        err = _max_error((back.re, ref.re), (back.im, ref.im))
-        rows.append((t, err))
-        _field_snapshot(out_dir, k, op, state, cfg.observables)
-    write_csv(out_dir / "series.csv", ["t", "roundtrip_error"], rows)
+        rows.append((t, _max_error((back.re, ref.re), (back.im, ref.im))))
+        fields = (("phi", state.phi), ("p", state.p))
+        _write_snapshot(run, k, op, fields, back.re, back.im, cfg.observables)
     arr = np.asarray(rows)
+    run.csv("series.csv", ["t", "roundtrip_error"], arr)
     drift = {"roundtrip_error_max": float(np.max(arr[:, 1]))}
-    manifest = write_manifest(
-        out_dir,
-        "dequantize",
-        cfg.as_dict(),
-        time.perf_counter() - t0,
+    return run.close(
         drift,
-        extra={
-            "kernel": {
-                "modes": basis.count,
-                "tolerance": basis.tolerance,
-            }
-        },
+        f"dequantize: {len(snaps)} reconstructions, worst round trip "
+        f"{drift['roundtrip_error_max']:.3e}",
+        extra={"kernel": {"modes": basis.count, "tolerance": basis.tolerance}},
     )
-    if not quiet:
-        print(
-            f"dequantize: {len(snaps)} reconstructions, worst round trip "
-            f"{drift['roundtrip_error_max']:.3e}"
-        )
-    return manifest
 
 
 def run_spectrum(scenario, out_dir, quiet=False):
@@ -435,30 +432,15 @@ def run_spectrum(scenario, out_dir, quiet=False):
     t0 = time.perf_counter()
     cfg = scenario.config
     op, spec = scenario.operator, scenario.spectrum
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["index,kappa,energy"]
-    for i, k in enumerate(spec.eigenvalues):
-        lines.append(f"{i},{format_float(k)},{format_float(-k)}")
-    (out_dir / "eigenvalues.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    x = op.grid.points()
+    run = _RunDir(out_dir, "spectrum", cfg, t0, quiet)
+    kappa = spec.eigenvalues.tolist()
+    rows = ((i, k, -k) for i, k in enumerate(kappa))
+    run.csv("eigenvalues.csv", ["index", "kappa", "energy"], rows)
     header = ["x"] + [f"mode_{i:04d}" for i in range(op.n)]
-    rows = np.column_stack([x, spec.vectors])
-    write_csv(out_dir / "eigenvectors.csv", header, rows)
-    manifest = write_manifest(
-        out_dir,
-        "spectrum",
-        cfg.as_dict(),
-        time.perf_counter() - t0,
-        {},
-        extra={
-            "zero_modes": list(spec.zero_modes),
-            "zero_mode_tolerance": spec.zero_mode_tolerance,
-        },
-    )
-    if not quiet:
-        print(f"spectrum: {op.n} modes, {len(spec.zero_modes)} zero modes")
-    return manifest
+    run.csv("eigenvectors.csv", header, np.column_stack([op.grid.points(), spec.vectors]))
+    extra = {"zero_modes": list(spec.zero_modes), "zero_mode_tolerance": spec.zero_mode_tolerance}
+    summary = f"spectrum: {op.n} modes, {len(spec.zero_modes)} zero modes"
+    return run.close({}, summary, extra=extra)
 
 
 def _identity(name, violation, tol, passed=None, note=None, asserted=True):
@@ -571,21 +553,26 @@ def run_verify(scenario, seed=0, out_dir=None, quiet=False):
 
     # Round trip: quantize(dequantize(psi, t)) equals the exact evolution.
     # Real-part kernel content is outside the image of the wave-potential map,
-    # so it is projected out of the test states when zero modes exist.
+    # so it is projected out of the test states when zero modes exist. Each
+    # relative error is divided by max(1, its roundoff bound / tolerance):
+    # dequantize divides by kappa (error ~ eps cond K) and quantize applies K
+    # to the zero modes' linear drift (error ~ eps max|kappa| t / hbar).
     with _timed(timings, "reconstruction_round_trip"):
         kernel = cr.kernel_basis(spec)
+        kappa = np.abs(spec.eigenvalues)
+        live = np.delete(kappa, spec.zero_modes)
+        cond = float(live.max() / live.min())
         worst = 0.0
         for _ in range(10):
-            re0 = rng.standard_normal(n)
-            if kernel.count:
-                coeffs = op.grid.dx * (kernel.modes.T @ re0)
-                re0 = re0 - kernel.modes @ coeffs
+            re0 = _without_kernel(kernel, op.grid.dx, rng.standard_normal(n))
             psi0 = sd.WaveFunction(re=re0, im=rng.standard_normal(n))
             t = float(rng.uniform(0.1, 5.0))
             back = cr.quantize(op, cr.dequantize(spec, psi0, t, tol=1e-10))
             ref = sd.propagate_spectral(spec, psi0, t)
             amp = max(float(np.max(np.abs(ref.re))), float(np.max(np.abs(ref.im))), 1e-300)
-            worst = max(worst, _max_error((back.re, ref.re), (back.im, ref.im)) / amp)
+            bound = 64 * np.finfo(float).eps * (cond + float(kappa.max()) * t / op.hbar)
+            err = _max_error((back.re, ref.re), (back.im, ref.im)) / amp
+            worst = max(worst, err / max(1.0, bound / 1e-10))
     identities.append(
         _identity(
             "reconstruction_round_trip",
@@ -631,34 +618,26 @@ def run_verify(scenario, seed=0, out_dir=None, quiet=False):
     v_step = float(np.max(np.abs(np.diff(v)))) if n > 1 else 0.0
     smooth = v_range == 0.0 or v_step <= 0.25 * v_range
     with _timed(timings, "current_residual_decays"):
-        decays = _verify_current_errors(scenario, levels=2)
+        decays = _current_errors(scenario, levels=2)
     if any(np.isnan(d) for d in decays):
-        identities.append(
-            _identity(
-                "current_residual_decays",
-                0.0,
-                1.0 / 2.5,
-                note="measured only: grid too coarse for any interior residual point",
-                asserted=False,
-            )
+        violation, asserted = 0.0, False
+        note = "measured only: " + (
+            "an inline potential has no values on a refined grid"
+            if cfg.potential["name"] == "inline"
+            else "grid too coarse for any interior residual point"
         )
     else:
         factor = decays[0] / max(decays[1], 1e-300)
+        violation, asserted = 1.0 / max(factor, 1e-300), smooth
         note = f"decay factor {factor:.2f} per halving"
         if not smooth:
             note += (
                 "; measured only: potential discontinuous or under-resolved "
                 f"(max step {v_step:.3g} vs range {v_range:.3g})"
             )
-        identities.append(
-            _identity(
-                "current_residual_decays",
-                1.0 / max(factor, 1e-300),
-                1.0 / 2.5,
-                note=note,
-                asserted=smooth,
-            )
-        )
+    identities.append(
+        _identity("current_residual_decays", violation, 1.0 / 2.5, note=note, asserted=asserted)
+    )
 
     # Dynamical-sector nondegeneracy (measured only when zero modes exist).
     with _timed(timings, "sector_smallest_singular_values"):
@@ -692,9 +671,7 @@ def run_verify(scenario, seed=0, out_dir=None, quiet=False):
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "verify_report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(out_dir / "verify_report.json", report)
     if not quiet:
         for e in identities:
             flag = "PASS" if e["passed"] else "FAIL"
@@ -705,6 +682,13 @@ def run_verify(scenario, seed=0, out_dir=None, quiet=False):
 
 def _refine(cfg_n, boundary):
     return 2 * cfg_n + 1 if boundary == "dirichlet" else 2 * cfg_n
+
+
+def _without_kernel(basis, dx, f):
+    """f with its content along the kernel basis projected out."""
+    if not basis.count:
+        return f
+    return f - basis.modes @ (dx * (basis.modes.T @ f))
 
 
 def _packet_probe_state(spec):
@@ -728,9 +712,7 @@ def _packet_probe_state(spec):
     env = np.exp(-0.5 * ((x - center) / width) ** 2)
     re = env * np.cos(k0 * (x - center))
     im = env * np.sin(k0 * (x - center))
-    basis = cr.kernel_basis(spec)
-    if basis.count:
-        re = re - basis.modes @ (spec.grid.dx * (basis.modes.T @ re))
+    re = _without_kernel(cr.kernel_basis(spec), spec.grid.dx, re)
     psi = sd.WaveFunction(re=re, im=im)
     return cr.dequantize(spec, psi, 0.0, tol=1e-8)
 
@@ -739,46 +721,39 @@ def _packet_probe_state(spec):
 _CURRENT_BASE_STEPS = 8
 
 
-def _current_errors_for_state(scenario, levels, make_state, dt, base_steps=_CURRENT_BASE_STEPS):
-    """Max interior current residual under paired (dx, dt) refinement.
+def _current_errors(scenario, levels):
+    """Max interior current residual per level of paired (dx, dt) halving.
 
-    Level 0 is the scenario's own grid; each further level refines it and
-    decomposes the refined operator. Levels whose mask leaves no valid
-    interior point record NaN.
+    Runs on the envelope probe `_packet_probe_state` rather than the
+    configured initial state: near density nodes the phase gradient degrades
+    with resolution, so order measurement needs a node-free probe to say
+    anything about the discretization itself. Level 0 is the scenario's own
+    grid; each further level refines it and decomposes the refined operator.
+    A level whose mask leaves no valid interior point records NaN, and so
+    does every refined level of an inline potential, which has values on the
+    configured grid only.
     """
     cfg = scenario.config
     op, spec = scenario.operator, scenario.spectrum
+    dt = min(cfg.dt, 0.02)
+    measured = 1 if cfg.potential["name"] == "inline" else levels
     errors = []
     n = cfg.grid_n
-    for level in range(levels):
+    for level in range(measured):
         if level > 0:
             n = _refine(n, cfg.boundary)
             grid = build_grid(n, cfg.x_min, cfg.x_max, cfg.boundary)
             potential = potential_from_spec(grid, cfg.potential, mass=cfg.mass)
             op = build_operator(grid, potential, hbar=cfg.hbar, mass=cfg.mass)
             spec = eigendecompose(op)
-        s0 = make_state(spec)
-        steps = base_steps * 2**level
-        traj = fd.spectral_field_trajectory(spec, s0, dt / 2**level, steps)
+        steps = _CURRENT_BASE_STEPS * 2**level
+        traj = fd.spectral_field_trajectory(spec, _packet_probe_state(spec), dt / 2**level, steps)
         res = cr.current_residual(op, traj)
         if np.all(np.isnan(res)):
             errors.append(float("nan"))
         else:
             errors.append(float(np.nanmax(np.abs(res))))
-    return errors
-
-
-def _verify_current_errors(scenario, levels):
-    """Current-residual decay under paired (dx, dt) halving.
-
-    Runs on the internal envelope probe rather than the configured initial
-    state: near density nodes the phase gradient degrades with resolution,
-    so order measurement needs a node-free probe to say anything about the
-    discretization itself.
-    """
-    return _current_errors_for_state(
-        scenario, levels, _packet_probe_state, dt=min(scenario.config.dt, 0.02)
-    )
+    return errors + [float("nan")] * (levels - measured)
 
 
 def run_convergence(scenario, out_dir, levels=3, quiet=False):
@@ -809,8 +784,7 @@ def run_convergence(scenario, out_dir, levels=3, quiet=False):
             f"{levels} refinement levels need {coarsest} * 2^{levels - 1} steps at the "
             f"finest level, over the limit of {MAX_STEPS} steps"
         )
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    run = _RunDir(out_dir, "convergence", cfg, t0, quiet)
 
     rows = []
     errors = {}
@@ -860,15 +834,11 @@ def run_convergence(scenario, out_dir, levels=3, quiet=False):
             max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2)))),
         )
 
-    for level, err in enumerate(_verify_current_errors(scenario, levels)):
+    for level, err in enumerate(_current_errors(scenario, levels)):
         h = cfg.dt / 2**level
         record("current_residual", level, h, err)
 
-    # study is a string column; formatted by hand, floats stay round-trip exact
-    lines = ["study,level,h,error"]
-    for study, level, h, err in rows:
-        lines.append(f"{study},{level},{format_float(h)},{format_float(err)}")
-    (out_dir / "convergence.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    run.csv("convergence.csv", ["study", "level", "h", "error"], rows)
 
     orders = {}
     for study, pts in errors.items():
@@ -876,17 +846,13 @@ def run_convergence(scenario, out_dir, levels=3, quiet=False):
         e = np.array([max(p[1], 1e-300) for p in pts])
         valid = np.isfinite(e)
         if valid.sum() < 2:
-            orders[study] = None  # not measurable at this grid size
+            orders[study] = None  # fewer than two finite levels: not measurable
             continue
         orders[study] = float(np.polyfit(np.log(h[valid]), np.log(e[valid]), 1)[0])
-    (out_dir / "orders.json").write_text(
-        json.dumps(orders, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    run.json("orders.json", orders)
+    summary = "\n".join(
+        f"convergence {study}: measured order "
+        + ("not measurable" if orders[study] is None else f"{orders[study]:.2f}")
+        for study in sorted(orders)
     )
-    manifest = write_manifest(
-        out_dir, "convergence", cfg.as_dict(), time.perf_counter() - t0, {}, extra={"orders": orders}
-    )
-    if not quiet:
-        for study in sorted(orders):
-            shown = "not measurable" if orders[study] is None else f"{orders[study]:.2f}"
-            print(f"convergence {study}: measured order {shown}")
-    return manifest
+    return run.close({}, summary, extra={"orders": orders})

@@ -640,6 +640,73 @@ def test_verify_cli_discontinuous_potential_measured_only(tmp_path):
     assert "discontinuous" in entry["note"]
 
 
+def test_inline_potential_verify_and_convergence_complete(tmp_path):
+    # an inline potential has no values on a refined grid; both commands used
+    # to exit 2 on it, and convergence left an empty --out behind
+    cfg = {
+        "grid": {"n": 20, "x_min": -5.0, "x_max": 5.0},
+        "potential": {"name": "inline", "values": [0.1] * 20},
+        "initial_state": "eigenstate:0",
+        "integrator": "spectral",
+        "dt": 0.01,
+        "t_final": 1.0,
+    }
+    path = _write(tmp_path, "inline.json", cfg)
+    out = tmp_path / "vrun"
+    assert main(["verify", "--config", path, "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "verify_report.json").read_text())
+    entry = {e["name"]: e for e in report["identities"]}["current_residual_decays"]
+    assert entry["asserted"] is False
+    assert entry["note"] == "measured only: an inline potential has no values on a refined grid"
+    out = tmp_path / "crun"
+    assert main(["convergence", "--config", path, "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "orders.json").read_text())["current_residual"] is None
+
+
+def test_verify_round_trip_allows_for_an_ill_conditioned_operator(tmp_path):
+    # a well as wide as the domain, just deeper than the top kinetic
+    # eigenvalue: K's smallest |kappa| is 1e-6 of that eigenvalue, and the
+    # round trip's roundoff (about eps cond K) used to fail the 1e-10 tolerance
+    grid = {"n": 20, "x_min": -5.0, "x_max": 5.0}
+    kinetic = lattice.build_operator(
+        lattice.build_grid(20, -5.0, 5.0, "dirichlet"), lattice.Potential(np.zeros(20))
+    )
+    depth = -float(np.linalg.eigvalsh(kinetic.matrix).max()) * (1.0 + 1e-6)
+    cfg = _harmonic_cfg(
+        grid=grid,
+        potential={"name": "square_well", "width": 100.0, "depth": depth},
+        integrator="spectral",
+        dt=0.01,
+        t_final=1.0,
+    )
+    out = tmp_path / "vrun"
+    path = _write(tmp_path, "well.json", cfg)
+    assert main(["verify", "--config", path, "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "verify_report.json").read_text())
+    entry = {e["name"]: e for e in report["identities"]}["reconstruction_round_trip"]
+    assert entry["passed"] is True and entry["asserted"] is True
+    assert entry["tolerance"] == 1e-10
+
+
+def test_manifest_lists_only_the_files_this_run_wrote(tmp_path):
+    # a rerun with another stride into one --out used to list the first run's
+    # snapshots, and any foreign file, in its manifest; leftovers stay on disk
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "notes.txt").write_text("not ours\n", encoding="utf-8")
+    for stride in (5, 10):
+        cfg = _write(tmp_path, "c.json", _harmonic_cfg(output={"snapshot_stride": stride}))
+        assert main(["run-schrodinger", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    listed = [f["path"] for f in json.loads((out / "manifest.json").read_text())["files"]]
+    assert listed == [
+        "series.csv",
+        "snapshot_000000.csv",
+        "snapshot_000010.csv",
+        "snapshot_000020.csv",
+    ]
+    assert (out / "notes.txt").exists() and (out / "snapshot_000005.csv").exists()
+
+
 def test_convergence_cli_orders(tmp_path):
     cfg = _write(
         tmp_path,
