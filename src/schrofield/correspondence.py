@@ -2,10 +2,11 @@
 
 The central identity: Psi = -K phi + i p solves the Schrodinger system
 whenever (phi, p) solves the field system, exactly at the discrete level.
-`quantize` applies that map; `dequantize` inverts it by solving the elliptic
-equation K C = -re(Psi(0)) for the integration constant and then integrating
-the imaginary part in time (in closed form per eigenmode here; by trapezoid
-quadrature in `dequantize_quadrature`, which works on raw integrator output).
+`quantize` applies that map; `dequantize` inverts it at t = 0 by solving the
+elliptic equation K C = -re(Psi(0)) for the integration constant, so the
+field state (C, im(Psi(0))) maps to Psi(0), and evolves that state by the
+exact field flow (`dequantize_quadrature` instead integrates the imaginary
+part by the trapezoid rule, which works on raw integrator output).
 
 The inversion is unique only up to zero modes of K: the pure imaginary,
 time-independent wave functions i Pi with K Pi = 0 map to nothing. That
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import field as fd
 from . import quadrature
 from .field import FieldState, energy_densities
 from .lattice import apply, solve_elliptic
@@ -78,34 +80,13 @@ def kernel_basis(spec):
 def dequantize(spec, psi0, t, tol=1e-10):
     """Reconstruct the field state at time t from the t=0 wave function.
 
-    The integration constant C solves K C = -re(psi0) (zero-mode-free
-    convention; obstruction raised if re(psi0) has kernel content above tol).
-    The momentum is the imaginary part of the exactly propagated wave
-    function, and phi(t) = C + (1/hbar) int_0^t p, evaluated mode-wise in
-    closed form so no quadrature error enters.
+    At t = 0 the map Psi = -K phi + i p inverts to phi = C, the solution of
+    K C = -re(psi0) (zero-mode-free convention; obstruction raised if re(psi0)
+    has kernel content above tol), and p = im(psi0). The state at t is the
+    exact field flow from there, so no quadrature error enters.
     """
-    hbar = spec.hbar
-    c_const = spec.coefficients(solve_elliptic(spec, -psi0.re, tol))
-    r = spec.coefficients(psi0.re)
-    s = spec.coefficients(psi0.im)
-
-    kappa = spec.eigenvalues
-    zero = np.zeros(kappa.shape, dtype=bool)
-    zero[list(spec.zero_modes)] = True
-    kappa_safe = np.where(zero, 1.0, kappa)
-    theta = kappa_safe * (float(t) / hbar)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-
-    # int_0^t im(tau) dtau per mode, then phi = C + integral / hbar.
-    integral = (s * sin_t + r * (1.0 - cos_t)) * (hbar / kappa_safe)
-    phi_c = c_const + integral / hbar
-    p_c = s * cos_t + r * sin_t
-    if zero.any():
-        phi_c[zero] = c_const[zero] + s[zero] * (float(t) / hbar)
-        p_c[zero] = s[zero]
-    return FieldState(
-        phi=spec.synthesize(phi_c), p=spec.synthesize(p_c), time=psi0.time + float(t)
-    )
+    phi, p = fd._flow(spec, solve_elliptic(spec, -psi0.re, tol), psi0.im)(t)
+    return FieldState(phi=phi, p=p, time=psi0.time + float(t))
 
 
 def dequantize_quadrature(spec, traj, tol=1e-10):

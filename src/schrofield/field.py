@@ -113,20 +113,24 @@ def _mode_evolution(spec, a, b, offsets):
 
 def propagate_spectral_field(spec, s0, t):
     """Exact field evolution by time t in the eigenbasis."""
-    phi, p = _propagate(spec, spec.coefficients(s0.phi), spec.coefficients(s0.p), t)
+    phi, p = _flow(spec, s0.phi, s0.p)(t)
     return FieldState(phi=phi, p=p, time=s0.time + t)
 
 
-def _propagate(spec, a, b, t):
-    """(phi, p) at time t of the state with eigencoefficients (a, b) at time 0."""
-    a_t, b_t = _mode_evolution(spec, a, b, np.array([float(t)]))
-    return spec.synthesize(a_t[0]), spec.synthesize(b_t[0])
+def _flow(spec, phi, p):
+    """Exact flow t -> (phi, p) at time t of the state (phi, p), its coefficients taken once."""
+    a, b = spec.coefficients(phi), spec.coefficients(p)
+
+    def at(t):
+        a_t, b_t = _mode_evolution(spec, a, b, np.array([float(t)]))
+        return spec.synthesize(a_t[0]), spec.synthesize(b_t[0])
+
+    return at
 
 
 def spectral_field_trajectory(spec, s0, dt, nsteps):
     """Exact field trajectory sampled at uniform dt."""
-    a = spec.coefficients(s0.phi)
-    b = spec.coefficients(s0.p)
+    a, b = spec.coefficients(s0.phi), spec.coefficients(s0.p)
     offsets = dt * np.arange(int(nsteps) + 1)
     a_t, b_t = _mode_evolution(spec, a, b, offsets)
     phi_all = a_t @ spec.vectors.T

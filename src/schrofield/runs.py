@@ -25,7 +25,7 @@ from . import correspondence as cr
 from . import field as fd
 from . import schrodinger as sd
 from .config import MAX_STEPS
-from .errors import ConfigError
+from .errors import ConfigError, EllipticObstructionError
 from .lattice import build_grid, build_operator, eigendecompose, solve_elliptic, stencil_product
 from .presets import potential_from_spec
 
@@ -249,11 +249,10 @@ def _wave_stepper(scenario):
             return y, stencil_product(op, y)
 
     else:
-        spec = scenario.spectrum
-        r, s = spec.coefficients(y0[0]), spec.coefficients(y0[1])
+        flow = sd._flow(scenario.spectrum, *y0)
 
         def advance(y, ky, k):
-            y = np.stack(sd._rotate(spec, r, s, k * cfg.dt))
+            y = np.stack(flow(k * cfg.dt))
             return y, stencil_product(op, y)
 
     return y0, stencil_product(op, y0), advance
@@ -294,11 +293,10 @@ def _field_stepper(scenario):
 
         return y0, (k_phi, stencil_product(op, k_phi)), advance
 
-    spec = scenario.spectrum
-    a, b = spec.coefficients(y0[0]), spec.coefficients(y0[1])
+    flow = fd._flow(scenario.spectrum, *y0)
 
     def advance(y, ky, k):
-        y = np.stack(fd._propagate(spec, a, b, k * cfg.dt))
+        y = np.stack(flow(k * cfg.dt))
         return y, (stencil_product(op, y[0]),)
 
     return y0, (k_phi,), advance
@@ -338,11 +336,10 @@ def _constrained_stepper(scenario):
             return y, stencil_product(op, y)
 
     else:
-        spec = scenario.spectrum
-        a, b = spec.coefficients(s0.phi), spec.coefficients(s0.p)
+        flow = fd._flow(scenario.spectrum, s0.phi, s0.p)
 
         def advance(y, ky, k):
-            phi, p = fd._propagate(spec, a, b, k * cfg.dt)
+            phi, p = flow(k * cfg.dt)
             y = np.stack([phi, p, -stencil_product(op, phi)])
             return y, stencil_product(op, y)
 
@@ -393,6 +390,15 @@ def run_constrained(scenario, out_dir, quiet=False):
     return _run(_CONSTRAINED, scenario, out_dir, quiet)
 
 
+@contextmanager
+def _refusing_kernel_content(command):
+    """Turn the obstruction of K C = -re(psi0) into a ConfigError, raised before --out exists."""
+    try:
+        yield
+    except EllipticObstructionError as exc:
+        raise ConfigError(f"{command} needs an initial real part in the range of K: {exc}") from exc
+
+
 def run_dequantize(scenario, out_dir, quiet=False):
     """Reconstruct the potential field from a wave initial state over time."""
     t0 = time.perf_counter()
@@ -401,21 +407,22 @@ def run_dequantize(scenario, out_dir, quiet=False):
     psi0 = sd.WaveFunction(*scenario.initial_pair)
     nsteps = _steps(cfg)
     snaps = sorted(_snapshot_steps(nsteps, cfg.snapshot_stride))
+    with _refusing_kernel_content("dequantize"):
+        c_const = solve_elliptic(spec, -psi0.re, tol=1e-10)
     run = _RunDir(out_dir, "dequantize", cfg, t0, quiet)
-
-    c_const = solve_elliptic(spec, -psi0.re, tol=1e-10)
     run.csv("integration_constant.csv", ["x", "C"], np.column_stack([op.grid.points(), c_const]))
     basis = cr.kernel_basis(spec)
 
+    # cr.dequantize at t is the field flow from (C, im) at t, with C solved once here.
+    field, wave = fd._flow(spec, c_const, psi0.im), sd._flow(spec, psi0.re, psi0.im)
     rows = []
     for k in snaps:
         t = k * cfg.dt
-        state = cr.dequantize(spec, psi0, t, tol=1e-10)
-        back = cr.quantize(op, state)
-        ref = sd.propagate_spectral(spec, psi0, t)
-        rows.append((t, _max_error((back.re, ref.re), (back.im, ref.im))))
-        fields = (("phi", state.phi), ("p", state.p))
-        _write_snapshot(run, k, op, fields, back.re, back.im, cfg.observables)
+        phi, p = field(t)
+        back_re = -stencil_product(op, phi)
+        ref_re, ref_im = wave(t)
+        rows.append((t, _max_error((back_re, ref_re), (p, ref_im))))
+        _write_snapshot(run, k, op, (("phi", phi), ("p", p)), back_re, p, cfg.observables)
     arr = np.asarray(rows)
     run.csv("series.csv", ["t", "roundtrip_error"], arr)
     drift = {"roundtrip_error_max": float(np.max(arr[:, 1]))}
@@ -470,8 +477,10 @@ def _faulted_dirac(op, layout, fault):
 def _commuting_diagram_orders(op, spec, phi0, p0, dt, nsteps):
     """Measured convergence order of both reduction-vs-evolution diagrams."""
     s0 = cn.make_onshell(op, phi0, p0)
-    errs_wave = []
-    errs_field = []
+    # Every level ends at (nsteps 2^l) (dt / 2^l), which rounds to nsteps dt.
+    ref_w = sd.propagate_spectral(spec, cn.reduce_to_wave(op, s0), nsteps * dt)
+    ref_f = fd.propagate_spectral_field(spec, cn.reduce_to_field(op, s0), nsteps * dt)
+    errs = []
     for level in range(3):
         d = dt / 2**level
         steps = nsteps * 2**level
@@ -479,19 +488,15 @@ def _commuting_diagram_orders(op, spec, phi0, p0, dt, nsteps):
         end = cn.ConstrainedState(
             phi=traj.phi[-1], p=traj.p[-1], varphi=traj.varphi[-1], pi=traj.pi[-1]
         )
-        t_end = steps * d
-
-        wave0 = cn.reduce_to_wave(op, s0)
-        ref_w = sd.propagate_spectral(spec, wave0, t_end)
-        got_w = cn.reduce_to_wave(op, end)
-        errs_wave.append(_max_error((got_w.re, ref_w.re), (got_w.im, ref_w.im)))
-        field0 = cn.reduce_to_field(op, s0)
-        ref_f = fd.propagate_spectral_field(spec, field0, t_end)
-        got_f = cn.reduce_to_field(op, end)
-        errs_field.append(_max_error((got_f.phi, ref_f.phi), (got_f.p, ref_f.p)))
-    order_w = float(np.mean(np.log2(np.array(errs_wave[:-1]) / np.array(errs_wave[1:]))))
-    order_f = float(np.mean(np.log2(np.array(errs_field[:-1]) / np.array(errs_field[1:]))))
-    return order_w, order_f
+        got_w, got_f = cn.reduce_to_wave(op, end), cn.reduce_to_field(op, end)
+        errs.append(
+            (
+                _max_error((got_w.re, ref_w.re), (got_w.im, ref_w.im)),
+                _max_error((got_f.phi, ref_f.phi), (got_f.p, ref_f.p)),
+            )
+        )
+    errs = np.array(errs)
+    return tuple(float(order) for order in np.mean(np.log2(errs[:-1] / errs[1:]), axis=0))
 
 
 @contextmanager
@@ -544,10 +549,10 @@ def run_verify(scenario, seed=0, out_dir=None, quiet=False):
     with _timed(timings, "probability_conserved"):
         psi0 = sd.WaveFunction(re=rng.standard_normal(n), im=rng.standard_normal(n))
         base = 2.0 * op.hbar * sd.norm_hamiltonian(op, psi0)
+        flow = sd._flow(spec, psi0.re, psi0.im)
         worst = 0.0
         for t in np.linspace(0.0, 10.0, 101):
-            psi_t = sd.propagate_spectral(spec, psi0, float(t))
-            total = 2.0 * op.hbar * sd.norm_hamiltonian(op, psi_t)
+            total = 2.0 * op.hbar * sd._norm(op, *flow(float(t)))
             worst = max(worst, abs(total - base) / base)
     identities.append(_identity("probability_conserved", worst, 1e-10))
 
@@ -590,23 +595,10 @@ def run_verify(scenario, seed=0, out_dir=None, quiet=False):
         phi0 = spec.synthesize(rng.standard_normal(n) / (1.0 + np.arange(n)) ** 2)
         p0 = spec.synthesize(rng.standard_normal(n) / (1.0 + np.arange(n)) ** 2)
         dt_cd = 0.25 * cn.rk4_stability_bound(op)
-        order_w, order_f = _commuting_diagram_orders(op, spec, phi0, p0, dt_cd, 32)
-    identities.append(
-        _identity(
-            "commuting_diagram_wave",
-            abs(order_w - 4.0),
-            0.4,
-            note=f"measured order {order_w:.3f}",
-        )
-    )
-    identities.append(
-        _identity(
-            "commuting_diagram_field",
-            abs(order_f - 4.0),
-            0.4,
-            note=f"measured order {order_f:.3f}",
-        )
-    )
+        orders = _commuting_diagram_orders(op, spec, phi0, p0, dt_cd, 32)
+    for picture, order in zip(("wave", "field"), orders):
+        name, note = f"commuting_diagram_{picture}", f"measured order {order:.3f}"
+        identities.append(_identity(name, abs(order - 4.0), 0.4, note=note))
 
     # Current equation residual must decay under paired (dx, dt) halving.
     # Asserted only for potentials that are smooth and resolved on the grid:
@@ -784,6 +776,9 @@ def run_convergence(scenario, out_dir, levels=3, quiet=False):
             f"{levels} refinement levels need {coarsest} * 2^{levels - 1} steps at the "
             f"finest level, over the limit of {MAX_STEPS} steps"
         )
+    psi0 = sd.WaveFunction(re=re0, im=im0)
+    with _refusing_kernel_content("convergence"):
+        s0_dq = cr.dequantize(spec, psi0, 0.0, tol=1e-8)
     run = _RunDir(out_dir, "convergence", cfg, t0, quiet)
 
     rows = []
@@ -793,37 +788,37 @@ def run_convergence(scenario, out_dir, levels=3, quiet=False):
         rows.append((study, level, h, err))
         errors.setdefault(study, []).append((h, err))
 
-    psi0 = sd.WaveFunction(re=re0, im=im0)
     s0 = fd.FieldState(phi=re0, p=im0)
+    # Every level ends at (steps 2^l) (dt / 2^l), which rounds to steps dt.
+    wave, field = sd._flow(spec, re0, im0), fd._flow(spec, re0, im0)
+    ref = wave(base_steps["crank_nicolson"] * base_dt["crank_nicolson"])
+    fref = field(base_steps["leapfrog"] * base_dt["leapfrog"])
+    cref = field(base_steps["rk4"] * base_dt["rk4"])
     for level in range(levels):
         scale = 2**level
 
         dt = base_dt["crank_nicolson"] / scale
         steps = base_steps["crank_nicolson"] * scale
         traj = sd.crank_nicolson_trajectory(op, psi0, dt, steps)
-        ref = sd.propagate_spectral(spec, psi0, steps * dt)
-        err = _max_error((traj.re[-1], ref.re), (traj.im[-1], ref.im))
+        err = _max_error((traj.re[-1], ref[0]), (traj.im[-1], ref[1]))
         record("crank_nicolson", level, dt, err)
 
         dt = base_dt["leapfrog"] / scale
         steps = base_steps["leapfrog"] * scale
         ftraj = fd.leapfrog_trajectory(op, s0, dt, steps)
-        fref = fd.propagate_spectral_field(spec, s0, steps * dt)
-        err = _max_error((ftraj.phi[-1], fref.phi), (ftraj.p[-1], fref.p))
+        err = _max_error((ftraj.phi[-1], fref[0]), (ftraj.p[-1], fref[1]))
         record("leapfrog", level, dt, err)
 
         dt = base_dt["rk4"] / scale
         steps = base_steps["rk4"] * scale
         ctraj = cn.rk4_trajectory(op, cn.make_onshell(op, re0, im0), dt, steps)
-        cref = fd.propagate_spectral_field(spec, s0, steps * dt)
-        err = _max_error((ctraj.phi[-1], cref.phi), (ctraj.p[-1], cref.p))
+        err = _max_error((ctraj.phi[-1], cref[0]), (ctraj.p[-1], cref[1]))
         record("rk4", level, dt, err)
         drift = float(np.max(np.abs(cn.constraint_residuals(op, ctraj)[0])))
         record("constraint_drift", level, dt, drift)
 
         dt = base_dt["schrodinger_residual"] / scale
         steps = base_steps["schrodinger_residual"] * scale
-        s0_dq = cr.dequantize(spec, psi0, 0.0, tol=1e-8)
         ftraj = fd.spectral_field_trajectory(spec, s0_dq, dt, steps)
         wtraj = cr.quantize_trajectory(op, ftraj)
         r1, r2 = sd.schrodinger_residual(op, wtraj)

@@ -105,27 +105,34 @@ def crank_nicolson_trajectory(op, psi0, dt, nsteps):
 
 def propagate_spectral(spec, psi0, t):
     """Exact evolution by time t: each eigencoefficient picks up e^{i kappa t / hbar}."""
-    re, im = _rotate(spec, spec.coefficients(psi0.re), spec.coefficients(psi0.im), t)
+    re, im = _flow(spec, psi0.re, psi0.im)(t)
     return WaveFunction(re=re, im=im, time=psi0.time + t)
 
 
-def _rotate(spec, r, s, t):
-    """(re, im) at time t of the state with eigencoefficients (r, s) at time 0."""
+def _flow(spec, re, im):
+    """Exact flow t -> (re, im) at time t of the state (re, im), its coefficients taken once."""
+    r, s = spec.coefficients(re), spec.coefficients(im)
+
+    def at(t):
+        r_t, s_t = _rotation(spec, r, s, t)
+        return spec.synthesize(r_t), spec.synthesize(s_t)
+
+    return at
+
+
+def _rotation(spec, r, s, t):
+    """Coefficients at time t (a scalar, or a column of times: one row each) of (r, s) at 0."""
     theta = spec.eigenvalues * (t / spec.hbar)
     c, sn = np.cos(theta), np.sin(theta)
-    return spec.synthesize(r * c - s * sn), spec.synthesize(s * c + r * sn)
+    return r * c - s * sn, s * c + r * sn
 
 
 def spectral_trajectory(spec, psi0, dt, nsteps):
     """Exact trajectory sampled at uniform dt (vectorized over samples)."""
-    r = spec.coefficients(psi0.re)
-    s = spec.coefficients(psi0.im)
     offsets = dt * np.arange(int(nsteps) + 1)
-    theta = np.outer(offsets, spec.eigenvalues) / spec.hbar
-    c, sn = np.cos(theta), np.sin(theta)
-    re_all = (r * c - s * sn) @ spec.vectors.T
-    im_all = (s * c + r * sn) @ spec.vectors.T
-    return Trajectory(psi0.time + offsets, re=re_all, im=im_all)
+    r, s = spec.coefficients(psi0.re), spec.coefficients(psi0.im)
+    r_t, s_t = _rotation(spec, r, s, offsets[:, None])
+    return Trajectory(psi0.time + offsets, re=r_t @ spec.vectors.T, im=s_t @ spec.vectors.T)
 
 
 def schrodinger_residual(op, traj):

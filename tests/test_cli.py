@@ -576,6 +576,56 @@ def test_dequantize_cli_kernel_scenario(tmp_path):
     assert manifest["kernel"]["modes"] == 1
 
 
+def test_dequantize_solves_for_the_integration_constant_once(tmp_path, monkeypatch):
+    # each snapshot is the field flow from (C, im); C is solved for once
+    solves = _count_calls(monkeypatch, lattice, "solve_elliptic")
+    cfg = _write(
+        tmp_path,
+        "dq.json",
+        _harmonic_cfg(integrator="spectral", dt=0.1, t_final=1.0, output={"snapshot_stride": 2}),
+    )
+    out = tmp_path / "dqrun"
+    assert main(["dequantize", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert len(list(out.glob("snapshot_*.csv"))) == 6
+    assert len(solves) == 1
+
+
+# A free periodic ring: its constant zero mode is outside the range of K.
+_FREE_RING = {
+    "grid": {"n": 40, "x_min": -10.0, "x_max": 10.0, "boundary": "periodic"},
+    "potential": "free",
+    "integrator": "spectral",
+    "dt": 0.01,
+    "t_final": 0.1,
+}
+
+
+@pytest.mark.parametrize(
+    "command, initial_state",
+    [
+        pytest.param("dequantize", "gaussian", id="dequantize-gaussian"),
+        pytest.param(
+            "convergence",
+            {"type": "modes", "coefficients": [[0, 1.0, 0.2], [1, 0.3, -0.4], [3, 0.1, 0.05]]},
+            id="convergence-modes",
+        ),
+    ],
+)
+def test_real_kernel_content_is_refused_before_any_output(
+    tmp_path, capsys, monkeypatch, command, initial_state
+):
+    # both commands used to fail on it after making --out, convergence only
+    # after running its integrator studies
+    studies = _count_calls(monkeypatch, sd, "crank_nicolson_trajectory")
+    cfg = _write(tmp_path, "ring.json", {**_FREE_RING, "initial_state": initial_state})
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert not out.exists() and not studies
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {command} needs an initial real part in the range of K")
+    assert "zero-mode content" in err
+
+
 def test_verify_cli_passes_and_fault_flags_targets(tmp_path):
     cfg_ok = _write(tmp_path, "ok.json", _harmonic_cfg())
     out = tmp_path / "vrun"

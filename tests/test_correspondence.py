@@ -22,6 +22,7 @@ from schrofield import (
     quantize,
     quantize_trajectory,
     schrodinger_residual,
+    solve_elliptic,
     wave_to_field,
 )
 from schrofield.field import (
@@ -131,6 +132,53 @@ def test_dequantize_round_trip_random(harmonic400, rng):
         ref = propagate_spectral(spec, psi0, t)
         assert np.max(np.abs(back.re - ref.re)) < 1e-10
         assert np.max(np.abs(back.im - ref.im)) < 1e-10
+
+
+def _barrier_ring():
+    grid = build_grid(48, -10.0, 10.0, "periodic")
+    x = grid.points()
+    op = build_operator(grid, Potential(5.0 * np.exp(-0.5 * x * x)), hbar=1.0, mass=1.0)
+    return op, eigendecompose(op)
+
+
+@pytest.fixture(params=["dirichlet_harmonic", "periodic_barrier", "periodic_free"])
+def closure(request, small_harmonic, periodic_free64):
+    """One grid per closure: Dirichlet, periodic, and periodic with a zero mode."""
+    if request.param == "periodic_barrier":
+        return _barrier_ring()
+    return small_harmonic if request.param == "dirichlet_harmonic" else periodic_free64
+
+
+def test_dequantize_is_the_field_flow_from_the_integration_constant(closure, rng):
+    # Psi = -K phi + i p at t = 0 gives phi = C (K C = -re) and p = im; on the
+    # free ring the imaginary part keeps its zero-mode content, which drifts
+    op, spec = closure
+    kernel = kernel_basis(spec).modes
+    re = rng.standard_normal(op.n)
+    im = 1.0 + rng.standard_normal(op.n)
+    psi0 = WaveFunction(re=re - kernel @ (op.grid.dx * (kernel.T @ re)), im=im)
+    if spec.zero_modes:
+        assert abs(float(spec.coefficients(psi0.im)[spec.zero_modes[0]])) > 0.1
+    s0 = FieldState(phi=solve_elliptic(spec, -psi0.re), p=psi0.im)
+    for t in (0.0, 0.3, 2.7):
+        got = dequantize(spec, psi0, t)
+        want = propagate_spectral_field(spec, s0, t)
+        assert np.array_equal(got.phi, want.phi) and np.array_equal(got.p, want.p)
+        assert got.time == want.time == t
+
+
+def test_spectral_trajectories_sample_the_single_time_flows(closure, rng):
+    op, spec = closure
+    a, b = rng.standard_normal(op.n), rng.standard_normal(op.n)
+    dt, steps = 0.05, 20
+    wave = spectral_trajectory(spec, WaveFunction(re=a, im=b), dt, steps)
+    field = spectral_field_trajectory(spec, FieldState(phi=a, p=b), dt, steps)
+    for k, t in enumerate(dt * np.arange(steps + 1)):
+        psi = propagate_spectral(spec, WaveFunction(re=a, im=b), t)
+        s = propagate_spectral_field(spec, FieldState(phi=a, p=b), t)
+        for row, state in ((wave.re[k], psi.re), (wave.im[k], psi.im),
+                           (field.phi[k], s.phi), (field.p[k], s.p)):
+            assert np.max(np.abs(row - state)) <= 1e-14 * np.max(np.abs(state))
 
 
 def test_dequantize_obstruction(periodic_free64):
