@@ -38,6 +38,8 @@ from .lattice import PERIODIC, Operator, apply, stencil_product
 from .schrodinger import WaveFunction, schrodinger_rhs
 
 BLOCKS = ("phi", "p", "varphi", "pi")
+# Rank of each random quadratic form drawn by the Jacobi check.
+JACOBI_RANK = 8
 
 
 @dataclass(frozen=True)
@@ -420,21 +422,32 @@ def dirac_flow_check(op, layout, tol=1e-12, rng=None, batch=5, dirac=None):
 def _jacobi_terms(bracket, rng):
     """The three nested-bracket terms of one random sample of the cyclic sum.
 
-    Draws three standard normal dim x dim matrices a, then a standard normal
-    point z; the quadratic forms are f_x = z.x.z / 2 with the symmetric parts
-    x = 0.5 (a + a^T). The gradient of {f_x, f_y} at z is x J y z - y J x z,
-    and the term pairs it with J w z. Every product is a matrix-vector
-    product, O(dim^2) per term: neither the triple products x J y nor x
-    itself are formed, since forming x costs about as much as drawing a.
-    The products with J are the table's O(n) matvec.
+    Draws three symmetric forms x = U S U^T of rank r = JACOBI_RANK, each
+    from a standard normal dim x r matrix U and a standard normal r x r
+    matrix B with S = 0.5 (B + B^T), then a standard normal point z; the
+    quadratic functionals are f_x = z.x.z / 2. The gradient of {f_x, f_y}
+    at z is x J y z - y J x z, and the term pairs it with J w z. A form is
+    applied as U (S (U^T v)) and J as the table's O(n) matvec, so a sample
+    costs O(dim r) time and memory; neither x nor any triple product is
+    formed.
+
+    With f_x = J x z the cyclic sum of the terms is a sum of pairs
+    f_w.x.f_y - f_y.x.f_w, which cancel for symmetric x whatever the vectors
+    f are. The check therefore measures the roundoff of these products and
+    cannot flag a fault in the bracket.
     """
     dim = bracket.layout.dim
-    draws = [rng.standard_normal((dim, dim)) for _ in range(3)]
+    forms = []
+    for _ in range(3):
+        u = rng.standard_normal((dim, JACOBI_RANK))
+        b = rng.standard_normal((JACOBI_RANK, JACOBI_RANK))
+        forms.append((u, 0.5 * (b + b.T)))
     z = rng.standard_normal(dim)
 
     def form(i, v):
-        """x_i v for the symmetric part x_i of draws[i]."""
-        return 0.5 * (draws[i] @ v + draws[i].T @ v)
+        """x_i v for x_i = U S U^T."""
+        u, s = forms[i]
+        return u @ (s @ (u.T @ v))
 
     flows = [bracket @ form(i, z) for i in range(3)]  # J x z, the flow of f_x at z
     terms = []
@@ -447,11 +460,12 @@ def _jacobi_terms(bracket, rng):
 def jacobi_cyclic_residual(bracket, rng=None, samples=3):
     """Relative cyclic residual of the Jacobi identity on quadratic functionals.
 
-    For a constant structure matrix the cyclic sum vanishes identically, so
-    this measures pure roundoff: the residual is the cancellation left over
-    relative to the sizes of the six nested-bracket terms. Each sample costs
-    matrix-vector products only (see _jacobi_terms); its draws do not depend
-    on how the terms are evaluated, so the generator ends in the same state.
+    The residual is the cancellation left over relative to the sizes of the
+    six nested-bracket terms, worst over the samples. The quadratic forms
+    are random symmetric matrices of rank JACOBI_RANK (see _jacobi_terms),
+    so each sample costs O(n) time and memory. The cyclic sum cancels
+    exactly for any symmetric forms and any bracket, so the residual is
+    pure roundoff: the check cannot flag a fault in the bracket.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     worst = 0.0

@@ -141,19 +141,23 @@ def _rk4(op, y, k_varphi_p, dt):
     bound = rk4_stability_bound(op)
     if not 0.0 < dt < bound:
         raise StabilityError(dt, bound, "rk4")
-    # Rates (p, K varphi, -K p) / hbar: x / -hbar is -(x / hbar) exactly.
-    over = np.array([[op.hbar], [op.hbar], [-op.hbar]])
+    stages = np.empty((4,) + y.shape)
 
-    def rate(z, kz):
-        return np.concatenate((z[1:2], kz)) / over
+    def rate(k, z, kz):
+        """Stage k's rates (p, K varphi, -K p) / hbar, written into stages[k]."""
+        out = stages[k]
+        np.divide(z[1], op.hbar, out=out[0])
+        np.divide(kz, op.hbar, out=out[1:])
+        np.negative(out[2], out=out[2])
+        return out
 
-    k1 = rate(y, k_varphi_p)
+    k1 = rate(0, y, k_varphi_p)
     z = y + 0.5 * dt * k1
-    k2 = rate(z, stencil_product(op, z[:0:-1]))
+    k2 = rate(1, z, stencil_product(op, z[:0:-1]))
     z = y + 0.5 * dt * k2
-    k3 = rate(z, stencil_product(op, z[:0:-1]))
+    k3 = rate(2, z, stencil_product(op, z[:0:-1]))
     z = y + dt * k3
-    k4 = rate(z, stencil_product(op, z[:0:-1]))
+    k4 = rate(3, z, stencil_product(op, z[:0:-1]))
     return y + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 

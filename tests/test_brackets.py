@@ -257,12 +257,13 @@ def test_dirac_flow_checks(small_harmonic, rng):
 
 
 def _dense_jacobi_terms(j, rng):
-    """Oracle: the nested-bracket terms through the dense triple products x J y."""
+    """Oracle: the same low-rank forms U S U^T, formed densely, and the triple products x J y."""
     dim = j.shape[0]
     mats = []
     for _ in range(3):
-        a = rng.standard_normal((dim, dim))
-        mats.append(0.5 * (a + a.T))
+        u = rng.standard_normal((dim, brackets.JACOBI_RANK))
+        b = rng.standard_normal((brackets.JACOBI_RANK, brackets.JACOBI_RANK))
+        mats.append(u @ (0.5 * (b + b.T)) @ u.T)
     a, b, c = mats
     z = rng.standard_normal(dim)
     terms = []
@@ -309,7 +310,8 @@ def test_sector_nondegeneracy_values(small_harmonic, periodic_free64):
 
 
 def test_bracket_layer_memory_is_linear_at_n3200():
-    # One dense 4n x 4n matrix at n = 3200 is 1.3 GB; the tables need O(n).
+    # One dense 4n x 4n matrix at n = 3200 is 1.3 GB; the tables and the
+    # Jacobi check's rank-r forms need O(n).
     import tracemalloc
 
     grid = build_grid(3200, -20.0, 20.0)
@@ -322,9 +324,11 @@ def test_bracket_layer_memory_is_linear_at_n3200():
         report = verify_dirac_relations(op, lay, dirac=jd)
         report += dirac_flow_check(op, lay, dirac=jd)
         generalized_hamiltonian_check(op, lay)
+        jacobi = jacobi_cyclic_residual(jd)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert all(entry["passed"] for entry in report)
+    assert jacobi < 1e-12
     assert peak < 32 * 2**20
     assert "matrix" not in vars(op)
