@@ -27,6 +27,7 @@ from .lattice import (
     build_grid,
     build_operator,
     eigendecompose,
+    eigenpairs,
     inner_product,
     solve_elliptic,
 )

@@ -17,7 +17,7 @@ with scalar coefficients; in practice 0, c I or c K. A `BlockTable` stores
 only those coefficients and K's stencil. Products and sums are polynomial
 arithmetic on the coefficients, a matrix-vector product costs one stencil
 product per power of K, and a block's largest entry comes from its band, so
-nothing of size 4n x 4n is ever formed; `dense()` assembles one for tests.
+nothing of size 4n x 4n is ever formed.
 In K's eigenbasis each two-block sector splits into n 2x2 matrices, one per
 eigenvalue kappa, which gives the sectors' singular values from the
 spectrum.
@@ -185,19 +185,6 @@ class BlockTable:
             np.add.at(folded, (slice(None), slice(None), slot), band)
             band = folded
         return float(np.max(np.abs(band)))
-
-    def dense(self):
-        """The full matrix; O(n^2) memory, for small-n tests."""
-        n = self.layout.n
-        powers = [np.eye(n)]
-        for _ in range(self.degree):
-            powers.append(powers[-1] @ self.op.matrix)
-        return np.block(
-            [
-                [sum(c * pk for c, pk in zip(poly, powers)) for poly in row]
-                for row in self.coeffs
-            ]
-        )
 
 
 def _shared_op(a, b):

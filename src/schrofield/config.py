@@ -15,7 +15,7 @@ import numpy as np
 from .constrained import rk4_stability_bound
 from .errors import ConfigError
 from .field import leapfrog_stability_bound
-from .lattice import build_grid, build_operator, eigendecompose
+from .lattice import DIRICHLET, build_grid, build_operator, eigendecompose, eigenpairs
 from .presets import (
     POTENTIAL_PRESETS,
     STATE_PRESETS,
@@ -30,6 +30,13 @@ FAULTS = ("dirac_sign_flip",)
 # Largest t_final / dt a run may take; ample for any study, and it keeps a tiny
 # dt from asking for an endless loop (or a step set of that size) up front.
 MAX_STEPS = 10**7
+# `lattice.eigenpairs` costs about 55 O(n) Sturm counts per mode, one dense
+# `eigh` O(n^3), so the stencil wins below about k* = c n^2 modes. Measured
+# (Dirichlet harmonic on [-20, 20], 1 BLAS thread, best of 7): k* = 0.9, 2.6,
+# 3.8, 6.6, 12.6, 15.5, 62 and 410 at n = 64, 150, 200, 300, 400, 600, 1200 and
+# 3200, so c falls from 2e-4 to 4e-5 as `eigh` approaches its n^3 regime. At
+# this value the rule is within a factor 1.5 of k* from n = 150 up.
+STENCIL_MODES_PER_N2 = 6e-5
 
 _TOP_KEYS = {
     "grid",
@@ -95,8 +102,10 @@ class Scenario:
     """Concrete objects built from a config by `build_scenario`.
 
     `spectrum` and `initial_pair` are computed on first use and kept, as
-    `Operator.matrix` is; only the eigenstate and modes presets need the
-    spectrum, so a run from a gaussian or inline state never decomposes K.
+    `Operator.matrix` is. The eigenstate and modes presets read their modes
+    through `superpose`, which decomposes K only where the stencil eigensolver
+    does not apply, so a leapfrog, RK4 or Crank-Nicolson run on a Dirichlet
+    grid, or any run from a gaussian or inline state, never does.
     """
 
     config: ScenarioConfig
@@ -111,6 +120,31 @@ class Scenario:
     @cached_property
     def initial_pair(self):
         return initial_pair_from_spec(self.config.initial_state, self)
+
+    def superpose(self, cols, coefficients):
+        """Sums of the eigenvectors of K in the distinct ascending-kappa `cols`.
+
+        Row i of the result is sum_j coefficients[i, j] v[cols[j]], for
+        dx-orthonormal eigenvectors v signed as `eigendecompose` signs them.
+        They come from the stencil (`lattice.eigenpairs`) when the grid is
+        Dirichlet, the integrator is not `spectral` (whose flow decomposes K
+        anyway), there are fewer than STENCIL_MODES_PER_N2 n^2 columns and
+        each of their eigenvalues is isolated; otherwise from `spectrum`,
+        synthesized as `Spectrum.synthesize` does.
+        """
+        op = self.operator
+        coefficients = np.asarray(coefficients, dtype=float)
+        if (
+            op.grid.boundary == DIRICHLET
+            and self.config.integrator != "spectral"
+            and len(cols) < STENCIL_MODES_PER_N2 * op.n * op.n
+        ):
+            pairs = eigenpairs(op, cols)
+            if pairs is not None:
+                return coefficients @ pairs[1].T
+        full = np.zeros((len(coefficients), op.n))
+        full[:, cols] = coefficients
+        return np.array([self.spectrum.synthesize(c) for c in full])
 
 
 def _reject_unknown(mapping, allowed, where):

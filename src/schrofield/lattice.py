@@ -12,8 +12,10 @@ both corner entries on periodic grids. `apply` is an O(n) stencil product,
 and `CayleySolver` solves the Crank-Nicolson system I - i a K in O(n) from
 the same stencil. `spectral_radius` bisects both ends of the spectrum on
 the stencil too, one O(n) inertia count per shift (Sturm sequences; Barth,
-Martin and Wilkinson 1967). `Operator.matrix` is a dense view that
-`eigendecompose` builds on first use and keeps for the operator's lifetime.
+Martin and Wilkinson 1967), and `eigenpairs` finds chosen eigenpairs of a
+Dirichlet K the same way, O(n) per mode. `Operator.matrix` is a dense view
+that `eigendecompose`, the full dense spectrum, builds on first use and keeps
+for the operator's lifetime.
 
 Discrete conventions shared by the whole package:
 
@@ -38,6 +40,18 @@ PERIODIC = "periodic"
 
 # Eigenvalues below ZERO_MODE_RTOL * max|kappa| count as zero modes.
 ZERO_MODE_RTOL = 1e-10
+# Entries within SIGN_RTOL of a vector's largest magnitude are its peaks, and
+# `_signed` makes the first one positive. The mirror-image peaks of an
+# antisymmetric mode on a mirror-symmetric grid differ by roundoff alone (1e-15
+# to 5e-14 relative), and the stencil and dense vectors of an isolated mode by
+# under 1e-9 (see ISOLATION_RTOL), so both land on the same peak.
+SIGN_RTOL = 1e-8
+# `eigenpairs` declines an eigenvalue that has another within ISOLATION_RTOL *
+# (max|a| + 2|b|) of it, the Gershgorin bound on max|kappa|: its vector is then
+# fixed only to about eps max|kappa| / gap. Measured against dense `eigh` on
+# double wells at n = 200, 800 and 3000, the vectors differ by at most 4e-17 /
+# (gap / max|kappa|), so by under 4e-10 at this gap.
+ISOLATION_RTOL = 1e-7
 
 
 def _read_only(a):
@@ -117,7 +131,8 @@ class Spectrum:
 
     Columns of `vectors` are orthonormal under the dx-weighted inner product,
     eigenvalues ascend, and `zero_modes` indexes eigenvalues within
-    ZERO_MODE_RTOL * max|kappa| of zero.
+    ZERO_MODE_RTOL * max|kappa| of zero. Each column's first peak, its lowest
+    index within SIGN_RTOL of its largest magnitude, is positive.
     """
 
     eigenvalues: np.ndarray
@@ -314,14 +329,14 @@ def inner_product(f, g, grid):
 
 
 def eigendecompose(op):
-    """Full spectral decomposition with dx-orthonormal eigenvectors."""
+    """Full spectral decomposition with dx-orthonormal eigenvectors, by dense `eigh`.
+
+    O(n^3) time and O(n^2) memory. Each vector is signed so that its first
+    peak, the lowest index within SIGN_RTOL of its largest magnitude, is
+    positive (`_signed`); `eigenpairs` signs its vectors the same way.
+    """
     w, v = np.linalg.eigh(op.matrix)
-    v = v / np.sqrt(op.grid.dx)
-    # Fix each eigenvector's overall sign so output is reproducible.
-    pick = np.argmax(np.abs(v), axis=0)
-    signs = np.sign(v[pick, np.arange(v.shape[1])])
-    signs[signs == 0.0] = 1.0
-    v = v * signs
+    v = _signed(v / np.sqrt(op.grid.dx))
     scale = float(np.max(np.abs(w))) if w.size else 0.0
     zero = tuple(int(i) for i in np.nonzero(np.abs(w) <= ZERO_MODE_RTOL * scale)[0])
     return Spectrum(
@@ -330,6 +345,18 @@ def eigendecompose(op):
         zero_modes=zero,
         operator=op,
     )
+
+
+def _signed(v):
+    """Columns of v, each signed so that its first peak is positive.
+
+    A column's first peak is its lowest index whose magnitude is within
+    SIGN_RTOL of the column's largest, so the sign does not depend on which
+    of two mirror-image peaks roundoff makes the larger.
+    """
+    mag = np.abs(v)
+    peak = np.argmax(mag >= (1.0 - SIGN_RTOL) * np.max(mag, axis=0), axis=0)
+    return v * np.where(v[peak, np.arange(v.shape[1])] < 0.0, -1.0, 1.0)
 
 
 # Pivots below this count as non-positive, as LAPACK's dstebz floors its pivots
@@ -377,6 +404,13 @@ def _positive_definite(diag, b, x, periodic):
     return last - e * e / d >= _PIVMIN
 
 
+def _scaled_stencil(op):
+    """(s, diagonal, coupling) of 2^s K, the power of two that puts its entries in [1/8, 1/4)."""
+    top = max(float(np.max(np.abs(op.diagonal))), abs(op.coupling))
+    scale = -math.frexp(top)[1] - 2
+    return scale, np.ldexp(op.diagonal, scale).tolist(), math.ldexp(op.coupling, scale)
+
+
 @lru_cache(maxsize=64)
 def spectral_radius(op):
     """max |kappa| of the operator, by bisection; cached per operator instance.
@@ -394,10 +428,7 @@ def spectral_radius(op):
     max |kappa| of a matrix within a few ulp of K.
     """
     periodic = op.grid.boundary == PERIODIC
-    top = max(float(np.max(np.abs(op.diagonal))), abs(op.coupling))
-    scale = -math.frexp(top)[1] - 2
-    diag = np.ldexp(op.diagonal, scale).tolist()
-    b = math.ldexp(op.coupling, scale)
+    scale, diag, b = _scaled_stencil(op)
     lo = min(diag)
     hi = max(diag)
     # Brackets on the bottom ends of the spectra of K and of -K.
@@ -418,6 +449,96 @@ def spectral_radius(op):
             moved = True
         if not moved:
             return math.ldexp(max(largest), -scale)
+
+
+def _count_below(diag, b2, x):
+    """Number of eigenvalues below x of the Dirichlet stencil (diag, b), b2 = b^2.
+
+    The Sturm count: the negative pivots of the LDL^T factorization of K - x I,
+    all of them, where `_positive_definite` stops at the first. A pivot below
+    _PIVMIN counts as negative, and one of smaller magnitude is replaced by
+    -_PIVMIN, as LAPACK's dstebz does.
+    """
+    count = 0
+    d = math.inf
+    for a in diag:
+        d = a - x - b2 / d
+        if d < _PIVMIN:
+            count += 1
+            if d > -_PIVMIN:
+                d = -_PIVMIN
+    return count
+
+
+def _pivots(shifted, b2):
+    """The LDL^T pivots of the tridiagonal (shifted, b), floored as in `_count_below`."""
+    out = []
+    d = math.inf
+    for a in shifted:
+        d = a - b2 / d
+        if -_PIVMIN < d < _PIVMIN:
+            d = -_PIVMIN
+        out.append(d)
+    return np.array(out)
+
+
+def eigenpairs(op, cols):
+    """Eigenpairs of a Dirichlet K in the ascending-kappa columns `cols`, from the stencil.
+
+    Returns (kappa, vectors) with kappa[j] and the dx-orthonormal vectors[:, j]
+    of column cols[j], signed as `eigendecompose` signs its columns; or None
+    when a requested eigenvalue is not isolated, that is when another lies
+    within ISOLATION_RTOL * (max|a| + 2|b|) of it, or when a vector comes out
+    non-finite. Never builds `op.matrix`: O(n) time and memory per column.
+
+    K is scaled as in `spectral_radius`. Each eigenvalue is bisected to
+    adjacent floats on Sturm counts (`_count_below`; Barth, Martin and
+    Wilkinson 1967), about 55 counts each; every count is kept, so a column's
+    bisection starts from the tightest bracket the earlier ones found. Two
+    more counts, one gap below and above, check its isolation. Dirichlet K is
+    an unreduced tridiagonal (coupling > 0), so its eigenvalues are simple.
+    The vector is one twisted factorization at that shift (Dhillon and
+    Parlett 2004): the pivots of K - kappa I factored from the top and from
+    the bottom meet at the index r where |gamma_r| is least, and z with
+    z_r = 1 follows from the two unit bidiagonal factors as running products.
+    """
+    n = op.n
+    if op.grid.boundary != DIRICHLET:
+        raise ValueError("eigenpairs needs a Dirichlet grid")
+    if not all(0 <= j < n for j in cols):
+        raise ValueError(f"columns {list(cols)} out of range 0..{n - 1}")
+    scale, diag, b = _scaled_stencil(op)
+    b2 = b * b
+    gap = ISOLATION_RTOL * (max(map(abs, diag)) + 2.0 * b)
+    counts = {min(diag) - 2.0 * b: 0, max(diag) + 2.0 * b: n}
+    kappa = []
+    vectors = np.empty((n, len(cols)))
+    for k, j in enumerate(cols):
+        lo = max(x for x, c in counts.items() if c <= j)
+        hi = min(x for x, c in counts.items() if c > j)
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            counts[mid] = _count_below(diag, b2, mid)
+            if counts[mid] <= j:
+                lo = mid
+            else:
+                hi = mid
+        for x in (lo - gap, hi + gap):
+            counts[x] = _count_below(diag, b2, x)
+        if (counts[lo - gap], counts[hi + gap]) != (j, j + 1):
+            return None
+        shifted = [a - lo for a in diag]
+        down = _pivots(shifted, b2)
+        up = _pivots(shifted[::-1], b2)[::-1]
+        r = int(np.argmin(np.abs(down + up - shifted)))
+        z = np.ones(n)
+        z[:r] = np.cumprod(-b / down[:r][::-1])[::-1]
+        z[r + 1 :] = np.cumprod(-b / up[r + 1 :])
+        norm = float(np.linalg.norm(z))
+        if not math.isfinite(norm):
+            return None
+        vectors[:, k] = z / (norm * math.sqrt(op.grid.dx))
+        kappa.append(lo)
+    return np.ldexp(np.array(kappa), -scale), _signed(vectors)
 
 
 def solve_elliptic(spec, rhs, tol=1e-10):

@@ -53,7 +53,8 @@ def initial_pair_from_spec(spec, scenario):
 
     The pair is (re, im) for wave scenarios and doubles as (phi, p) for field
     and constrained scenarios. Only the eigenstate and modes presets read
-    `scenario.spectrum`.
+    eigenvectors of K, through `scenario.superpose`, which takes them from the
+    stencil or from the full spectrum.
     """
     kind = spec.get("type")
     params = {k: v for k, v in spec.items() if k != "type"}
@@ -67,7 +68,7 @@ def initial_pair_from_spec(spec, scenario):
             raise ConfigError(f"eigenstate index {idx} out of range 0..{n - 1}")
         # index counts up from the ground state; eigenvalues ascend in kappa,
         # so energies -kappa descend with column index
-        return np.array(scenario.spectrum.vectors[:, n - 1 - idx]), np.zeros(n)
+        return scenario.superpose([n - 1 - idx], [[1.0]])[0], np.zeros(n)
     if kind == "gaussian":
         _no_extra(kind, params, ("center", "width", "momentum"))
         center = as_finite(params.get("center", 0.0), "center")
@@ -86,11 +87,10 @@ def initial_pair_from_spec(spec, scenario):
         return re / norm, im / norm
     if kind == "modes":
         _no_extra(kind, params, ("coefficients",))
-        re_c = np.zeros(n)
-        im_c = np.zeros(n)
         coefficients = params.get("coefficients", [])
         if not isinstance(coefficients, (list, tuple)):
             raise ConfigError(f"mode coefficients must be a list, got {coefficients!r}")
+        chosen = {}
         for k, entry in enumerate(coefficients):
             if not isinstance(entry, (list, tuple)) or len(entry) != 3:
                 raise ConfigError(
@@ -101,11 +101,12 @@ def initial_pair_from_spec(spec, scenario):
             im_val = as_finite(entry[2], f"mode coefficients[{k}] im")
             if not 0 <= idx < n:
                 raise ConfigError(f"mode index {idx} out of range 0..{n - 1}")
-            # same ground-up numbering as the eigenstate preset
-            re_c[n - 1 - idx] = re_val
-            im_c[n - 1 - idx] = im_val
-        spectrum = scenario.spectrum
-        return spectrum.synthesize(re_c), spectrum.synthesize(im_c)
+            # same ground-up numbering as the eigenstate preset; a repeated
+            # index takes its last entry
+            chosen[n - 1 - idx] = (re_val, im_val)
+        cols = sorted(chosen)
+        re, im = scenario.superpose(cols, np.array([chosen[c] for c in cols]).reshape(-1, 2).T)
+        return re, im
     if kind == "inline":
         _no_extra(kind, params, ("re", "im"))
         re, im = (

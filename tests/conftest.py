@@ -25,6 +25,16 @@ def stencil_error_bound(op, f):
     return 2.0 * GAMMA_3 * (np.abs(op.matrix) @ np.abs(f))
 
 
+def dense_table(table):
+    """Oracle: the full matrix of a BlockTable, each block its polynomial in the dense K."""
+    powers = [np.eye(table.layout.n)]
+    for _ in range(table.degree):
+        powers.append(powers[-1] @ table.op.matrix)
+    return np.block(
+        [[sum(c * pk for c, pk in zip(poly, powers)) for poly in row] for row in table.coeffs]
+    )
+
+
 def dense_canonical_structure(layout):
     """Oracle: the canonical Poisson matrix, {phi, p} and {varphi, pi} at I/dx."""
     n = layout.n

@@ -26,7 +26,7 @@ from schrofield.brackets import (
     sector_smallest_singular_values,
 )
 
-from conftest import constraint_bracket_matrix, dirac_structure_generic
+from conftest import constraint_bracket_matrix, dense_table, dirac_structure_generic
 
 
 def _layout(op):
@@ -47,7 +47,7 @@ def test_canonical_structure_blocks(small_harmonic):
     op, _ = small_harmonic
     lay = _layout(op)
     j = canonical_structure(lay)
-    m = j.dense()
+    m = dense_table(j)
     assert np.max(np.abs(m + m.T)) == 0.0
     eye_dx = np.eye(40) / lay.dx
     assert np.array_equal(m[lay.block("phi"), lay.block("p")], eye_dx)
@@ -75,14 +75,14 @@ def test_max_abs_sums_wrapped_offsets(n):
     b = op.coupling
     for poly in ([2.0 * b * b, 4.0 * b, 1.0], [0.0, 0.0, 1.0], [1.0, -2.0, 0.5, 3.0]):
         table = BlockTable([[poly]], lay, op)
-        want = np.max(np.abs(table.dense()))
+        want = np.max(np.abs(dense_table(table)))
         assert abs(table.max_abs() - want) <= 1e-12 * max(want, b**3)
 
 
 def test_constraint_gradients(small_harmonic, rng):
     op, _ = small_harmonic
     lay = _layout(op)
-    g = constraint_gradient_matrix(op, lay).dense()
+    g = dense_table(constraint_gradient_matrix(op, lay))
     phi = rng.standard_normal(40)
     p = rng.standard_normal(40)
     z = lay.pack(phi, p, -op.matrix @ phi, np.zeros(40))
@@ -121,7 +121,7 @@ def test_constraint_bracket_block_form(small_harmonic):
     g = constraint_gradient_matrix(op, lay)
     c_table = g @ canonical_structure(lay) @ g.T
     assert c_table.degree == 0
-    assert np.max(np.abs(c_table.dense() - c)) < 1e-12 / lay.dx
+    assert np.max(np.abs(dense_table(c_table) - c)) < 1e-12 / lay.dx
 
 
 def test_constraint_bracket_independent_of_potential(rng):
@@ -138,7 +138,7 @@ def test_dirac_structure_blocks(small_harmonic):
     op, _ = small_harmonic
     lay = _layout(op)
     jd = dirac_structure(op, lay)
-    m = jd.dense()
+    m = dense_table(jd)
     eye_dx = np.eye(40) / lay.dx
     k_dx = op.matrix / lay.dx
     tol = 1e-12 * np.max(np.abs(k_dx))
@@ -152,7 +152,7 @@ def test_dirac_structure_blocks(small_harmonic):
 def test_dirac_generic_solve_matches_block_inverse(small_harmonic):
     op, _ = small_harmonic
     lay = _layout(op)
-    a = dirac_structure(op, lay).dense()
+    a = dense_table(dirac_structure(op, lay))
     b = dirac_structure_generic(op, lay)
     assert np.max(np.abs(a - b)) < 1e-10 * np.max(np.abs(a))
 
@@ -190,13 +190,13 @@ def test_casimir_and_sector_coincidences(small_harmonic):
     op, _ = small_harmonic
     lay = _layout(op)
     jd = dirac_structure(op, lay)
-    g = constraint_gradient_matrix(op, lay).dense()
-    scale = np.max(np.abs(jd.dense()))
-    assert np.max(np.abs(jd.dense() @ g.T)) < 1e-12 * scale
-    canon = canonical_structure(lay).sector(("phi", "p")).dense()
-    assert np.max(np.abs(jd.sector(("phi", "p")).dense() - canon)) < 1e-12 * scale
-    noncanon = noncanonical_structure(op, lay).dense()
-    assert np.max(np.abs(jd.sector(("varphi", "p")).dense() - noncanon)) < 1e-12 * scale
+    g = dense_table(constraint_gradient_matrix(op, lay))
+    scale = np.max(np.abs(dense_table(jd)))
+    assert np.max(np.abs(dense_table(jd) @ g.T)) < 1e-12 * scale
+    canon = dense_table(canonical_structure(lay).sector(("phi", "p")))
+    assert np.max(np.abs(dense_table(jd.sector(("phi", "p"))) - canon)) < 1e-12 * scale
+    noncanon = dense_table(noncanonical_structure(op, lay))
+    assert np.max(np.abs(dense_table(jd.sector(("varphi", "p"))) - noncanon)) < 1e-12 * scale
 
 
 def test_generalized_hamiltonian_checks(free3, rng):
@@ -279,7 +279,7 @@ def test_jacobi_cyclic_residual(small_harmonic, periodic_free64):
         rng_fast, rng_dense = np.random.default_rng(12345), np.random.default_rng(12345)
         for _ in range(3):
             fast = _jacobi_terms(jd, rng_fast)
-            dense = _dense_jacobi_terms(jd.dense(), rng_dense)
+            dense = _dense_jacobi_terms(dense_table(jd), rng_dense)
             scale = sum(abs(t) for t in dense)
             assert abs(sum(dense)) < 1e-12 * scale
             # term by term, not only the cancelling sum

@@ -471,6 +471,16 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+# Leapfrog from modes on a grid where the stencil eigensolver supplies them.
+_LARGE_MODES = {
+    "grid": {"n": 1200, "x_min": -9.0, "x_max": 9.0},
+    "integrator": "leapfrog",
+    "initial_state": _MODES,
+    "dt": 1e-4,
+    "t_final": 1e-3,
+}
+
+
 @pytest.mark.parametrize(
     "command, overrides, decompositions",
     [
@@ -482,10 +492,19 @@ def _count_calls(monkeypatch, module, name):
         ),
         pytest.param("spectrum", {}, 1, id="spectrum"),
         pytest.param("verify", {}, 2, id="verify"),
+        pytest.param("run-field", _LARGE_MODES, 0, id="lf-n1200-stencil"),
+        pytest.param(
+            "run-field",
+            {**_LARGE_MODES, "grid": {**_LARGE_MODES["grid"], "boundary": "periodic"}},
+            1,
+            id="lf-n1200-periodic",
+        ),
+        pytest.param("run-field", {**_LARGE_MODES, "integrator": "spectral"}, 1, id="n1200-spectral"),
     ],
 )
 def test_each_command_builds_once(tmp_path, monkeypatch, command, overrides, decompositions):
-    # verify decomposes the scenario's K and the doubled grid of its current-residual study
+    # verify decomposes the scenario's K and the doubled grid of its current-residual study;
+    # the n=64 runs from eigenstates and modes sit below the stencil eigensolver's crossover
     builds = _count_calls(monkeypatch, config_module, "build_scenario")
     eighs = _count_calls(monkeypatch, lattice, "eigendecompose")
     cfg = _write(tmp_path, "cfg.json", _harmonic_cfg(**overrides))

@@ -229,3 +229,17 @@ def test_second_order_consistency():
         n = 2 * n + 1
     for e0, e1 in zip(errors, errors[1:]):
         assert 4.0 * 0.85 <= e0 / e1 <= 4.0 * 1.15
+
+
+def test_antisymmetric_modes_are_positive_at_their_left_peak():
+    # On a mirror-symmetric grid the two peaks of an antisymmetric mode differ
+    # only by roundoff, so which one is larger says nothing about the mode.
+    grid = build_grid(200, -20.0, 20.0, "dirichlet")
+    x = grid.points()
+    spec = eigendecompose(build_operator(grid, Potential(0.5 * x * x)))
+    for k in (1, 3, 5, 7):
+        mode = spec.vectors[:, 199 - k]
+        assert np.allclose(mode[::-1], -mode, atol=1e-10)
+        left = int(np.argmax(np.abs(mode[:100])))
+        assert abs(mode[left]) >= (1.0 - 1e-8) * np.max(np.abs(mode))
+        assert mode[left] > 0.0

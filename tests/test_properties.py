@@ -31,7 +31,7 @@ from schrofield.brackets import (
 )
 from schrofield.lattice import CayleySolver, spectral_radius
 
-from conftest import dirac_structure_generic, stencil_error_bound
+from conftest import dense_table, dirac_structure_generic, stencil_error_bound
 
 EPS = np.finfo(float).eps
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
@@ -119,7 +119,7 @@ def _abs_bound(table):
 @given(op=operators(), data=st.data())
 def test_table_matvec_and_max_abs_match_dense(op, data):
     for table in (data.draw(tables(op)), dirac_structure(op, PhaseLayout(n=op.n, dx=op.grid.dx))):
-        dense = table.dense()
+        dense = dense_table(table)
         v = _vector(data, dense.shape[1])
         bound = 32 * EPS * (_abs_bound(table) @ np.abs(v))
         assert np.all(np.abs(table.matvec(v) - dense @ v) <= bound)
@@ -133,7 +133,7 @@ def test_table_matvec_and_max_abs_match_dense(op, data):
 @example(op=_free_periodic())
 def test_dirac_structure_matches_generic_oracle(op):
     layout = PhaseLayout(n=op.n, dx=op.grid.dx)
-    got = dirac_structure(op, layout).dense()
+    got = dense_table(dirac_structure(op, layout))
     want = dirac_structure_generic(op, layout)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -147,7 +147,7 @@ def test_sector_singular_values_match_dense_svd(op):
     spec = eigendecompose(op)
     got = sector_smallest_singular_values(jd, spec)
     for key, names in (("phi_p", ("phi", "p")), ("varphi_p", ("varphi", "p"))):
-        svals = np.linalg.svd(jd.sector(names).dense(), compute_uv=False)
+        svals = np.linalg.svd(dense_table(jd.sector(names)), compute_uv=False)
         # eigh and the dense SVD are each accurate to a small multiple of
         # n eps times the sector's norm, its largest singular value
         assert abs(got[key] - svals[-1]) <= 64 * op.n * EPS * svals[0]

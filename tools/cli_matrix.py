@@ -9,8 +9,9 @@ exit code, stdout and stderr. JSON files are compared without their top-level
 `wall_time_s` and `timings`, which vary from run to run; every other file is
 compared byte for byte. Prints what differs and exits 1 on any difference.
 
-The configs cover both closures; eigenstate, gaussian and `modes` states;
-every integrator of the three `run-*` commands; `dequantize`, `spectrum`,
+The configs cover both closures; eigenstate, gaussian and `modes` states,
+with modes from the dense spectrum and from the stencil eigensolver; every
+integrator of the three `run-*` commands; `dequantize`, `spectrum`,
 `convergence` and `verify`; and free periodic grids whose states have
 zero-mode content.
 """
@@ -46,6 +47,16 @@ CONFIGS = {
         "dt": 0.01,
         "t_final": 0.4,
         "output": {"snapshot_stride": 8},
+    },
+    # Large enough for the modes preset to take the stencil eigensolver
+    # (`lattice.eigenpairs`) under every integrator but `spectral`.
+    "harmonic-modes": {
+        "grid": {"n": 300, "x_min": -10.0, "x_max": 10.0},
+        "potential": {"name": "harmonic", "omega": 1.0},
+        "initial_state": _MODES,
+        "dt": 0.002,
+        "t_final": 0.08,
+        "output": {"snapshot_stride": 20},
     },
     "barrier-ring-modes": {
         "grid": {"n": 40, "x_min": -10.0, "x_max": 10.0, "boundary": "periodic"},
