@@ -15,6 +15,10 @@ from .errors import ConfigError
 from .render import render_snapshots
 
 
+# Commands that read every eigenpair of K, whatever the integrator.
+_FULL_SPECTRUM = ("dequantize", "spectrum", "convergence", "verify")
+
+
 def _add_common(parser, config_required=True):
     parser.add_argument("--config", required=config_required, help="scenario JSON path")
     parser.add_argument("--out", required=True, help="output directory")
@@ -59,7 +63,7 @@ def main(argv=None):
             if not args.quiet:
                 print(f"render: {len(written)} SVG files")
             return 0
-        scenario = parse_config(args.config)
+        scenario = parse_config(args.config, spectrum=args.command in _FULL_SPECTRUM)
         if args.command == "run-schrodinger":
             runs.run_schrodinger(scenario, args.out, quiet=args.quiet)
         elif args.command == "run-field":

@@ -105,7 +105,9 @@ class Scenario:
     `Operator.matrix` is. The eigenstate and modes presets read their modes
     through `superpose`, which decomposes K only where the stencil eigensolver
     does not apply, so a leapfrog, RK4 or Crank-Nicolson run on a Dirichlet
-    grid, or any run from a gaussian or inline state, never does.
+    grid, or any run from a gaussian or inline state, never does. Once
+    `spectrum` is built, `superpose` reads it, so a command that decomposes K
+    anyway builds it first (`build_scenario(cfg, spectrum=True)`).
     """
 
     config: ScenarioConfig
@@ -128,15 +130,17 @@ class Scenario:
         dx-orthonormal eigenvectors v signed as `eigendecompose` signs them.
         They come from the stencil (`lattice.eigenpairs`) when the grid is
         Dirichlet, the integrator is not `spectral` (whose flow decomposes K
-        anyway), there are fewer than STENCIL_MODES_PER_N2 n^2 columns and
-        each of their eigenvalues is isolated; otherwise from `spectrum`,
-        synthesized as `Spectrum.synthesize` does.
+        anyway), `spectrum` is not built yet, there are fewer than
+        STENCIL_MODES_PER_N2 n^2 columns and each of their eigenvalues is
+        isolated; otherwise from `spectrum`, synthesized as
+        `Spectrum.synthesize` does.
         """
         op = self.operator
         coefficients = np.asarray(coefficients, dtype=float)
         if (
             op.grid.boundary == DIRICHLET
             and self.config.integrator != "spectral"
+            and "spectrum" not in vars(self)
             and len(cols) < STENCIL_MODES_PER_N2 * op.n * op.n
         ):
             pairs = eigenpairs(op, cols)
@@ -255,13 +259,15 @@ def config_from_dict(raw):
     )
 
 
-def build_scenario(cfg):
+def build_scenario(cfg, spectrum=False):
     """Build and validate the scenario a config describes.
 
     Builds the grid, potential, operator and initial pair, then checks the
     time step against the integrator's stability bound and the initial pair
     for non-finite values, so every config error surfaces before a command
-    writes anything. The spectrum is left for first use.
+    writes anything. The spectrum is left for first use, unless `spectrum`
+    asks for it before the initial pair, which then reads its modes from it:
+    for a command that decomposes K anyway.
     """
     try:
         grid = build_grid(cfg.grid_n, cfg.x_min, cfg.x_max, cfg.boundary)
@@ -270,6 +276,8 @@ def build_scenario(cfg):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     scenario = Scenario(config=cfg, grid=grid, potential=potential, operator=operator)
+    if spectrum:
+        scenario.spectrum
     re, im = scenario.initial_pair
     validate_stability(cfg, operator)
     if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
@@ -291,8 +299,11 @@ def validate_stability(cfg, operator):
             raise ConfigError(f"dt={cfg.dt!r} unstable for rk4; bound is {bound!r}")
 
 
-def parse_config(path):
-    """Load a JSON scenario config and return its validated `Scenario`."""
+def parse_config(path, spectrum=False):
+    """Load a JSON scenario config and return its validated `Scenario`.
+
+    `spectrum` is passed to `build_scenario`.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -302,4 +313,4 @@ def parse_config(path):
         raise ConfigError(
             f"malformed JSON in {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
-    return build_scenario(config_from_dict(raw))
+    return build_scenario(config_from_dict(raw), spectrum=spectrum)

@@ -148,13 +148,13 @@ def energy_densities(op, s):
 
 def field_hamiltonian(op, s):
     """Total field energy (⟨p, p⟩ + ⟨K phi, K phi⟩) / 2 hbar."""
-    return _energy(op, s.p, apply(op, s.phi))
+    return float(_energy(op, s.p, apply(op, s.phi)))
 
 
 def _energy(op, p, k_phi):
-    """field_hamiltonian of a state with momentum p, given k_phi = K phi."""
+    """field_hamiltonian of a state with momentum p, given k_phi = K phi; per row of a block."""
     dx = op.grid.dx
-    return 0.5 * (dx * float(np.dot(p, p)) + dx * float(np.dot(k_phi, k_phi))) / op.hbar
+    return 0.5 * (dx * np.vecdot(p, p) + dx * np.vecdot(k_phi, k_phi)) / op.hbar
 
 
 def field_action(op, traj):

@@ -7,6 +7,7 @@ isolates the only non-reproducible quantity (wall time) in a single field
 and carries a sha256 inventory of exactly the files the command wrote.
 """
 
+import bisect
 import hashlib
 import json
 import math
@@ -158,18 +159,26 @@ def _peak(values):
 class _Picture:
     """What one picture supplies to the shared run loop `_run`.
 
-    The loop holds each state as one stacked float array `y`, next to `ky`:
-    the stencil products of `y` that its series row and its next step both
-    read.
+    The loop holds each state as one stacked float array `y` of shape (m, n),
+    and its stepper steps a block of them into one (B, m, n) buffer. Next to
+    the states it keeps `ky`: the stencil products of each state that its
+    series row and its snapshot read. A stepper takes them where it can: from
+    its own steps (Crank-Nicolson and leapfrog compute them anyway), else as
+    one product of the whole block. `row` reads its fields as y[i] and ky[i],
+    so it takes a block's states and products component-major, (m, B, n);
+    `fields` and `wave` take one state and its products.
     """
 
     command: str
     system: str
     integrators: tuple
-    # scenario -> (y0, ky0, advance); advance(y, ky, k) -> (y, ky) at step k
+    # scenario -> (y0, ky0, advance). advance(ys, ky, k): ys[0] is the state
+    # at step k and ky its products; writes the states at steps k + 1, ...,
+    # k + len(ys) - 1 into ys[1:] and returns their products
     stepper: Callable
     columns: tuple
-    # (op, t, y, ky) -> series row in `columns` order
+    # (op, t, y, ky) -> the series columns in `columns` order, one value per
+    # state of the block
     row: Callable
     # (column, label) of the quantity the blow-up guard watches
     guard: tuple
@@ -184,8 +193,14 @@ class _Picture:
     summary: tuple
 
 
-def _checked_row(picture, op, t, y, ky, first):
-    """Series row of the state y, after checking y, the row and the blow-up guard.
+# A block of the run loop holds at most this many steps, and at most this
+# many bytes of states, so its buffers stay linear in n.
+_BLOCK_STEPS = 64
+_BLOCK_BYTES = 1 << 20
+
+
+def _check_step(picture, t, y, row, first):
+    """Raise on the first check that the state y at time t, or its series row, fails.
 
     A non-finite state raises a ValueError naming its first non-finite field;
     a non-finite row value, or a guarded value ten times its size in `first`
@@ -194,66 +209,117 @@ def _checked_row(picture, op, t, y, ky, first):
     if not np.isfinite(y).all():
         name = next(name for name, f in picture.fields(y) if not np.isfinite(f).all())
         raise ValueError(f"{name} must be finite")
-    row = picture.row(op, t, y, ky)
     # A finite state can still overflow its row (inf, or nan from inf - inf).
     for column, value in zip(picture.columns, row):
         if not math.isfinite(value):
             raise RuntimeError(f"instability: {column} is {value!r} at t={t!r}; aborting run")
     guard, what = picture.guard
-    _check_blowup(row[guard], (first or row)[guard], what)
-    return row
+    _check_blowup(row[guard], first[guard], what)
+
+
+def _checked_rows(picture, op, times, ys, ky, first):
+    """Series rows of the block of states ys at `times`, given their products ky.
+
+    Checks every step at once; the first step that fails raises what
+    `_check_step` raises for it, as a step-by-step loop would. `first` is the
+    run's first row, or None for the block that holds it.
+    """
+    rows = np.column_stack(
+        picture.row(op, np.asarray(times), ys.swapaxes(0, 1), ky.swapaxes(0, 1))
+    )
+    if first is None:
+        first = rows[0]
+    guard = picture.guard[0]
+    ok = np.isfinite(ys).all(axis=(1, 2)) & np.isfinite(rows).all(axis=1)
+    ok &= ~(np.abs(rows[:, guard]) > 10.0 * abs(first[guard]) + 1e-12)
+    if not ok.all():
+        j = int(np.argmin(ok))
+        _check_step(picture, times[j], ys[j], rows[j].tolist(), first.tolist())
+    return rows
 
 
 def _run(picture, scenario, out_dir, quiet):
-    """Step a scenario, writing series, snapshots and a manifest."""
+    """Step a scenario, writing series, snapshots and a manifest.
+
+    The states are stepped in blocks into one buffer. A block ends at each
+    snapshot step and after at most `_BLOCK_STEPS` steps (fewer where n is
+    large, see `_BLOCK_BYTES`); the initial state is a block of its own. The
+    block's series rows, their checks and its snapshot are done once, after
+    its last step. The first failing step raises as a step-by-step loop
+    would, and leaves behind the same files.
+    """
     cfg, op = scenario.config, scenario.operator
     if cfg.integrator not in picture.integrators:
         raise ConfigError(
             f"integrator {cfg.integrator!r} does not apply to the {picture.system} system"
         )
     t0 = time.perf_counter()
-    y, ky, advance = picture.stepper(scenario)
+    y0, ky0, advance = picture.stepper(scenario)
     nsteps = _steps(cfg)
     snaps = _snapshot_steps(nsteps, cfg.snapshot_stride)
+    stops = sorted(snaps)
     run = _RunDir(out_dir, picture.command, cfg, t0, quiet)
 
+    block = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // y0.nbytes))
+    # ys[0] holds the last state of the previous block, ys[1:] the next block's.
+    ys = np.empty((block + 1,) + y0.shape)
+    ys[0] = y0
+    series = np.empty((nsteps + 1, len(picture.columns)))
     # Steppers accumulate time step by step; the exact propagators evaluate it.
     exact = cfg.integrator == "spectral"
     t = 0.0
-    rows = []
-    # Overflow is reported by _checked_row as a non-finite state or row.
+    k, times, states, ky = 0, [t], ys[:1], ky0[None]
+    # Overflow is reported by _checked_rows as a non-finite state or row.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(nsteps + 1):
-            if k > 0:
-                y, ky = advance(y, ky, k)
-                t = k * cfg.dt if exact else t + cfg.dt
-            rows.append(_checked_row(picture, op, t, y, ky, rows[0] if rows else None))
+        while True:
+            first = series[0] if k > 0 else None
+            series[k + 1 - len(times) : k + 1] = _checked_rows(picture, op, times, states, ky, first)
             if k in snaps:
-                fields, wave = picture.fields(y), picture.wave(y, ky)
-                _write_snapshot(run, k, op, fields, *wave, cfg.observables)
-    arr = np.asarray(rows)
-    run.csv("series.csv", picture.columns, arr)
-    drift = {key: reduce(arr[:, col]) for key, col, reduce in picture.drift}
+                wave = picture.wave(states[-1], ky[-1])
+                _write_snapshot(run, k, op, picture.fields(states[-1]), *wave, cfg.observables)
+            if k == nsteps:
+                break
+            ys[0] = states[-1]
+            end = min(stops[bisect.bisect_right(stops, k)], k + block)
+            ky = advance(ys[: end - k + 1], ky[-1], k)
+            times = []
+            for step in range(k + 1, end + 1):
+                t = step * cfg.dt if exact else t + cfg.dt
+                times.append(t)
+            k, states = end, ys[1 : end - k + 1]
+    run.csv("series.csv", picture.columns, series)
+    drift = {key: reduce(series[:, col]) for key, col, reduce in picture.drift}
     label, key = picture.summary
     return run.close(drift, f"{picture.command}: {nsteps} steps, {label} {drift[key]:.3e}")
 
 
+def _flow_advance(flow, dt, products):
+    """Block advance of an exact flow: state k + j is flow((k + j) dt); products(ys) per block."""
+
+    def advance(ys, ky, k):
+        for j in range(1, len(ys)):
+            ys[j] = flow((k + j) * dt)
+        return products(ys[1:])
+
+    return advance
+
+
 def _wave_stepper(scenario):
+    """ky is K (re, im), which the next Crank-Nicolson step reads too."""
     cfg, op = scenario.config, scenario.operator
     y0 = np.stack(scenario.initial_pair)
-    if cfg.integrator == "crank_nicolson":
-        cayley = sd.CrankNicolson(op, cfg.dt)
-
-        def advance(y, ky, k):
-            y = cayley.advance(y, ky)
-            return y, stencil_product(op, y)
-
-    else:
+    if cfg.integrator == "spectral":
         flow = sd._flow(scenario.spectrum, *y0)
+        advance = _flow_advance(flow, cfg.dt, lambda ys: stencil_product(op, ys))
+        return y0, stencil_product(op, y0), advance
+    cayley = sd.CrankNicolson(op, cfg.dt)
 
-        def advance(y, ky, k):
-            y = np.stack(flow(k * cfg.dt))
-            return y, stencil_product(op, y)
+    def advance(ys, ky, k):
+        kys = np.empty_like(ys[1:])
+        for j in range(1, len(ys)):
+            ys[j] = cayley.advance(ys[j - 1], ky)
+            ky = kys[j - 1] = stencil_product(op, ys[j])
+        return kys
 
     return y0, stencil_product(op, y0), advance
 
@@ -281,25 +347,24 @@ _WAVE = _Picture(
 
 
 def _field_stepper(scenario):
-    """ky is (K phi, K^2 phi) for leapfrog, whose next kick reads K^2 phi, else (K phi,)."""
+    """ky is (K phi,); leapfrog carries K^2 phi from each closing kick to the next opening one."""
     cfg, op = scenario.config, scenario.operator
     y0 = np.stack(scenario.initial_pair)
-    k_phi = stencil_product(op, y0[0])
-    if cfg.integrator == "leapfrog":
+    ky0 = stencil_product(op, y0[:1])
+    if cfg.integrator == "spectral":
+        flow = fd._flow(scenario.spectrum, *y0)
+        advance = _flow_advance(flow, cfg.dt, lambda ys: stencil_product(op, ys[:, :1]))
+        return y0, ky0, advance
+    kk_phi = stencil_product(op, ky0[0])
 
-        def advance(y, ky, k):
-            y, k_phi, kk_phi = fd._leapfrog(op, y, ky[1], cfg.dt)
-            return y, (k_phi, kk_phi)
+    def advance(ys, ky, k):
+        nonlocal kk_phi
+        kys = np.empty((len(ys) - 1,) + ky.shape)
+        for j in range(1, len(ys)):
+            ys[j], kys[j - 1, 0], kk_phi = fd._leapfrog(op, ys[j - 1], kk_phi, cfg.dt)
+        return kys
 
-        return y0, (k_phi, stencil_product(op, k_phi)), advance
-
-    flow = fd._flow(scenario.spectrum, *y0)
-
-    def advance(y, ky, k):
-        y = np.stack(flow(k * cfg.dt))
-        return y, (stencil_product(op, y[0]),)
-
-    return y0, (k_phi,), advance
+    return y0, ky0, advance
 
 
 def _field_row(op, t, y, ky):
@@ -325,25 +390,29 @@ _FIELD = _Picture(
 
 
 def _constrained_stepper(scenario):
-    """y is (phi, p, varphi) on shell, with pi = 0; ky is K y."""
+    """y is (phi, p, varphi) on shell, with pi = 0; ky is K (phi, p), one product per block."""
     cfg, op = scenario.config, scenario.operator
     s0 = cn.make_onshell(op, *scenario.initial_pair)
     y0 = np.stack([s0.phi, s0.p, s0.varphi])
-    if cfg.integrator == "rk4":
 
-        def advance(y, ky, k):
-            y = cn._rk4(op, y, ky[:0:-1], cfg.dt)
-            return y, stencil_product(op, y)
+    def products(ys):
+        return stencil_product(op, ys[:, :2])
 
-    else:
-        flow = fd._flow(scenario.spectrum, s0.phi, s0.p)
+    if cfg.integrator == "spectral":
+        field = fd._flow(scenario.spectrum, s0.phi, s0.p)
 
-        def advance(y, ky, k):
-            phi, p = flow(k * cfg.dt)
-            y = np.stack([phi, p, -stencil_product(op, phi)])
-            return y, stencil_product(op, y)
+        def flow(t):
+            phi, p = field(t)
+            return phi, p, -stencil_product(op, phi)
 
-    return y0, stencil_product(op, y0), advance
+        return y0, products(y0[None])[0], _flow_advance(flow, cfg.dt, products)
+
+    def advance(ys, ky, k):
+        for j in range(1, len(ys)):
+            cn._rk4(op, ys[j - 1], cfg.dt, ys[j])
+        return products(ys[1:])
+
+    return y0, products(y0[None])[0], advance
 
 
 def _constrained_row(op, t, y, ky):
@@ -354,8 +423,8 @@ def _constrained_row(op, t, y, ky):
         t,
         norm,
         cn._hamiltonian(op, y, ky, pi),
-        float(np.abs(varphi + ky[0]).max()),
-        float(np.abs(pi).max()),
+        np.abs(varphi + ky[0]).max(axis=-1),
+        np.abs(pi).max(axis=-1),
         2.0 * op.hbar * norm,
     )
 

@@ -159,25 +159,29 @@ def wave_hamiltonian(op, psi):
     is exact under both boundary closures.
     """
     y = (psi.re, psi.im)
-    return _energy(op, y, apply(op, y))
+    return float(_energy(op, y, apply(op, y)))
 
 
 def _energy(op, y, ky):
-    """wave_hamiltonian of y = (re, im), given ky = K y."""
+    """wave_hamiltonian of y = (re, im), given ky = K y.
+
+    Reduces over the grid axis, the last: y[0] and y[1] may be blocks of
+    states, one per row, and the result is then one energy per row.
+    """
     dx = op.grid.dx
-    quad = dx * float(np.dot(y[0], ky[0])) + dx * float(np.dot(y[1], ky[1]))
+    quad = dx * np.vecdot(y[0], ky[0]) + dx * np.vecdot(y[1], ky[1])
     return -0.5 * quad / op.hbar
 
 
 def norm_hamiltonian(op, psi):
     """Free-field Hamiltonian of the non-canonical form: integral of |Psi|^2 / 2 hbar."""
-    return _norm(op, psi.re, psi.im)
+    return float(_norm(op, psi.re, psi.im))
 
 
 def _norm(op, re, im):
-    """norm_hamiltonian of the wave function re + i im."""
+    """norm_hamiltonian of the wave function re + i im, reduced over the last axis as `_energy`."""
     dx = op.grid.dx
-    return 0.5 * (dx * float(np.dot(re, re)) + dx * float(np.dot(im, im))) / op.hbar
+    return 0.5 * (dx * np.vecdot(re, re) + dx * np.vecdot(im, im)) / op.hbar
 
 
 def hamiltonian_action(op, traj):
@@ -187,10 +191,6 @@ def hamiltonian_action(op, traj):
     """
     dt = quadrature.uniform_dt(traj.times)
     re_dot = quadrature.ddt(traj.re, dt)
-    y = np.stack([traj.re, traj.im], axis=1)
-    ky = stencil_product(op, y)
-    integrand = [
-        op.grid.dx * float(np.dot(y_k[1], re_dot_k)) - _energy(op, y_k, ky_k)
-        for y_k, ky_k, re_dot_k in zip(y, ky, re_dot)
-    ]
+    y = np.stack([traj.re, traj.im])
+    integrand = op.grid.dx * np.vecdot(y[1], re_dot) - _energy(op, y, stencil_product(op, y))
     return quadrature.trapezoid(integrand, dt)

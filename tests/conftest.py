@@ -35,6 +35,31 @@ def dense_table(table):
     )
 
 
+def rk4_taylor_oracle(op, y, dt):
+    """Oracle: the degree-4 Taylor map of dt L applied to y = (phi, p, varphi), from the dense K.
+
+    L is the generator (phi, p, varphi) -> (p, K varphi, -K p) / hbar. Returns
+    the map applied to y, summed in extended precision, and the same sum over
+    |dt L| and |y|: the scale of the roundoff any float evaluation of the map
+    makes.
+    """
+    n = op.n
+    gen = np.zeros((3 * n, 3 * n))
+    gen[:n, n : 2 * n] = np.eye(n)
+    gen[n : 2 * n, 2 * n :] = op.matrix
+    gen[2 * n :, n : 2 * n] = -op.matrix
+    gen *= dt / op.hbar
+    term = y.reshape(-1).astype(np.longdouble)
+    size = np.abs(y.reshape(-1))
+    exact, scale = term.copy(), size.copy()
+    for k in (1, 2, 3, 4):
+        term = gen.astype(np.longdouble) @ term / k
+        size = np.abs(gen) @ size / k
+        exact += term
+        scale += size
+    return exact.reshape(y.shape), scale.reshape(y.shape)
+
+
 def dense_canonical_structure(layout):
     """Oracle: the canonical Poisson matrix, {phi, p} and {varphi, pi} at I/dx."""
     n = layout.n

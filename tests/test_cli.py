@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from schrofield import config as config_module
-from schrofield import lattice
+from schrofield import lattice, runs
 from schrofield import schrodinger as sd
 from schrofield.cli import main
 from schrofield.config import (
@@ -482,34 +482,52 @@ _LARGE_MODES = {
 
 
 @pytest.mark.parametrize(
-    "command, overrides, decompositions",
+    "command, overrides, decompositions, stencil_solves",
     [
-        pytest.param("run-schrodinger", {"initial_state": "gaussian"}, 0, id="cn-gaussian"),
-        pytest.param("run-schrodinger", {}, 1, id="cn-eigenstate"),
-        pytest.param("run-field", {"integrator": "leapfrog", "initial_state": _MODES}, 1, id="lf"),
+        pytest.param("run-schrodinger", {"initial_state": "gaussian"}, 0, 0, id="cn-gaussian"),
+        pytest.param("run-schrodinger", {}, 1, 0, id="cn-eigenstate"),
         pytest.param(
-            "run-constrained", {"integrator": "rk4", "initial_state": _MODES}, 1, id="rk4"
+            "run-field", {"integrator": "leapfrog", "initial_state": _MODES}, 1, 0, id="lf"
         ),
-        pytest.param("spectrum", {}, 1, id="spectrum"),
-        pytest.param("verify", {}, 2, id="verify"),
-        pytest.param("run-field", _LARGE_MODES, 0, id="lf-n1200-stencil"),
+        pytest.param(
+            "run-constrained", {"integrator": "rk4", "initial_state": _MODES}, 1, 0, id="rk4"
+        ),
+        pytest.param("spectrum", {}, 1, 0, id="spectrum"),
+        pytest.param("verify", {}, 2, 0, id="verify"),
+        pytest.param("run-field", _LARGE_MODES, 0, 1, id="lf-n1200-stencil"),
         pytest.param(
             "run-field",
             {**_LARGE_MODES, "grid": {**_LARGE_MODES["grid"], "boundary": "periodic"}},
             1,
+            0,
             id="lf-n1200-periodic",
         ),
-        pytest.param("run-field", {**_LARGE_MODES, "integrator": "spectral"}, 1, id="n1200-spectral"),
+        pytest.param(
+            "run-field", {**_LARGE_MODES, "integrator": "spectral"}, 1, 0, id="n1200-spectral"
+        ),
+        # Commands that read the full spectrum build it first, and the preset
+        # reads its modes from it rather than solving them on the stencil too.
+        *(
+            pytest.param(command, _LARGE_MODES, 1, 0, id=f"{command}-n1200-leapfrog")
+            for command in ("dequantize", "verify", "convergence", "spectrum")
+        ),
     ],
 )
-def test_each_command_builds_once(tmp_path, monkeypatch, command, overrides, decompositions):
+def test_each_command_builds_once(
+    tmp_path, monkeypatch, command, overrides, decompositions, stencil_solves
+):
     # verify decomposes the scenario's K and the doubled grid of its current-residual study;
     # the n=64 runs from eigenstates and modes sit below the stencil eigensolver's crossover
+    if overrides is _LARGE_MODES:
+        # The current-residual study decomposes its own refined grids (n = 2401 and
+        # 4803 here, seconds each); only the scenario's decompositions are counted.
+        monkeypatch.setattr(runs, "_current_errors", lambda scenario, levels: [np.nan] * levels)
     builds = _count_calls(monkeypatch, config_module, "build_scenario")
     eighs = _count_calls(monkeypatch, lattice, "eigendecompose")
+    stencil = _count_calls(monkeypatch, lattice, "eigenpairs")
     cfg = _write(tmp_path, "cfg.json", _harmonic_cfg(**overrides))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "run"), "--quiet"]) == 0
-    assert (len(builds), len(eighs)) == (1, decompositions)
+    assert (len(builds), len(eighs), len(stencil)) == (1, decompositions, stencil_solves)
 
 
 def test_run_field_zero_mode_scenario(tmp_path):

@@ -1,9 +1,9 @@
 """The fused run loop and the trajectory helpers against the public library
 API, compared with ==.
 
-`runs._run` steps stacked arrays and shares each state's stencil products
-between its series row and its next step. Every number it writes must still
-be the one that repeated public steps and the public observables give. The
+`runs._run` steps blocks of stacked arrays and forms the series rows of a
+whole block at once. Every number it writes must still be the one that
+repeated public steps and the public observables give. The
 `*_trajectory` helpers step the same kernels, and each of their rows must be
 the state that the same number of public steps gives.
 """
