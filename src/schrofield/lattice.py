@@ -10,7 +10,8 @@ K is stored as its three-point stencil: a diagonal array plus one scalar
 nearest-neighbour coupling hbar^2 / (2 m dx^2), which is also the value of
 both corner entries on periodic grids. `apply` is an O(n) stencil product,
 and `CayleySolver` solves the Crank-Nicolson system I - i a K in O(n) from
-the same stencil. `spectral_radius` bisects both ends of the spectrum on
+the same stencil, by cyclic reduction down to a dense tail of at most
+_DENSE_TAIL unknowns. `spectral_radius` bisects both ends of the spectrum on
 the stencil too, one O(n) inertia count per shift (Sturm sequences; Barth,
 Martin and Wilkinson 1967), and `eigenpairs` finds chosen eigenpairs of a
 Dirichlet K the same way, O(n) per mode. `Operator.matrix` is a dense view
@@ -225,10 +226,13 @@ def apply(op, f):
     return stencil_product(op, f)
 
 
-def stencil_product(op, f):
-    """K f for a float array f of shape (..., n), unchecked; `apply` checks f first."""
+def stencil_product(op, f, out=None):
+    """K f for a float array f of shape (..., n), unchecked, written into out if given.
+
+    `apply` checks f first.
+    """
     cf = op.coupling * f
-    out = op.diagonal * f
+    out = np.multiply(op.diagonal, f, out=out)
     out[..., 1:] += cf[..., :-1]
     out[..., :-1] += cf[..., 1:]
     if op.grid.boundary == PERIODIC:
@@ -238,16 +242,31 @@ def stencil_product(op, f):
     return out
 
 
+# Cyclic reduction in `CayleySolver` stops once the reduced system has at most
+# this many unknowns, which one product with its precomputed inverse then
+# solves. A level costs about 10 us of numpy call overhead whatever its size,
+# a 32 x 32 complex product under 2 us. Measured at n = 800 on one core of a
+# shared 2-vCPU host, tails of 8, 16, 32, 64 and 128 took 67, 59, 55, 53 and
+# 52 us per solve: the tail saves the small levels, and past 32 the product
+# eats most of what one more level saves.
+_DENSE_TAIL = 32
+
+
 class CayleySolver:
     """Solves (I - i a K) x = r for a fixed real a; factored once, O(n) per solve.
 
-    Odd-even cyclic reduction: each level eliminates the odd-numbered unknowns
-    from the even-numbered equations and keeps its multipliers, so a solve is
-    about 2 log2(n) levels of array operations with no loop over grid points.
-    No pivoting is needed for any a: the Hermitian part of I - i a K is I, and
-    Gaussian elimination in a symmetric ordering (cyclic reduction is one) is
-    stable for matrices with positive definite Hermitian part (Higham,
-    Accuracy and Stability of Numerical Algorithms, section 10.4).
+    Odd-even cyclic reduction down to a dense tail: each level eliminates the
+    odd-numbered unknowns from the even-numbered equations and keeps its
+    multipliers, until at most _DENSE_TAIL unknowns are left. Their system is
+    solved by one product with its inverse, which the remaining levels of the
+    same reduction compute at construction from identity columns, so a solve
+    is about 2 log2(n / _DENSE_TAIL) levels of array operations and one small
+    product, with no loop over grid points (partial cyclic reduction, Hockney
+    and Jesshope, Parallel Computers 2, section 5.4). No pivoting is needed
+    for any a: the Hermitian part of I - i a K is I, each Schur complement
+    keeps a positive definite Hermitian part, and Gaussian elimination in a
+    symmetric ordering (cyclic reduction is one) is stable for such matrices
+    (Higham, Accuracy and Stability of Numerical Algorithms, section 10.4).
 
     On a periodic grid the corner entries s = -i a coupling are written as
     s w w^T minus s on the two end diagonals, with w = e_0 + e_{n-1}. The rest
@@ -267,24 +286,20 @@ class CayleySolver:
         lower = np.full(n, s)
         upper = np.full(n, s)
         lower[0] = upper[-1] = 0.0
+        system = diag, lower, upper
         self._levels = []
-        while diag.size > 1:
-            d_odd, l_odd, u_odd = diag[1::2], lower[1::2], upper[1::2]
-            n_even, n_odd = (diag.size + 1) // 2, d_odd.size
-            alpha = -lower[2::2] / d_odd[: n_even - 1]
-            beta = -upper[: 2 * n_odd : 2] / d_odd
-            diag = diag[::2].copy()
-            diag[1:] += alpha * u_odd[: n_even - 1]
-            diag[:n_odd] += beta * l_odd
-            lower = np.zeros(n_even, dtype=complex)
-            lower[1:] = alpha * l_odd[: n_even - 1]
-            upper = np.zeros(n_even, dtype=complex)
-            upper[:n_odd] = beta * u_odd
-            inv = 1.0 / d_odd
-            self._levels.append(
-                (alpha, beta, inv, l_odd * inv, u_odd[: n_even - 1] * inv[: n_even - 1])
-            )
-        self._inv_last = 1.0 / diag
+        while system[0].size > _DENSE_TAIL:
+            level, system = _reduce(*system)
+            self._levels.append(level)
+        size, tail = system[0].size, []
+        while system[0].size > 1:
+            level, system = _reduce(*system)
+            tail.append(level)
+        inv_last = 1.0 / system[0]
+        # Column j solves the tail system for e_j; the multipliers become
+        # columns so that they scale the rows of the identity.
+        tail = [tuple(m[:, None] for m in level) for level in tail]
+        self._tail_inverse = _cyclic_solve(tail, np.eye(size, dtype=complex), inv_last.__mul__)
         self._correction = None
         if periodic:
             sw = np.zeros(n, dtype=complex)
@@ -293,23 +308,7 @@ class CayleySolver:
             self._correction = z / (1.0 + z[0] + z[-1])
 
     def _solve_tridiagonal(self, r):
-        odd_parts = []
-        for alpha, beta, _, _, _ in self._levels:
-            r_odd = r[1::2]
-            r_even = r[::2].copy()
-            r_even[1:] += alpha * r_odd[: alpha.size]
-            r_even[: beta.size] += beta * r_odd
-            odd_parts.append(r_odd)
-            r = r_even
-        x = r * self._inv_last
-        for (_, _, inv, p, q), r_odd in zip(reversed(self._levels), reversed(odd_parts)):
-            x_odd = r_odd * inv - p * x[: p.size]
-            x_odd[: q.size] -= q * x[1:]
-            out = np.empty(x.size + p.size, dtype=complex)
-            out[::2] = x
-            out[1::2] = x_odd
-            x = out
-        return x
+        return _cyclic_solve(self._levels, r, self._tail_inverse.dot)
 
     def solve(self, rhs):
         """x with (I - i a K) x = rhs, for one field rhs of shape (n,)."""
@@ -317,6 +316,54 @@ class CayleySolver:
         if self._correction is not None:
             x = x - self._correction * (x[0] + x[-1])
         return x
+
+
+def _reduce(diag, lower, upper):
+    """One cyclic reduction level of the tridiagonal (lower, diag, upper).
+
+    Returns the level's multipliers and the system of the even-numbered
+    unknowns left after the odd-numbered ones are eliminated.
+    """
+    d_odd, l_odd, u_odd = diag[1::2], lower[1::2], upper[1::2]
+    n_even, n_odd = (diag.size + 1) // 2, d_odd.size
+    alpha = -lower[2::2] / d_odd[: n_even - 1]
+    beta = -upper[: 2 * n_odd : 2] / d_odd
+    diag = diag[::2].copy()
+    diag[1:] += alpha * u_odd[: n_even - 1]
+    diag[:n_odd] += beta * l_odd
+    lower = np.zeros(n_even, dtype=complex)
+    lower[1:] = alpha * l_odd[: n_even - 1]
+    upper = np.zeros(n_even, dtype=complex)
+    upper[:n_odd] = beta * u_odd
+    inv = 1.0 / d_odd
+    level = (alpha, beta, inv, l_odd * inv, u_odd[: n_even - 1] * inv[: n_even - 1])
+    return level, (diag, lower, upper)
+
+
+def _cyclic_solve(levels, r, solve_reduced):
+    """x with T x = r, T the tridiagonal that `levels` reduce, along r's first axis.
+
+    `solve_reduced` solves the system left after the last level. Each level's
+    multipliers broadcast against r: 1-D for one right-hand side, columns for
+    a matrix of them.
+    """
+    odd_parts = []
+    for alpha, beta, _, _, _ in levels:
+        r_odd = r[1::2]
+        r_even = r[::2].copy()
+        r_even[1:] += alpha * r_odd[: len(alpha)]
+        r_even[: len(beta)] += beta * r_odd
+        odd_parts.append(r_odd)
+        r = r_even
+    x = solve_reduced(r)
+    for (_, _, inv, p, q), r_odd in zip(reversed(levels), reversed(odd_parts)):
+        out = np.empty((len(x) + len(p),) + x.shape[1:], dtype=complex)
+        out[::2] = x
+        x_odd = np.multiply(r_odd, inv, out=out[1::2])
+        x_odd -= p * x[: len(p)]
+        x_odd[: len(q)] -= q * x[1:]
+        x = out
+    return x
 
 
 def inner_product(f, g, grid):

@@ -76,15 +76,20 @@ class CrankNicolson:
         self._a = 0.5 * dt / op.hbar
         self._solver = CayleySolver(op, self._a)
 
-    def advance(self, y, ky):
-        """Stacked (re, im) one step on, from y = (re, im) and ky = K y."""
-        z = self._solver.solve((y[0] - self._a * ky[1]) + 1j * (y[1] + self._a * ky[0]))
-        return np.stack([z.real, z.imag])
+    def advance(self, y, ky, out):
+        """Write (re, im) one step on into out, shape (2, n), from y = (re, im) and ky = K y."""
+        rhs = np.empty(self.op.n, dtype=complex)
+        rhs.real = y[0] - self._a * ky[1]
+        rhs.imag = y[1] + self._a * ky[0]
+        z = self._solver.solve(rhs)
+        out[0] = z.real
+        out[1] = z.imag
 
     def step(self, psi):
-        y = (psi.re, psi.im)
-        re, im = self.advance(y, apply(self.op, y))
-        return WaveFunction(re=re, im=im, time=psi.time + self.dt)
+        y = np.stack([psi.re, psi.im])
+        out = np.empty_like(y)
+        self.advance(y, apply(self.op, y), out)
+        return WaveFunction(re=out[0], im=out[1], time=psi.time + self.dt)
 
 
 def step_crank_nicolson(op, psi, dt):
@@ -98,7 +103,7 @@ def crank_nicolson_trajectory(op, psi0, dt, nsteps):
     y = np.empty((int(nsteps) + 1, 2, op.n))
     y[0] = psi0.re, psi0.im
     for k in range(int(nsteps)):
-        y[k + 1] = stepper.advance(y[k], stencil_product(op, y[k]))
+        stepper.advance(y[k], stencil_product(op, y[k]), y[k + 1])
     times = psi0.time + dt * np.arange(y.shape[0])
     return Trajectory(times, re=y[:, 0], im=y[:, 1])
 

@@ -261,10 +261,9 @@ def test_guard_aborts_on_a_non_finite_series_value(
 def test_run_loop_rejects_a_non_finite_state(tmp_path, monkeypatch):
     advance = sd.CrankNicolson.advance
 
-    def poisoned(self, y, ky):
-        out = advance(self, y, ky)
+    def poisoned(self, y, ky, out):
+        advance(self, y, ky, out)
         out[1, 3] = np.nan
-        return out
 
     monkeypatch.setattr(sd.CrankNicolson, "advance", poisoned)
     scenario = build_scenario(config_from_dict(_harmonic_cfg()))
@@ -388,8 +387,9 @@ def test_cli_wave_run_with_near_zero_hamiltonian_completes(tmp_path):
 def test_wave_guard_aborts_when_norm_grows(tmp_path, monkeypatch):
     advance = sd.CrankNicolson.advance
 
-    def inflating(self, y, ky):
-        return 1.5 * advance(self, y, ky)
+    def inflating(self, y, ky, out):
+        advance(self, y, ky, out)
+        out *= 1.5
 
     monkeypatch.setattr(sd.CrankNicolson, "advance", inflating)
     with pytest.raises(RuntimeError, match="instability: norm grew"):

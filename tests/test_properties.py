@@ -2,12 +2,14 @@
 bracket tables against their dense oracles, and the quantize/dequantize round
 trip against exact propagation.
 
-Each example draws a grid of n = 3..24 points with either closure, physical
-constants and a potential that is zero (a free grid; periodic free grids
-have a zero mode) or random.
+Each example draws a grid of n = 3..24 points (3..300 for the Cayley solve,
+so that its cyclic reduction runs levels before the dense tail) with either
+closure, physical constants and a potential that is zero (a free grid;
+periodic free grids have a zero mode) or random.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +31,7 @@ from schrofield.brackets import (
     dirac_structure,
     sector_smallest_singular_values,
 )
-from schrofield.lattice import CayleySolver, spectral_radius
+from schrofield.lattice import _DENSE_TAIL, CayleySolver, spectral_radius
 
 from conftest import dense_table, dirac_structure_generic, stencil_error_bound
 
@@ -38,8 +40,8 @@ SETTINGS = settings(max_examples=150, deadline=None, database=None)
 
 
 @st.composite
-def operators(draw):
-    n = draw(st.integers(3, 24))
+def operators(draw, max_n=24):
+    n = draw(st.integers(3, max_n))
     boundary = draw(st.sampled_from(["dirichlet", "periodic"]))
     span = draw(st.floats(0.1, 100.0))
     hbar = draw(st.floats(0.05, 20.0))
@@ -75,20 +77,49 @@ def test_apply_matches_dense_product(op, data):
     assert np.all(np.abs(apply(op, f) - op.matrix @ f) <= stencil_error_bound(op, f))
 
 
-@SETTINGS
-@given(op=operators(), a=st.floats(-10.0, 10.0), data=st.data())
-def test_cayley_solver_matches_dense_solve(op, a, data):
-    z = _vector(data, op.n) + 1j * _vector(data, op.n)
+def _check_cayley_solve(op, a, z):
     eye = np.eye(op.n)
     rhs = (eye + 1j * a * op.matrix) @ z
     want = np.linalg.solve(eye - 1j * a * op.matrix, rhs)
-    got = CayleySolver(op, a).solve(rhs)
+    solver = CayleySolver(op, a)
+    got = solver.solve(rhs)
     # Both solves are backward stable, and I - i a K has Hermitian part I, so
     # its inverse has norm at most 1 and the forward error is at most a
     # modest multiple of n eps ||I - i a K|| ||x||.
     norm_a = np.hypot(1.0, a * spectral_radius(op))
     bound = 64 * op.n * EPS * norm_a * np.linalg.norm(want)
     assert np.linalg.norm(got - want) <= bound
+    # The reduction halves the system (rounding up) level by level and stops
+    # at the first size within the dense tail.
+    size = op.n
+    for _ in solver._levels:
+        assert size > _DENSE_TAIL
+        size = (size + 1) // 2
+    assert size <= _DENSE_TAIL
+    assert solver._tail_inverse.shape == (size, size)
+
+
+def _seeded_vector(rng, size):
+    """As `_vector` draws, but from a seeded generator: up to 300 entries are
+    slow to draw one by one."""
+    return rng.choice([-1.0, 0.0, 1.0], size) * 10.0 ** rng.uniform(-3.0, 3.0, size)
+
+
+@SETTINGS
+@given(op=operators(max_n=300), a=st.floats(-10.0, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_cayley_solver_matches_dense_solve(op, a, seed):
+    rng = np.random.default_rng(seed)
+    _check_cayley_solve(op, a, _seeded_vector(rng, op.n) + 1j * _seeded_vector(rng, op.n))
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("n", [_DENSE_TAIL, _DENSE_TAIL + 1, 2 * _DENSE_TAIL + 1, 800])
+def test_cayley_solver_matches_dense_solve_around_the_tail(n, boundary):
+    rng = np.random.default_rng(n)
+    grid = build_grid(n, -20.0, 20.0, boundary)
+    op = build_operator(grid, Potential(rng.uniform(-50.0, 50.0, n)))
+    for a in (1e-3, 0.7, -4.0):
+        _check_cayley_solve(op, a, rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
 @st.composite
