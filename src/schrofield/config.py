@@ -270,9 +270,7 @@ def build_scenario(cfg, spectrum=False):
     for a command that decomposes K anyway.
     """
     try:
-        grid = build_grid(cfg.grid_n, cfg.x_min, cfg.x_max, cfg.boundary)
-        potential = potential_from_spec(grid, cfg.potential, mass=cfg.mass)
-        operator = build_operator(grid, potential, hbar=cfg.hbar, mass=cfg.mass)
+        grid, potential, operator = assemble(cfg, cfg.grid_n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     scenario = Scenario(config=cfg, grid=grid, potential=potential, operator=operator)
@@ -283,6 +281,13 @@ def build_scenario(cfg, spectrum=False):
     if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
         raise ConfigError("initial state contains non-finite values")
     return scenario
+
+
+def assemble(cfg, n):
+    """The grid, potential and operator of cfg on n points (refined ones for `verify`)."""
+    grid = build_grid(n, cfg.x_min, cfg.x_max, cfg.boundary)
+    potential = potential_from_spec(grid, cfg.potential, mass=cfg.mass)
+    return grid, potential, build_operator(grid, potential, hbar=cfg.hbar, mass=cfg.mass)
 
 
 def validate_stability(cfg, operator):

@@ -28,14 +28,14 @@ from .errors import OffShellError, StabilityError
 from .field import FieldState
 from .lattice import apply, spectral_radius, stencil_product
 from .quadrature import Trajectory
-from .schrodinger import WaveFunction, _field_array
+from .schrodinger import WaveFunction, _State
 
 RK4_STABILITY = 2.8  # |kappa| dt / hbar must stay below this
 ONSHELL_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
-class ConstrainedState:
+class ConstrainedState(_State):
     """Fields (phi, varphi) and momenta (p, pi) at one instant."""
 
     phi: np.ndarray
@@ -43,20 +43,6 @@ class ConstrainedState:
     varphi: np.ndarray
     pi: np.ndarray
     time: float = 0.0
-
-    def __post_init__(self):
-        arrays = {}
-        shape = None
-        for name in ("phi", "p", "varphi", "pi"):
-            a = _field_array(getattr(self, name), name)
-            if shape is None:
-                shape = a.shape
-            elif a.shape != shape:
-                raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
-            arrays[name] = a
-        for name, a in arrays.items():
-            object.__setattr__(self, name, a)
-        object.__setattr__(self, "time", float(self.time))
 
 
 def multiplier_v(op, s):
@@ -176,12 +162,17 @@ def _rk4(op, y, dt, out):
     return out
 
 
+def _rk4_steps(op, ys, dt):
+    """The one RK4 loop: step ys[0] = (phi, p, varphi) on into ys[1:]."""
+    for j in range(1, len(ys)):
+        _rk4(op, ys[j - 1], dt, ys[j])
+
+
 def rk4_trajectory(op, s0, dt, nsteps):
     """Trajectory of nsteps RK4 steps from s0; pi keeps its initial value."""
     y = np.empty((int(nsteps) + 1, 3, op.n))
     y[0] = s0.phi, s0.p, s0.varphi
-    for k in range(int(nsteps)):
-        _rk4(op, y[k], dt, y[k + 1])
+    _rk4_steps(op, y, dt)
     pi = np.broadcast_to(s0.pi, (y.shape[0], op.n))
     times = s0.time + dt * np.arange(y.shape[0])
     return Trajectory(times, phi=y[:, 0], p=y[:, 1], varphi=y[:, 2], pi=pi)

@@ -17,25 +17,18 @@ from . import quadrature
 from .errors import StabilityError
 from .lattice import Grid, apply, spectral_radius, stencil_product
 from .quadrature import Trajectory
-from .schrodinger import _field_array
+from .schrodinger import _State, _synthesize
 
 
 @dataclass(frozen=True)
-class FieldState:
+class FieldState(_State):
     """Field phi and conjugate momentum p = hbar d(phi)/dt at one instant."""
+
+    _MISMATCH = "shape mismatch {expected} vs {shape}"
 
     phi: np.ndarray
     p: np.ndarray
     time: float = 0.0
-
-    def __post_init__(self):
-        phi = _field_array(self.phi, "phi")
-        p = _field_array(self.p, "p")
-        if phi.shape != p.shape:
-            raise ValueError(f"shape mismatch {phi.shape} vs {p.shape}")
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "time", float(self.time))
 
 
 def field_rhs(op, s):
@@ -78,37 +71,24 @@ def _leapfrog(op, y, kk_phi, dt):
     return np.stack([phi, p_half - half * kk_phi]), k_phi, kk_phi
 
 
+def _leapfrog_steps(op, ys, kk_phi, dt):
+    """The one leapfrog loop: step ys[0] = (phi, p), with kk_phi = K^2 phi, into ys[1:].
+
+    Returns K phi of ys[1:], shape (len(ys) - 1, 1, n), and the last K^2 phi.
+    """
+    k_phis = np.empty((len(ys) - 1, 1, op.n))
+    for j in range(1, len(ys)):
+        ys[j], k_phis[j - 1, 0], kk_phi = _leapfrog(op, ys[j - 1], kk_phi, dt)
+    return k_phis, kk_phi
+
+
 def leapfrog_trajectory(op, s0, dt, nsteps):
     """Trajectory of nsteps leapfrog steps from s0; each step takes two stencil products."""
     y = np.empty((int(nsteps) + 1, 2, op.n))
     y[0] = s0.phi, s0.p
-    kk_phi = stencil_product(op, stencil_product(op, y[0, 0]))
-    for k in range(int(nsteps)):
-        y[k + 1], _, kk_phi = _leapfrog(op, y[k], kk_phi, dt)
+    _leapfrog_steps(op, y, stencil_product(op, stencil_product(op, y[0, 0])), dt)
     times = s0.time + dt * np.arange(y.shape[0])
     return Trajectory(times, phi=y[:, 0], p=y[:, 1])
-
-
-def _mode_evolution(spec, a, b, offsets):
-    """Oscillator evolution of mode coefficients over the given time offsets.
-
-    Returns (a(t), b(t)) with shape (len(offsets), n_modes). Zero modes drift:
-    phi grows linearly with slope p / hbar while p stays put.
-    """
-    hbar = spec.hbar
-    omega = np.abs(spec.eigenvalues) / hbar
-    zero = np.zeros(omega.shape, dtype=bool)
-    zero[list(spec.zero_modes)] = True
-    omega_safe = np.where(zero, 1.0, omega)
-    theta = np.outer(offsets, omega_safe)
-    c, sn = np.cos(theta), np.sin(theta)
-    a_t = a * c + (b / (hbar * omega_safe)) * sn
-    b_t = -(hbar * omega_safe) * a * sn + b * c
-    if zero.any():
-        drift = np.outer(offsets, b[zero]) / hbar
-        a_t[:, zero] = a[zero] + drift
-        b_t[:, zero] = b[zero]
-    return a_t, b_t
 
 
 def propagate_spectral_field(spec, s0, t):
@@ -118,24 +98,40 @@ def propagate_spectral_field(spec, s0, t):
 
 
 def _flow(spec, phi, p):
-    """Exact flow t -> (phi, p) at time t of the state (phi, p), its coefficients taken once."""
+    """Exact flow of (phi, p), coefficients taken once: t -> (phi, p) at t, shape (2, n).
+
+    Each mode is an oscillator of frequency |kappa| / hbar; in a zero mode phi
+    drifts with slope p / hbar. A 1-D array of T times gives (T, 2, n).
+    """
     a, b = spec.coefficients(phi), spec.coefficients(p)
+    hbar = spec.hbar
+    omega = np.abs(spec.eigenvalues) / hbar
+    zero = np.zeros(omega.shape, dtype=bool)
+    zero[list(spec.zero_modes)] = True
+    omega_safe = np.where(zero, 1.0, omega)
+    # the sine coefficients of phi(t) and p(t)
+    phi_sin = b / (hbar * omega_safe)
+    p_sin = -(hbar * omega_safe) * a
 
     def at(t):
-        a_t, b_t = _mode_evolution(spec, a, b, np.array([float(t)]))
-        return spec.synthesize(a_t[0]), spec.synthesize(b_t[0])
+        offsets = np.reshape(t, -1)
+        theta = np.outer(offsets, omega_safe)
+        c, sn = np.cos(theta), np.sin(theta)
+        a_t = a * c + phi_sin * sn
+        b_t = p_sin * sn + b * c
+        if zero.any():
+            a_t[:, zero] = a[zero] + np.outer(offsets, b[zero]) / hbar
+            b_t[:, zero] = b[zero]
+        return _synthesize(spec, (a_t, b_t), t)
 
     return at
 
 
 def spectral_field_trajectory(spec, s0, dt, nsteps):
-    """Exact field trajectory sampled at uniform dt."""
-    a, b = spec.coefficients(s0.phi), spec.coefficients(s0.p)
+    """Exact field trajectory sampled at uniform dt, the flow evaluated at all times at once."""
     offsets = dt * np.arange(int(nsteps) + 1)
-    a_t, b_t = _mode_evolution(spec, a, b, offsets)
-    phi_all = a_t @ spec.vectors.T
-    p_all = b_t @ spec.vectors.T
-    return Trajectory(s0.time + offsets, phi=phi_all, p=p_all)
+    y = _flow(spec, s0.phi, s0.p)(offsets)
+    return Trajectory(s0.time + offsets, phi=y[:, 0], p=y[:, 1])
 
 
 def energy_densities(op, s):

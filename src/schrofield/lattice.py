@@ -209,6 +209,12 @@ def build_operator(grid, potential, hbar=1.0, mass=1.0):
             f"operator entries must be finite: hbar={hbar!r}, mass={mass!r} and "
             f"dx={grid.dx!r} give hbar^2 / (2 mass dx^2) = {coupling!r}"
         )
+    # hbar^2 / 2m can underflow to 0; `eigenpairs` and the stability bounds need K coupled.
+    if not coupling > 0.0:
+        raise ValueError(
+            f"kinetic coefficient must be positive: hbar={hbar!r}, mass={mass!r} and "
+            f"dx={grid.dx!r} give hbar^2 / (2 mass dx^2) = {coupling!r}"
+        )
     return Operator(
         diagonal=_read_only(diagonal),
         coupling=coupling,

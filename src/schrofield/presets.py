@@ -75,10 +75,12 @@ def initial_pair_from_spec(spec, scenario):
         width = as_finite(params.get("width", 1.0), "width")
         momentum = as_finite(params.get("momentum", 0.0), "momentum")
         x = grid.points()
-        envelope = np.exp(-((x - center) ** 2) / (4.0 * width * width))
-        phase = momentum * x / scenario.operator.hbar
-        re = envelope * np.cos(phase)
-        im = envelope * np.sin(phase)
+        # Where these overflow the state is 0 or NaN, refused below or by build_scenario.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            envelope = np.exp(-((x - center) ** 2) / (4.0 * width * width))
+            phase = momentum * x / scenario.operator.hbar
+            re = envelope * np.cos(phase)
+            im = envelope * np.sin(phase)
         norm = np.sqrt(
             inner_product(re, re, grid) + inner_product(im, im, grid)
         )

@@ -25,10 +25,9 @@ from . import constrained as cn
 from . import correspondence as cr
 from . import field as fd
 from . import schrodinger as sd
-from .config import MAX_STEPS
+from .config import MAX_STEPS, assemble
 from .errors import ConfigError, EllipticObstructionError
-from .lattice import build_grid, build_operator, eigendecompose, solve_elliptic, stencil_product
-from .presets import potential_from_spec
+from .lattice import eigendecompose, solve_elliptic, stencil_product
 
 
 # write_csv formats at most about this many cells at a time, so that its
@@ -170,9 +169,13 @@ def _write_snapshot(run, step, x, hbar, fields, re, im, observables):
     run.csv(f"snapshot_{step:06d}.csv", names, columns)
 
 
+def _inf_norm(a):
+    return float(np.max(np.abs(a)))
+
+
 def _max_error(*pairs):
     """Largest |a - b| over the (a, b) array pairs."""
-    return max(float(np.max(np.abs(a - b))) for a, b in pairs)
+    return max(_inf_norm(a - b) for a, b in pairs)
 
 
 def _steps(cfg):
@@ -362,15 +365,7 @@ def _wave_stepper(scenario):
         advance = _flow_advance(flow, cfg.dt, lambda ys: stencil_product(op, ys))
         return y0, stencil_product(op, y0), advance
     cayley = sd.CrankNicolson(op, cfg.dt)
-
-    def advance(ys, ky, k):
-        kys = np.empty_like(ys[1:])
-        for j in range(1, len(ys)):
-            cayley.advance(ys[j - 1], ky, ys[j])
-            ky = stencil_product(op, ys[j], kys[j - 1])
-        return kys
-
-    return y0, stencil_product(op, y0), advance
+    return y0, stencil_product(op, y0), lambda ys, ky, k: cayley.steps(ys, ky)
 
 
 def _wave_row(op, t, y, ky):
@@ -408,9 +403,7 @@ def _field_stepper(scenario):
 
     def advance(ys, ky, k):
         nonlocal kk_phi
-        kys = np.empty((len(ys) - 1,) + ky.shape)
-        for j in range(1, len(ys)):
-            ys[j], kys[j - 1, 0], kk_phi = fd._leapfrog(op, ys[j - 1], kk_phi, cfg.dt)
+        kys, kk_phi = fd._leapfrog_steps(op, ys, kk_phi, cfg.dt)
         return kys
 
     return y0, ky0, advance
@@ -457,8 +450,7 @@ def _constrained_stepper(scenario):
         return y0, products(y0[None])[0], _flow_advance(flow, cfg.dt, products)
 
     def advance(ys, ky, k):
-        for j in range(1, len(ys)):
-            cn._rk4(op, ys[j - 1], cfg.dt, ys[j])
+        cn._rk4_steps(op, ys, cfg.dt)
         return products(ys[1:])
 
     return y0, products(y0[None])[0], advance
@@ -852,9 +844,7 @@ def _current_errors(scenario, levels):
     for level in range(measured):
         if level > 0:
             n = _refine(n, cfg.boundary)
-            grid = build_grid(n, cfg.x_min, cfg.x_max, cfg.boundary)
-            potential = potential_from_spec(grid, cfg.potential, mass=cfg.mass)
-            op = build_operator(grid, potential, hbar=cfg.hbar, mass=cfg.mass)
+            op = assemble(cfg, n)[2]
             spec = eigendecompose(op)
         steps = _CURRENT_BASE_STEPS * 2**level
         traj = fd.spectral_field_trajectory(spec, _packet_probe_state(spec), dt / 2**level, steps)
@@ -866,6 +856,11 @@ def _current_errors(scenario, levels):
     return errors + [float("nan")] * (levels - measured)
 
 
+def _study_steps(cfg, dt):
+    """Steps of a convergence study's coarsest level: t_final in steps of dt, at least 2."""
+    return max(2, int(round(cfg.t_final / dt)))
+
+
 def run_convergence(scenario, out_dir, levels=3, quiet=False):
     """Refinement studies for every integrator and identity, vs exact references."""
     if levels < 3:
@@ -875,20 +870,12 @@ def run_convergence(scenario, out_dir, levels=3, quiet=False):
     op, spec = scenario.operator, scenario.spectrum
     re0, im0 = scenario.initial_pair
 
-    lf_bound = fd.leapfrog_stability_bound(op)
-    rk_bound = cn.rk4_stability_bound(op)
-    base_dt = {
-        "crank_nicolson": cfg.dt,
-        "leapfrog": min(cfg.dt, 0.5 * lf_bound),
-        "rk4": min(cfg.dt, 0.5 * rk_bound),
-        "schrodinger_residual": cfg.dt,
-        "constraint_drift": min(cfg.dt, 0.5 * rk_bound),
-    }
-    base_steps = {k: max(2, int(round(cfg.t_final / v))) for k, v in base_dt.items()}
+    lf_dt = min(cfg.dt, 0.5 * fd.leapfrog_stability_bound(op))
+    rk_dt = min(cfg.dt, 0.5 * cn.rk4_stability_bound(op))
     # Every study doubles its steps per level: refuse a finest level past the
     # budget before any output exists. The power is capped because 2^64 steps
     # are past the limit anyway, and a huge --levels must not build a huge int.
-    coarsest = max(*base_steps.values(), _CURRENT_BASE_STEPS)
+    coarsest = max(*(_study_steps(cfg, dt) for dt in (cfg.dt, lf_dt, rk_dt)), _CURRENT_BASE_STEPS)
     if coarsest * 2 ** min(levels - 1, 64) > MAX_STEPS:
         raise ConfigError(
             f"{levels} refinement levels need {coarsest} * 2^{levels - 1} steps at the "
@@ -899,57 +886,41 @@ def run_convergence(scenario, out_dir, levels=3, quiet=False):
         s0_dq = cr.dequantize(spec, psi0, 0.0, tol=1e-8)
     run = _RunDir(out_dir, "convergence", cfg, t0, quiet)
 
-    rows = []
-    errors = {}
-
-    def record(study, level, h, err):
-        rows.append((study, level, h, err))
-        errors.setdefault(study, []).append((h, err))
-
-    s0 = fd.FieldState(phi=re0, p=im0)
-    # Every level ends at (steps 2^l) (dt / 2^l), which rounds to steps dt.
+    s0, onshell = fd.FieldState(phi=re0, p=im0), cn.make_onshell(op, re0, im0)
     wave, field = sd._flow(spec, re0, im0), fd._flow(spec, re0, im0)
-    ref = wave(base_steps["crank_nicolson"] * base_dt["crank_nicolson"])
-    fref = field(base_steps["leapfrog"] * base_dt["leapfrog"])
-    cref = field(base_steps["rk4"] * base_dt["rk4"])
+
+    def end_error(flow, dt):
+        # Every level ends at (steps 2^l) (dt / 2^l), which rounds to steps dt.
+        ref = flow(_study_steps(cfg, dt) * dt)
+        return lambda *fields: _max_error(*((f[-1], r) for f, r in zip(fields, ref)))
+
+    cn_error, lf_error = end_error(wave, cfg.dt), end_error(field, lf_dt)
+    rk_error = end_error(field, rk_dt)
+    # (base dt, (dt, steps) -> trajectory, trajectory -> {study: error}), in
+    # the order of each level's rows in convergence.csv
+    studies = (
+        (cfg.dt, lambda dt, k: sd.crank_nicolson_trajectory(op, psi0, dt, k),
+         lambda tr: {"crank_nicolson": cn_error(tr.re, tr.im)}),
+        (lf_dt, lambda dt, k: fd.leapfrog_trajectory(op, s0, dt, k),
+         lambda tr: {"leapfrog": lf_error(tr.phi, tr.p)}),
+        (rk_dt, lambda dt, k: cn.rk4_trajectory(op, onshell, dt, k),
+         lambda tr: {"rk4": rk_error(tr.phi, tr.p),
+                     "constraint_drift": _inf_norm(cn.constraint_residuals(op, tr)[0])}),
+        (cfg.dt, lambda dt, k: fd.spectral_field_trajectory(spec, s0_dq, dt, k),
+         lambda tr: {"schrodinger_residual": max(
+             map(_inf_norm, sd.schrodinger_residual(op, cr.quantize_trajectory(op, tr))))}),
+    )
+    rows = []
     for level in range(levels):
-        scale = 2**level
-
-        dt = base_dt["crank_nicolson"] / scale
-        steps = base_steps["crank_nicolson"] * scale
-        traj = sd.crank_nicolson_trajectory(op, psi0, dt, steps)
-        err = _max_error((traj.re[-1], ref[0]), (traj.im[-1], ref[1]))
-        record("crank_nicolson", level, dt, err)
-
-        dt = base_dt["leapfrog"] / scale
-        steps = base_steps["leapfrog"] * scale
-        ftraj = fd.leapfrog_trajectory(op, s0, dt, steps)
-        err = _max_error((ftraj.phi[-1], fref[0]), (ftraj.p[-1], fref[1]))
-        record("leapfrog", level, dt, err)
-
-        dt = base_dt["rk4"] / scale
-        steps = base_steps["rk4"] * scale
-        ctraj = cn.rk4_trajectory(op, cn.make_onshell(op, re0, im0), dt, steps)
-        err = _max_error((ctraj.phi[-1], cref[0]), (ctraj.p[-1], cref[1]))
-        record("rk4", level, dt, err)
-        drift = float(np.max(np.abs(cn.constraint_residuals(op, ctraj)[0])))
-        record("constraint_drift", level, dt, drift)
-
-        dt = base_dt["schrodinger_residual"] / scale
-        steps = base_steps["schrodinger_residual"] * scale
-        ftraj = fd.spectral_field_trajectory(spec, s0_dq, dt, steps)
-        wtraj = cr.quantize_trajectory(op, ftraj)
-        r1, r2 = sd.schrodinger_residual(op, wtraj)
-        record(
-            "schrodinger_residual",
-            level,
-            dt,
-            max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2)))),
-        )
-
+        for base_dt, trajectory, measure in studies:
+            dt = base_dt / 2**level
+            measured = measure(trajectory(dt, _study_steps(cfg, base_dt) * 2**level))
+            rows += [(study, level, dt, err) for study, err in measured.items()]
     for level, err in enumerate(_current_errors(scenario, levels)):
-        h = cfg.dt / 2**level
-        record("current_residual", level, h, err)
+        rows.append(("current_residual", level, cfg.dt / 2**level, err))
+    errors = {}
+    for study, _, h, err in rows:
+        errors.setdefault(study, []).append((h, err))
 
     run.csv("convergence.csv", ["study", "level", "h", "error"], list(zip(*rows)))
 

@@ -14,7 +14,7 @@ taken in O(n) by a tridiagonal solve, and therefore preserves the norm
 functional to roundoff for any step size.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,32 +23,42 @@ from .lattice import CayleySolver, apply, stencil_product
 from .quadrature import Trajectory
 
 
-def _field_array(values, name):
-    v = np.array(values, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite")
-    v.setflags(write=False)
-    return v
+class _State:
+    """Validation of the state classes: frozen dataclasses of fields, then `time`, the last.
+
+    In field order, each field becomes a read-only finite 1-D float array, and
+    time a float. A field whose shape differs from the first's raises the
+    class's `_MISMATCH` message.
+    """
+
+    _MISMATCH = "{name} has shape {shape}, expected {expected}"
+
+    def __post_init__(self):
+        expected = None
+        for name in [f.name for f in fields(self)][:-1]:
+            v = np.array(getattr(self, name), dtype=float)
+            if v.ndim != 1:
+                raise ValueError(f"{name} must be one-dimensional")
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be finite")
+            expected = expected or v.shape
+            if v.shape != expected:
+                message = self._MISMATCH.format(name=name, shape=v.shape, expected=expected)
+                raise ValueError(message)
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
+        object.__setattr__(self, "time", float(self.time))
 
 
 @dataclass(frozen=True)
-class WaveFunction:
+class WaveFunction(_State):
     """Real and imaginary parts of the wave function at one instant."""
+
+    _MISMATCH = "shape mismatch {expected} vs {shape}"
 
     re: np.ndarray
     im: np.ndarray
     time: float = 0.0
-
-    def __post_init__(self):
-        re = _field_array(self.re, "re")
-        im = _field_array(self.im, "im")
-        if re.shape != im.shape:
-            raise ValueError(f"shape mismatch {re.shape} vs {im.shape}")
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-        object.__setattr__(self, "time", float(self.time))
 
 
 def schrodinger_rhs(op, psi):
@@ -85,6 +95,14 @@ class CrankNicolson:
         out[0] = z.real
         out[1] = z.imag
 
+    def steps(self, ys, ky):
+        """The one CN loop: step ys[0], with ky = K ys[0], on into ys[1:]; return K ys[1:]."""
+        kys = np.empty_like(ys[1:])
+        for j in range(1, len(ys)):
+            self.advance(ys[j - 1], ky, ys[j])
+            ky = stencil_product(self.op, ys[j], kys[j - 1])
+        return kys
+
     def step(self, psi):
         y = np.stack([psi.re, psi.im])
         out = np.empty_like(y)
@@ -99,11 +117,9 @@ def step_crank_nicolson(op, psi, dt):
 
 def crank_nicolson_trajectory(op, psi0, dt, nsteps):
     """Trajectory of nsteps Crank-Nicolson steps starting from psi0."""
-    stepper = CrankNicolson(op, dt)
     y = np.empty((int(nsteps) + 1, 2, op.n))
     y[0] = psi0.re, psi0.im
-    for k in range(int(nsteps)):
-        stepper.advance(y[k], stencil_product(op, y[k]), y[k + 1])
+    CrankNicolson(op, dt).steps(y, stencil_product(op, y[0]))
     times = psi0.time + dt * np.arange(y.shape[0])
     return Trajectory(times, re=y[:, 0], im=y[:, 1])
 
@@ -115,29 +131,35 @@ def propagate_spectral(spec, psi0, t):
 
 
 def _flow(spec, re, im):
-    """Exact flow t -> (re, im) at time t of the state (re, im), its coefficients taken once."""
+    """Exact flow of (re, im), coefficients taken once: t -> (re, im) at t, shape (2, n).
+
+    Each coefficient turns by the phase kappa t / hbar. A 1-D array of T
+    times gives one state per time, shape (T, 2, n).
+    """
     r, s = spec.coefficients(re), spec.coefficients(im)
 
     def at(t):
-        r_t, s_t = _rotation(spec, r, s, t)
-        return spec.synthesize(r_t), spec.synthesize(s_t)
+        theta = spec.eigenvalues * (np.reshape(t, (-1, 1)) / spec.hbar)
+        c, sn = np.cos(theta), np.sin(theta)
+        return _synthesize(spec, (r * c - s * sn, s * c + r * sn), t)
 
     return at
 
 
-def _rotation(spec, r, s, t):
-    """Coefficients at time t (a scalar, or a column of times: one row each) of (r, s) at 0."""
-    theta = spec.eigenvalues * (t / spec.hbar)
-    c, sn = np.cos(theta), np.sin(theta)
-    return r * c - s * sn, s * c + r * sn
+def _synthesize(spec, coeffs, t):
+    """The states, (T, 2, n) or (2, n) for a scalar t, of coefficient rows (a, b), each (T, n).
+
+    A one-row product, as for a scalar t, gives the bits of `Spectrum.synthesize`.
+    """
+    y = np.stack([c @ spec.vectors.T for c in coeffs], axis=1)
+    return y if np.ndim(t) else y[0]
 
 
 def spectral_trajectory(spec, psi0, dt, nsteps):
-    """Exact trajectory sampled at uniform dt (vectorized over samples)."""
+    """Exact trajectory sampled at uniform dt, the flow evaluated at all times at once."""
     offsets = dt * np.arange(int(nsteps) + 1)
-    r, s = spec.coefficients(psi0.re), spec.coefficients(psi0.im)
-    r_t, s_t = _rotation(spec, r, s, offsets[:, None])
-    return Trajectory(psi0.time + offsets, re=r_t @ spec.vectors.T, im=s_t @ spec.vectors.T)
+    y = _flow(spec, psi0.re, psi0.im)(offsets)
+    return Trajectory(psi0.time + offsets, re=y[:, 0], im=y[:, 1])
 
 
 def schrodinger_residual(op, traj):

@@ -294,6 +294,70 @@ def test_overflowed_stencil_is_rejected_before_output(
     assert "operator entries must be finite" in err and named in err
 
 
+_CONFIG_COMMANDS = (
+    "run-schrodinger",
+    "run-field",
+    "run-constrained",
+    "dequantize",
+    "spectrum",
+    "convergence",
+    "verify",
+)
+# A free grid whose hbar^2 / 2m underflows to 0, leaving K = 0.
+_ZERO_STENCIL = {
+    "grid": {"n": 8, "x_min": 0.0, "x_max": 1.0},
+    "potential": "free",
+    "initial_state": "gaussian",
+    "integrator": "rk4",
+    "hbar": 1e-200,
+}
+
+
+def _config_error(tmp_path, capsys, command, cfg):
+    """The stderr of a command that must refuse cfg with exit 2 before making --out."""
+    out = tmp_path / "run"
+    code = main([command, "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not out.exists()
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+@pytest.mark.parametrize("command", _CONFIG_COMMANDS)
+@pytest.mark.parametrize("integrator", ["rk4", "spectral"])
+def test_zero_stencil_is_rejected_before_output(tmp_path, capsys, command, integrator):
+    # rk4 runs and verify used to end in a ZeroDivisionError from the RK4 bound
+    cfg = {**_ZERO_STENCIL, "integrator": integrator}
+    err = _config_error(tmp_path, capsys, command, cfg)
+    assert "kinetic coefficient must be positive" in err
+    assert "hbar=1e-200" in err and "mass=1.0" in err
+
+
+@pytest.mark.parametrize("command", _CONFIG_COMMANDS)
+@pytest.mark.parametrize(
+    "state, hbar, message",
+    [
+        ({"width": 1e-300}, 1.0, "gaussian initial state vanished on the grid"),
+        ({"width": 0.0}, 1.0, "gaussian initial state vanished on the grid"),
+        ({"center": 1e300}, 1.0, "gaussian initial state vanished on the grid"),
+        # on a grid that holds x = center the envelope is 0 / 0 there
+        ({"width": 0.0, "center": 0.5}, 1.0, "initial state contains non-finite values"),
+        # the phase momentum x / hbar overflows past x = 0.5
+        ({"momentum": 1e308}, 0.5, "initial state contains non-finite values"),
+    ],
+)
+def test_degenerate_gaussian_is_rejected_without_warnings(tmp_path, capsys, command, state, hbar,
+                                                          message):
+    # these used to print overflow, divide or invalid-value RuntimeWarnings first
+    cfg = {
+        **_ZERO_STENCIL,
+        "grid": {"n": 9, "x_min": 0.0, "x_max": 1.0},
+        "hbar": hbar,
+        "initial_state": {"type": "gaussian", **state},
+    }
+    assert _config_error(tmp_path, capsys, command, cfg) == f"config error: {message}\n"
+
+
 def test_cli_out_of_memory_is_a_clean_abort(tmp_path, capsys, monkeypatch):
     # A real huge allocation would depend on the host's overcommit policy.
     def no_memory(op):

@@ -9,6 +9,7 @@ the state that the same number of public steps gives.
 """
 
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -189,3 +190,37 @@ def test_leapfrog_trajectory_takes_two_stencil_products_per_step(monkeypatch):
         fd.leapfrog_trajectory(scenario.operator, s0, scenario.config.dt, nsteps)
         # K^2 phi of the initial state, then K phi and K^2 phi per step
         assert len(calls) == 2 + 2 * nsteps
+
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize(
+    "flow_of, helper, propagate, state",
+    [
+        (sd._flow, sd.spectral_trajectory, sd.propagate_spectral, sd.WaveFunction),
+        (fd._flow, fd.spectral_field_trajectory, fd.propagate_spectral_field, fd.FieldState),
+    ],
+)
+def test_flow_takes_a_scalar_or_a_column_of_times(flow_of, helper, propagate, state, boundary):
+    cfg = _config("spectral", boundary)
+    if boundary == "periodic":
+        cfg["potential"] = "free"  # a ring whose constant mode drifts in the field flow
+    scenario = build_scenario(config_from_dict(cfg))
+    spec, pair, n = scenario.spectrum, scenario.initial_pair, scenario.operator.n
+    names = [f.name for f in fields(state)][:2]
+    flow = flow_of(spec, *pair)
+    times = np.array([0.0, 0.37, 3.0, 10.0])
+    batch = flow(times)
+    assert batch.shape == (len(times), 2, n)
+    for t, row in zip(times, batch):
+        one = flow(float(t))
+        assert one.shape == (2, n)
+        # A one-row evaluation gives the scalar one's bits, and so does propagate.
+        assert flow(np.array([t]))[0].tolist() == one.tolist()
+        expected = propagate(spec, state(*pair), float(t))
+        assert [getattr(expected, k).tolist() for k in names] == one.tolist()
+        # Several rows share one product, which may differ at roundoff.
+        assert np.max(np.abs(row - one)) <= 1e-13 * max(1.0, float(np.max(np.abs(one))))
+    traj = helper(spec, state(*pair), 0.01, 3)
+    rows = flow(0.01 * np.arange(4))
+    assert [getattr(traj, k).tolist() for k in names] == rows.swapaxes(0, 1).tolist()
