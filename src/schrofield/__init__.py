@@ -80,7 +80,6 @@ from .constrained import (
 )
 from .brackets import (
     BracketTable,
-    PhaseLayout,
     canonical_structure,
     constraint_gradient_matrix,
     dirac_flow_check,

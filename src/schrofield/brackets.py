@@ -14,10 +14,11 @@ reproduces the functional-derivative convention without any further weights.
 
 Every block of these matrices is a polynomial in the symmetric operator K
 with scalar coefficients; in practice 0, c I or c K. A `BlockTable` stores
-only those coefficients and K's stencil. Products and sums are polynomial
-arithmetic on the coefficients, a matrix-vector product costs one stencil
-product per power of K, and a block's largest entry comes from its band, so
-nothing of size 4n x 4n is ever formed.
+only those coefficients and the operator, its only context: K's stencil,
+n and dx. Products and sums are polynomial arithmetic on the coefficients,
+a matrix-vector product costs one stencil product per power of K, and a
+block's largest entry comes from its band, so nothing of size 4n x 4n is
+ever formed.
 In K's eigenbasis each two-block sector splits into n 2x2 matrices, one per
 eigenvalue kappa, which gives the sectors' singular values from the
 spectrum.
@@ -42,51 +43,18 @@ BLOCKS = ("phi", "p", "varphi", "pi")
 JACOBI_RANK = 8
 
 
-@dataclass(frozen=True)
-class PhaseLayout:
-    """Block layout of flattened phase vectors and the shared dx convention."""
-
-    n: int
-    dx: float
-
-    @property
-    def dim(self):
-        return 4 * self.n
-
-    def block(self, name):
-        """Slice of the named block inside a 4n phase vector."""
-        i = BLOCKS.index(name)
-        return slice(i * self.n, (i + 1) * self.n)
-
-    def pack(self, phi, p, varphi, pi):
-        return np.concatenate(
-            [np.asarray(a, dtype=float) for a in (phi, p, varphi, pi)]
-        )
-
-    def unpack(self, z):
-        z = np.asarray(z, dtype=float)
-        return tuple(z[self.block(name)] for name in BLOCKS)
-
-    def gradient_of_integral(self, *pointwise_partials):
-        """Gradient of F = dx * sum f(z): dx times the pointwise partials."""
-        return self.dx * np.concatenate(
-            [np.asarray(a, dtype=float) for a in pointwise_partials]
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class BlockTable:
     """Block matrix whose (i, j) block of size n x n is sum_k coeffs[i, j, k] K^k.
 
-    `op` supplies K's stencil and may be None when every block is a multiple
-    of I. Trailing all-zero powers are dropped. Blocks are polynomials in a
+    `op` supplies K's stencil, the block size n and the grid spacing dx.
+    Trailing all-zero powers are dropped. Blocks are polynomials in a
     symmetric K, so each is symmetric and transposing a table only swaps its
     block indices.
     """
 
     coeffs: np.ndarray
-    layout: PhaseLayout
-    op: Operator | None = None
+    op: Operator
 
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=float)
@@ -94,10 +62,6 @@ class BlockTable:
             raise ValueError(f"coefficients must have shape (rows, cols, powers), got {c.shape}")
         nonzero = np.nonzero(np.any(c != 0.0, axis=(0, 1)))[0]
         c = c[:, :, : (nonzero[-1] + 1 if nonzero.size else 1)]
-        if c.shape[2] > 1 and self.op is None:
-            raise ValueError("a table with powers of K needs the operator")
-        if self.op is not None and self.op.n != self.layout.n:
-            raise ValueError(f"operator has n={self.op.n}, layout has n={self.layout.n}")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -107,18 +71,18 @@ class BlockTable:
 
     @property
     def T(self):
-        return BlockTable(np.swapaxes(self.coeffs, 0, 1), self.layout, self.op)
+        return BlockTable(np.swapaxes(self.coeffs, 0, 1), self.op)
 
     def take(self, rows, cols):
         """The table of the blocks in the given block rows and columns."""
-        return BlockTable(self.coeffs[np.ix_(rows, cols)], self.layout, self.op)
+        return BlockTable(self.coeffs[np.ix_(rows, cols)], self.op)
 
     def _combine(self, other, sign):
         a, b = self.coeffs, other.coeffs
         out = np.zeros(a.shape[:2] + (max(a.shape[2], b.shape[2]),))
         out[:, :, : a.shape[2]] = a
         out[:, :, : b.shape[2]] += sign * b
-        return BlockTable(out, self.layout, _shared_op(self, other))
+        return BlockTable(out, _shared_op(self, other))
 
     def __add__(self, other):
         return self._combine(other, 1.0)
@@ -135,12 +99,12 @@ class BlockTable:
         for i in range(a.shape[2]):
             for j in range(b.shape[2]):
                 out[:, :, i + j] += a[:, :, i] @ b[:, :, j]
-        return BlockTable(out, self.layout, _shared_op(self, other))
+        return BlockTable(out, _shared_op(self, other))
 
     def matvec(self, v):
         """The product with a flattened vector of cols x n entries, by Horner's rule in K."""
         rows, cols, _ = self.coeffs.shape
-        n = self.layout.n
+        n = self.op.n
         v = np.asarray(v, dtype=float)
         if v.shape != (cols * n,):
             raise ValueError(f"vector has shape {v.shape}, expected ({cols * n},)")
@@ -159,7 +123,7 @@ class BlockTable:
         periodic grid the column i + o wraps, and offsets equal modulo n
         name the same entry, so they are summed before taking the maximum.
         """
-        n, d = self.layout.n, self.degree
+        n, d = self.op.n, self.degree
         if d == 0:
             return float(np.max(np.abs(self.coeffs)))
         offsets = np.arange(-d, d + 1)
@@ -188,11 +152,9 @@ class BlockTable:
 
 
 def _shared_op(a, b):
-    if a.op is not None and b.op is not None and a.op is not b.op:
+    if a.op is not b.op:
         raise ValueError("tables over different operators")
-    if a.layout != b.layout:
-        raise ValueError("tables over different layouts")
-    return a.op if a.op is not None else b.op
+    return a.op
 
 
 class BracketTable(BlockTable):
@@ -219,34 +181,34 @@ def _coefficients(entries, rows, cols):
     return c
 
 
-def canonical_structure(layout):
+def canonical_structure(op):
     """Canonical Poisson structure: {phi, p} and {varphi, pi} pairs at I/dx."""
-    e = 1.0 / layout.dx
+    e = 1.0 / op.grid.dx
     entries = {
         ("phi", "p"): (e,),
         ("p", "phi"): (-e,),
         ("varphi", "pi"): (e,),
         ("pi", "varphi"): (-e,),
     }
-    return BracketTable(_coefficients(entries, BLOCKS, BLOCKS), layout)
+    return BracketTable(_coefficients(entries, BLOCKS, BLOCKS), op)
 
 
-def noncanonical_structure(op, layout):
+def noncanonical_structure(op):
     """The K-twisted structure on (varphi, p): {varphi, p} = -K/dx."""
-    e = 1.0 / layout.dx
+    e = 1.0 / op.grid.dx
     sector = ("varphi", "p")
     entries = {("varphi", "p"): (0.0, -e), ("p", "varphi"): (0.0, e)}
-    return BlockTable(_coefficients(entries, sector, sector), layout, op)
+    return BlockTable(_coefficients(entries, sector, sector), op)
 
 
-def constraint_gradient_matrix(op, layout):
+def constraint_gradient_matrix(op):
     """Gradients of the constraints c1 = varphi + K phi and c2 = pi.
 
     Rows are plain partial derivatives of each constraint component with
     respect to the flattened phase vector: [K | 0 | I | 0] and [0 | 0 | 0 | I].
     """
     entries = {("c1", "phi"): (0.0, 1.0), ("c1", "varphi"): (1.0,), ("c2", "pi"): (1.0,)}
-    return BlockTable(_coefficients(entries, ("c1", "c2"), BLOCKS), layout, op)
+    return BlockTable(_coefficients(entries, ("c1", "c2"), BLOCKS), op)
 
 
 def _constant_inverse(c):
@@ -257,22 +219,22 @@ def _constant_inverse(c):
     """
     if c.degree:
         raise np.linalg.LinAlgError("constraint bracket matrix depends on K")
-    return BlockTable(np.linalg.inv(c.coeffs[:, :, 0])[:, :, None], c.layout)
+    return BlockTable(np.linalg.inv(c.coeffs[:, :, 0])[:, :, None], c.op)
 
 
-def dirac_structure(op, layout):
+def dirac_structure(op):
     """Dirac bracket J_D = J - J G^T C^{-1} G J, by block algebra on the tables.
 
     The constraints become Casimirs: J_D G^T = 0, the pi rows and columns
     vanish, the (phi, p) sector stays canonical, and the (varphi, p) sector
     reproduces the non-canonical structure -K/dx.
     """
-    j = canonical_structure(layout)
-    g = constraint_gradient_matrix(op, layout)
+    j = canonical_structure(op)
+    g = constraint_gradient_matrix(op)
     jg = j @ g.T
     c = g @ jg
     jd = j - jg @ (_constant_inverse(c) @ (g @ j))
-    return BracketTable(jd.coeffs, layout, op)
+    return BracketTable(jd.coeffs, op)
 
 
 def _check(name, max_diff, reference_scale, tol):
@@ -286,17 +248,16 @@ def _check(name, max_diff, reference_scale, tol):
     }
 
 
-def verify_dirac_relations(op, layout, tol=1e-10, dirac=None):
-    """Check every block identity of the Dirac structure; returns a report.
+def verify_dirac_relations(jd, tol=1e-10):
+    """Check every block identity of the Dirac structure table `jd`; returns a report.
 
-    A pre-assembled (possibly perturbed) table can be passed through `dirac`
-    so that detector sanity can be exercised. Each identity is checked on
-    the blocks it names, with largest entries read off their bands.
+    Each identity is checked on the blocks it names, with largest entries
+    read off their bands.
     """
-    jd = dirac_structure(op, layout) if dirac is None else dirac
-    eye_dx = BlockTable([[[1.0 / layout.dx]]], layout)
-    k_dx = BlockTable([[[0.0, 1.0 / layout.dx]]], layout, op)
-    eye_scale = 1.0 / layout.dx
+    op = jd.op
+    eye_scale = 1.0 / op.grid.dx
+    eye_dx = BlockTable([[[eye_scale]]], op)
+    k_dx = BlockTable([[[0.0, eye_scale]]], op)
     k_scale = k_dx.max_abs()
     every = range(len(BLOCKS))
     pi = [BLOCKS.index("pi")]
@@ -307,7 +268,7 @@ def verify_dirac_relations(op, layout, tol=1e-10, dirac=None):
     def zero(a, b):
         return _check(f"dirac_{a}_{b}_zero", blk(a, b).max_abs(), 0.0, tol)
 
-    g = constraint_gradient_matrix(op, layout)
+    g = constraint_gradient_matrix(op)
     field = ("phi", "p")
     wave = ("varphi", "p")
     pi_blocks = max(jd.take(pi, every).max_abs(), jd.take(every, pi).max_abs())
@@ -323,20 +284,31 @@ def verify_dirac_relations(op, layout, tol=1e-10, dirac=None):
         _check("dirac_constraint_casimir", (jd @ g.T).max_abs(), k_scale, tol),
         _check(
             "dirac_field_sector_canonical",
-            (jd.sector(field) - canonical_structure(layout).sector(field)).max_abs(),
+            (jd.sector(field) - canonical_structure(op).sector(field)).max_abs(),
             eye_scale,
             tol,
         ),
         _check(
             "dirac_wave_sector_noncanonical",
-            (jd.sector(wave) - noncanonical_structure(op, layout)).max_abs(),
+            (jd.sector(wave) - noncanonical_structure(op)).max_abs(),
             k_scale,
             tol,
         ),
     ]
 
 
-def generalized_hamiltonian_check(op, layout, tol=1e-12, rng=None, batch=5):
+def _scaled_gradient(op, *partials):
+    """Gradient of F / hbar for F = dx * sum f(z): dx times the pointwise partials over hbar."""
+    return op.grid.dx * np.concatenate([a / op.hbar for a in partials])
+
+
+def _rhs_error(flow, rhs):
+    """max|flow - rhs| relative to max(1, max|rhs|), rhs the pair a `*_rhs` returns."""
+    ref = np.concatenate(rhs)
+    return float(np.max(np.abs(flow - ref))) / max(1.0, float(np.max(np.abs(ref))))
+
+
+def generalized_hamiltonian_check(op, tol=1e-12, rng=None, batch=5):
     """Verify the non-canonical form of the wave dynamics on random states.
 
     The flow J' grad(H') with H' the norm functional must reproduce the
@@ -344,19 +316,16 @@ def generalized_hamiltonian_check(op, layout, tol=1e-12, rng=None, batch=5):
     along that flow.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    n = layout.n
-    jp = noncanonical_structure(op, layout)
+    jp = noncanonical_structure(op)
     worst_flow = 0.0
     worst_cons = 0.0
     for _ in range(int(batch)):
-        varphi = rng.standard_normal(n)
-        p = rng.standard_normal(n)
-        grad = layout.gradient_of_integral(varphi / op.hbar, p / op.hbar)
+        varphi = rng.standard_normal(op.n)
+        p = rng.standard_normal(op.n)
+        grad = _scaled_gradient(op, varphi, p)
         flow = jp @ grad
-        dre, dim = schrodinger_rhs(op, WaveFunction(re=varphi, im=p))
-        ref = np.concatenate([dre, dim])
-        scale = max(1.0, float(np.max(np.abs(ref))))
-        worst_flow = max(worst_flow, float(np.max(np.abs(flow - ref))) / scale)
+        rhs = schrodinger_rhs(op, WaveFunction(re=varphi, im=p))
+        worst_flow = max(worst_flow, _rhs_error(flow, rhs))
         # The roundoff of grad . flow scales with |grad| |flow|, and |flow| with ||J'||.
         h_scale = max(1.0, float(np.linalg.norm(grad) * np.linalg.norm(flow)))
         worst_cons = max(worst_cons, abs(float(np.dot(grad, flow))) / h_scale)
@@ -366,40 +335,29 @@ def generalized_hamiltonian_check(op, layout, tol=1e-12, rng=None, batch=5):
     ]
 
 
-def dirac_flow_check(op, layout, tol=1e-12, rng=None, batch=5, dirac=None):
-    """Verify that both dynamical-sector Dirac flows generate the dynamics.
+def dirac_flow_check(jd, tol=1e-12, rng=None, batch=5):
+    """Verify that both dynamical-sector flows of the Dirac table `jd` generate the dynamics.
 
     With the Hamiltonian written in (varphi, p) the flow must be the wave
     system; written in (phi, p) it must be the field system. States are
     random and taken on shell.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    jd = dirac_structure(op, layout) if dirac is None else dirac
+    op = jd.op
     wave_sector = jd.sector(("varphi", "p"))
     field_sector = jd.sector(("phi", "p"))
-    n = layout.n
     worst_wave = 0.0
     worst_field = 0.0
     for _ in range(int(batch)):
-        phi = rng.standard_normal(n)
-        p = rng.standard_normal(n)
+        phi = rng.standard_normal(op.n)
+        p = rng.standard_normal(op.n)
         varphi = -apply(op, phi)
-
-        grad_wave = layout.gradient_of_integral(varphi / op.hbar, p / op.hbar)
-        flow_wave = wave_sector @ grad_wave
-        dre, dim = schrodinger_rhs(op, WaveFunction(re=varphi, im=p))
-        ref = np.concatenate([dre, dim])
-        scale = max(1.0, float(np.max(np.abs(ref))))
-        worst_wave = max(worst_wave, float(np.max(np.abs(flow_wave - ref))) / scale)
-
-        grad_field = layout.gradient_of_integral(
-            apply(op, apply(op, phi)) / op.hbar, p / op.hbar
-        )
-        flow_field = field_sector @ grad_field
-        dphi, dp = field_rhs(op, FieldState(phi=phi, p=p))
-        ref = np.concatenate([dphi, dp])
-        scale = max(1.0, float(np.max(np.abs(ref))))
-        worst_field = max(worst_field, float(np.max(np.abs(flow_field - ref))) / scale)
+        flow_wave = wave_sector @ _scaled_gradient(op, varphi, p)
+        rhs = schrodinger_rhs(op, WaveFunction(re=varphi, im=p))
+        worst_wave = max(worst_wave, _rhs_error(flow_wave, rhs))
+        flow_field = field_sector @ _scaled_gradient(op, apply(op, apply(op, phi)), p)
+        rhs = field_rhs(op, FieldState(phi=phi, p=p))
+        worst_field = max(worst_field, _rhs_error(flow_field, rhs))
     return [
         _check("dirac_flow_wave_sector", worst_wave, 0.0, tol),
         _check("dirac_flow_field_sector", worst_field, 0.0, tol),
@@ -423,7 +381,7 @@ def _jacobi_terms(bracket, rng):
     f are. The check therefore measures the roundoff of these products and
     cannot flag a fault in the bracket.
     """
-    dim = bracket.layout.dim
+    dim = len(BLOCKS) * bracket.op.n
     forms = []
     for _ in range(3):
         u = rng.standard_normal((dim, JACOBI_RANK))
@@ -471,7 +429,7 @@ def sector_smallest_singular_values(bracket, spectrum):
     sector splits into n 2x2 matrices, its coefficient polynomials at each
     eigenvalue kappa of `spectrum`; their singular values are the sector's.
     """
-    if bracket.op is not None and spectrum.operator is not bracket.op:
+    if spectrum.operator is not bracket.op:
         raise ValueError("spectrum is not the spectrum of the bracket's operator")
     kappa = spectrum.eigenvalues[:, None, None]
     out = {}

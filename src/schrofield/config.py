@@ -26,10 +26,12 @@ from .presets import (
 )
 
 INTEGRATORS = ("crank_nicolson", "leapfrog", "rk4", "spectral")
-FAULTS = ("dirac_sign_flip",)
 # Largest t_final / dt a run may take; ample for any study, and it keeps a tiny
 # dt from asking for an endless loop (or a step set of that size) up front.
 MAX_STEPS = 10**7
+# Largest grid a current-residual study may decompose densely: `verify`'s refined
+# grid at n = 3200. Its K and spectrum take 24 n^2 bytes, 0.98 GB at this n.
+MAX_DENSE_N = 6401
 # `lattice.eigenpairs` costs about 55 O(n) Sturm counts per mode, one dense
 # `eigh` O(n^3), so the stencil wins below about k* = c n^2 modes. Measured
 # (Dirichlet harmonic on [-20, 20], 1 BLAS thread, best of 7): k* = 0.9, 2.6,
@@ -48,7 +50,6 @@ _TOP_KEYS = {
     "dt",
     "t_final",
     "output",
-    "fault",
 }
 _GRID_KEYS = {"n", "x_min", "x_max", "boundary"}
 _OUTPUT_KEYS = {"observables", "snapshot_stride"}
@@ -72,7 +73,6 @@ class ScenarioConfig:
     t_final: float
     observables: tuple = _OBSERVABLES
     snapshot_stride: int = 0
-    fault: str = ""
 
     def as_dict(self):
         return {
@@ -93,7 +93,6 @@ class ScenarioConfig:
                 "observables": list(self.observables),
                 "snapshot_stride": self.snapshot_stride,
             },
-            "fault": self.fault,
         }
 
 
@@ -224,10 +223,6 @@ def config_from_dict(raw):
     if stride < 0:
         raise ConfigError("snapshot_stride must be >= 0")
 
-    fault = raw.get("fault", "")
-    if fault and fault not in FAULTS:
-        raise ConfigError(f"unknown fault {fault!r}; choose from {FAULTS}")
-
     dt = as_finite(raw.get("dt", 1e-3), "dt")
     t_final = as_finite(raw.get("t_final", 1.0), "t_final")
     hbar = as_finite(raw.get("hbar", 1.0), "hbar")
@@ -255,7 +250,6 @@ def config_from_dict(raw):
         t_final=t_final,
         observables=observables,
         snapshot_stride=stride,
-        fault=fault,
     )
 
 

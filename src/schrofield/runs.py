@@ -25,7 +25,7 @@ from . import constrained as cn
 from . import correspondence as cr
 from . import field as fd
 from . import schrodinger as sd
-from .config import MAX_STEPS, assemble
+from .config import MAX_DENSE_N, MAX_STEPS, assemble
 from .errors import ConfigError, EllipticObstructionError
 from .lattice import eigendecompose, solve_elliptic, stencil_product
 
@@ -573,17 +573,6 @@ def _identity(name, violation, tol, passed=None, note=None, asserted=True):
     return entry
 
 
-def _faulted_dirac(op, layout, fault):
-    jd = br.dirac_structure(op, layout)
-    if not fault:
-        return jd
-    c = np.array(jd.coeffs)
-    if fault == "dirac_sign_flip":
-        varphi, p = br.BLOCKS.index("varphi"), br.BLOCKS.index("p")
-        c[[varphi, p], [p, varphi]] *= -1.0
-    return br.BracketTable(c, layout, op)
-
-
 def _commuting_diagram_orders(op, spec, phi0, p0, dt, nsteps):
     """Measured convergence order of both reduction-vs-evolution diagrams."""
     s0 = cn.make_onshell(op, phi0, p0)
@@ -629,18 +618,18 @@ def run_verify(scenario, seed=0, out_dir=None, quiet=False):
     timings = {}
     rng = np.random.default_rng(seed)
     cfg = scenario.config
+    _check_refined_grids(cfg, _VERIFY_CURRENT_LEVELS)
     op, spec = scenario.operator, scenario.spectrum
     n = op.n
-    layout = br.PhaseLayout(n=n, dx=op.grid.dx)
 
     with _timed(timings, "dirac_structure"):
-        jd = _faulted_dirac(op, layout, cfg.fault)
+        jd = br.dirac_structure(op)
     with _timed(timings, "verify_dirac_relations"):
-        entries = br.verify_dirac_relations(op, layout, tol=1e-10, dirac=jd)
+        entries = br.verify_dirac_relations(jd, tol=1e-10)
     with _timed(timings, "dirac_flow_check"):
-        entries += br.dirac_flow_check(op, layout, tol=1e-12, rng=rng, dirac=jd)
+        entries += br.dirac_flow_check(jd, tol=1e-12, rng=rng)
     with _timed(timings, "generalized_hamiltonian_check"):
-        entries += br.generalized_hamiltonian_check(op, layout, tol=1e-12, rng=rng)
+        entries += br.generalized_hamiltonian_check(op, tol=1e-12, rng=rng)
     identities = [_identity(e["name"], e["violation"], e["tolerance"]) for e in entries]
     with _timed(timings, "jacobi_cyclic_residual"):
         jacobi = br.jacobi_cyclic_residual(jd, rng=rng)
@@ -720,7 +709,7 @@ def run_verify(scenario, seed=0, out_dir=None, quiet=False):
     v_step = float(np.max(np.abs(np.diff(v)))) if n > 1 else 0.0
     smooth = v_range == 0.0 or v_step <= 0.25 * v_range
     with _timed(timings, "current_residual_decays"):
-        decays = _current_errors(scenario, levels=2)
+        decays = _current_errors(scenario, levels=_VERIFY_CURRENT_LEVELS)
     if any(np.isnan(d) for d in decays):
         violation, asserted = 0.0, False
         note = "measured only: " + (
@@ -821,6 +810,27 @@ def _packet_probe_state(spec):
 
 # Steps of the coarsest level of a current-residual refinement study.
 _CURRENT_BASE_STEPS = 8
+# Levels of verify's current-residual study: the scenario's grid and one refinement.
+_VERIFY_CURRENT_LEVELS = 2
+
+
+def _check_refined_grids(cfg, levels):
+    """Refuse a current-residual study whose finest refined grid is past MAX_DENSE_N.
+
+    Each refined level decomposes a dense K, so this runs before any study
+    and any output. Refining stops past the limit: a huge `levels` builds no
+    huge int. An inline potential is measured on its own grid only.
+    """
+    if cfg.potential["name"] == "inline":
+        return
+    n = cfg.grid_n
+    for _ in range(levels - 1):
+        n = _refine(n, cfg.boundary)
+        if n > MAX_DENSE_N:
+            raise ConfigError(
+                f"{levels} refinement levels refine the {cfg.grid_n}-point grid past "
+                f"the limit of {MAX_DENSE_N} points for a dense spectrum"
+            )
 
 
 def _current_errors(scenario, levels):
@@ -881,6 +891,7 @@ def run_convergence(scenario, out_dir, levels=3, quiet=False):
             f"{levels} refinement levels need {coarsest} * 2^{levels - 1} steps at the "
             f"finest level, over the limit of {MAX_STEPS} steps"
         )
+    _check_refined_grids(cfg, levels)
     psi0 = sd.WaveFunction(re=re0, im=im0)
     with _refusing_kernel_content("convergence"):
         s0_dq = cr.dequantize(spec, psi0, 0.0, tol=1e-8)

@@ -7,6 +7,7 @@ from schrofield import (
     build_operator,
     eigendecompose,
 )
+from schrofield.brackets import BLOCKS, BracketTable
 
 
 # Higham's gamma_3 = 3u / (1 - 3u), u the unit roundoff: the componentwise
@@ -27,7 +28,7 @@ def stencil_error_bound(op, f):
 
 def dense_table(table):
     """Oracle: the full matrix of a BlockTable, each block its polynomial in the dense K."""
-    powers = [np.eye(table.layout.n)]
+    powers = [np.eye(table.op.n)]
     for _ in range(table.degree):
         powers.append(powers[-1] @ table.op.matrix)
     return np.block(
@@ -60,43 +61,65 @@ def rk4_taylor_oracle(op, y, dt):
     return exact.reshape(y.shape), scale.reshape(y.shape)
 
 
-def dense_canonical_structure(layout):
+def block(name, n):
+    """Slice of the named block inside a flattened phase vector of 4n entries."""
+    i = BLOCKS.index(name)
+    return slice(i * n, (i + 1) * n)
+
+
+def dense_canonical_structure(op):
     """Oracle: the canonical Poisson matrix, {phi, p} and {varphi, pi} at I/dx."""
-    n = layout.n
-    j = np.zeros((layout.dim, layout.dim))
-    eye = np.eye(n) / layout.dx
-    j[layout.block("phi"), layout.block("p")] = eye
-    j[layout.block("p"), layout.block("phi")] = -eye
-    j[layout.block("varphi"), layout.block("pi")] = eye
-    j[layout.block("pi"), layout.block("varphi")] = -eye
+    n = op.n
+    j = np.zeros((4 * n, 4 * n))
+    eye = np.eye(n) / op.grid.dx
+    j[block("phi", n), block("p", n)] = eye
+    j[block("p", n), block("phi", n)] = -eye
+    j[block("varphi", n), block("pi", n)] = eye
+    j[block("pi", n), block("varphi", n)] = -eye
     return j
 
 
-def dense_constraint_gradients(op, layout):
+def dense_constraint_gradients(op):
     """Oracle: the 2n x 4n constraint gradient matrix [K | 0 | I | 0], [0 | 0 | 0 | I]."""
-    n = layout.n
-    g = np.zeros((2 * n, layout.dim))
-    g[:n, layout.block("phi")] = op.matrix
-    g[:n, layout.block("varphi")] = np.eye(n)
-    g[n:, layout.block("pi")] = np.eye(n)
+    n = op.n
+    g = np.zeros((2 * n, 4 * n))
+    g[:n, block("phi", n)] = op.matrix
+    g[:n, block("varphi", n)] = np.eye(n)
+    g[n:, block("pi", n)] = np.eye(n)
     return g
 
 
-def constraint_bracket_matrix(op, layout):
+def constraint_bracket_matrix(op):
     """Oracle: the mutual constraint brackets C = G J G^T as a dense 2n x 2n matrix."""
-    g = dense_constraint_gradients(op, layout)
-    c = g @ dense_canonical_structure(layout) @ g.T
+    g = dense_constraint_gradients(op)
+    c = g @ dense_canonical_structure(op) @ g.T
     if np.linalg.matrix_rank(c) < c.shape[0]:
         raise np.linalg.LinAlgError("constraint bracket matrix is singular")
     return c
 
 
-def dirac_structure_generic(op, layout):
+def dirac_structure_generic(op):
     """Oracle: the dense Dirac matrix J - J G^T C^{-1} G J, C inverted by a linear solve."""
-    j = dense_canonical_structure(layout)
-    g = dense_constraint_gradients(op, layout)
-    c = constraint_bracket_matrix(op, layout)
+    j = dense_canonical_structure(op)
+    g = dense_constraint_gradients(op)
+    c = constraint_bracket_matrix(op)
     return j - (j @ g.T) @ np.linalg.solve(c, g @ j)
+
+
+def sign_flipped(dirac_structure):
+    """`dirac_structure` with the {varphi, p} and {p, varphi} blocks of J_D negated.
+
+    A test-side bracket fault: monkeypatched over `brackets.dirac_structure`,
+    it reaches every check `verify` runs on the table.
+    """
+
+    def flipped(op):
+        c = np.array(dirac_structure(op).coeffs)
+        varphi, p = BLOCKS.index("varphi"), BLOCKS.index("p")
+        c[[varphi, p], [p, varphi]] *= -1.0
+        return BracketTable(c, op)
+
+    return flipped
 
 
 @pytest.fixture(scope="session")

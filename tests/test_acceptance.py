@@ -18,6 +18,7 @@ from schrofield import (
     build_operator,
     dequantize,
     dirac_flow_check,
+    dirac_structure,
     eigendecompose,
     energy_densities,
     field_to_wave,
@@ -38,7 +39,6 @@ from schrofield import (
     verify_dirac_relations,
     wave_to_field,
 )
-from schrofield.brackets import PhaseLayout
 from schrofield.constrained import constraint_residuals, rk4_trajectory
 from schrofield.correspondence import current_residual
 from schrofield.field import (
@@ -252,12 +252,12 @@ def test_criterion_05_constrained_dynamics(harmonic400, small_harmonic):
 
 def test_criterion_06_bracket_algebra(harmonic400):
     op, spec = harmonic400
-    layout = PhaseLayout(n=400, dx=op.grid.dx)
-    report = verify_dirac_relations(op, layout, tol=1e-10)
+    jd = dirac_structure(op)
+    report = verify_dirac_relations(jd, tol=1e-10)
     for entry in report:
         assert entry["passed"], entry
     rng = np.random.default_rng(606)
-    for entry in dirac_flow_check(op, layout, tol=1e-12, rng=rng):
+    for entry in dirac_flow_check(jd, tol=1e-12, rng=rng):
         assert entry["passed"], entry
     _report(6, "all Dirac-bracket block identities hold at 1e-10 and both "
                "dynamical-sector flows reproduce the dynamics at 1e-12")
@@ -265,9 +265,8 @@ def test_criterion_06_bracket_algebra(harmonic400):
 
 def test_criterion_07_generalized_hamiltonian_form(harmonic400):
     op, spec = harmonic400
-    layout = PhaseLayout(n=400, dx=op.grid.dx)
     rng = np.random.default_rng(707)
-    for entry in generalized_hamiltonian_check(op, layout, tol=1e-12, rng=rng, batch=20):
+    for entry in generalized_hamiltonian_check(op, tol=1e-12, rng=rng, batch=20):
         assert entry["passed"], entry
 
     psi = WaveFunction(re=rng.standard_normal(400), im=rng.standard_normal(400))

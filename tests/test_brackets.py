@@ -19,48 +19,45 @@ from schrofield import brackets
 from schrofield.brackets import (
     BlockTable,
     BracketTable,
-    PhaseLayout,
     _jacobi_terms,
     jacobi_cyclic_residual,
     noncanonical_structure,
     sector_smallest_singular_values,
 )
 
-from conftest import constraint_bracket_matrix, dense_table, dirac_structure_generic
-
-
-def _layout(op):
-    return PhaseLayout(n=op.n, dx=op.grid.dx)
-
-
-def test_layout_pack_unpack(small_harmonic, rng):
-    op, _ = small_harmonic
-    lay = _layout(op)
-    parts = [rng.standard_normal(40) for _ in range(4)]
-    z = lay.pack(*parts)
-    assert z.shape == (160,)
-    for got, want in zip(lay.unpack(z), parts):
-        assert np.array_equal(got, want)
+from conftest import block, constraint_bracket_matrix, dense_table, dirac_structure_generic
 
 
 def test_canonical_structure_blocks(small_harmonic):
     op, _ = small_harmonic
-    lay = _layout(op)
-    j = canonical_structure(lay)
+    j = canonical_structure(op)
     m = dense_table(j)
     assert np.max(np.abs(m + m.T)) == 0.0
-    eye_dx = np.eye(40) / lay.dx
-    assert np.array_equal(m[lay.block("phi"), lay.block("p")], eye_dx)
-    assert np.array_equal(m[lay.block("varphi"), lay.block("pi")], eye_dx)
-    assert not m[lay.block("phi"), lay.block("varphi")].any()
-    assert not m[lay.block("phi"), lay.block("pi")].any()
+    eye_dx = np.eye(40) / op.grid.dx
+    assert np.array_equal(m[block("phi", 40), block("p", 40)], eye_dx)
+    assert np.array_equal(m[block("varphi", 40), block("pi", 40)], eye_dx)
+    assert not m[block("phi", 40), block("varphi", 40)].any()
+    assert not m[block("phi", 40), block("pi", 40)].any()
 
 
-def test_bracket_matrix_rejects_symmetric_part():
-    lay = PhaseLayout(n=3, dx=1.0)
+def test_bracket_matrix_rejects_symmetric_part(free3):
     bad = np.eye(4)[:, :, None]  # the 12 x 12 identity, as identity blocks
     with pytest.raises(ValueError):
-        BracketTable(bad, lay)
+        BracketTable(bad, free3)
+
+
+def test_tables_over_distinct_operators_refuse_to_combine():
+    # Two operators on one grid with one potential: equal stencils, but not
+    # the same operator, so no table over one may meet a table over the other.
+    grid = build_grid(12, -3.0, 3.0)
+    op_a, op_b = (build_operator(grid, Potential(np.zeros(12))) for _ in range(2))
+    a, b = dirac_structure(op_a), dirac_structure(op_b)
+    assert np.array_equal(a.coeffs, b.coeffs)
+    for combine in (lambda: a + b, lambda: a - b, lambda: a @ b, lambda: a.T @ b.T):
+        with pytest.raises(ValueError, match="different operators"):
+            combine()
+    # the same operator combines
+    assert (a - dirac_structure(op_a)).max_abs() == 0.0
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -71,29 +68,26 @@ def test_max_abs_sums_wrapped_offsets(n):
     # at n = 4 its only entries are the (i, i + 2) ones, 2 b^2, reached both
     # ways round the ring.
     op = build_operator(build_grid(n, 0.0, 1.0, "periodic"), Potential(np.zeros(n)))
-    lay = _layout(op)
     b = op.coupling
     for poly in ([2.0 * b * b, 4.0 * b, 1.0], [0.0, 0.0, 1.0], [1.0, -2.0, 0.5, 3.0]):
-        table = BlockTable([[poly]], lay, op)
+        table = BlockTable([[poly]], op)
         want = np.max(np.abs(dense_table(table)))
         assert abs(table.max_abs() - want) <= 1e-12 * max(want, b**3)
 
 
 def test_constraint_gradients(small_harmonic, rng):
     op, _ = small_harmonic
-    lay = _layout(op)
-    g = dense_table(constraint_gradient_matrix(op, lay))
+    g = dense_table(constraint_gradient_matrix(op))
     phi = rng.standard_normal(40)
     p = rng.standard_normal(40)
-    z = lay.pack(phi, p, -op.matrix @ phi, np.zeros(40))
+    z = np.concatenate([phi, p, -op.matrix @ phi, np.zeros(40)])
     residual = g @ z
     assert np.max(np.abs(residual)) < 1e-12
-    assert np.array_equal(g[:40, lay.block("phi")], op.matrix)
+    assert np.array_equal(g[:40, block("phi", 40)], op.matrix)
 
     # finite-difference oracle on the constraint functionals
     def c1_at(i, z):
-        phi_, _, varphi_, _ = lay.unpack(z)
-        return varphi_[i] + float(op.matrix[i] @ phi_)
+        return z[block("varphi", 40)][i] + float(op.matrix[i] @ z[block("phi", 40)])
 
     z0 = rng.standard_normal(160)
     eps = 1e-6
@@ -107,77 +101,72 @@ def test_constraint_gradients(small_harmonic, rng):
 
 def test_constraint_bracket_block_form(small_harmonic):
     op, _ = small_harmonic
-    lay = _layout(op)
-    c = constraint_bracket_matrix(op, lay)
+    dx = op.grid.dx
+    c = constraint_bracket_matrix(op)
     n = 40
-    eye_dx = np.eye(n) / lay.dx
-    assert np.max(np.abs(c[:n, n:] - eye_dx)) < 1e-12 / lay.dx
-    assert np.max(np.abs(c[n:, :n] + eye_dx)) < 1e-12 / lay.dx
-    assert np.max(np.abs(c[:n, :n])) < 1e-12 / lay.dx
-    assert np.max(np.abs(c[n:, n:])) < 1e-12 / lay.dx
+    eye_dx = np.eye(n) / dx
+    assert np.max(np.abs(c[:n, n:] - eye_dx)) < 1e-12 / dx
+    assert np.max(np.abs(c[n:, :n] + eye_dx)) < 1e-12 / dx
+    assert np.max(np.abs(c[:n, :n])) < 1e-12 / dx
+    assert np.max(np.abs(c[n:, n:])) < 1e-12 / dx
     svals = np.linalg.svd(c, compute_uv=False)
-    assert abs(svals[-1] - 1.0 / lay.dx) < 1e-10 / lay.dx
+    assert abs(svals[-1] - 1.0 / dx) < 1e-10 / dx
     # the table algebra that dirac_structure inverts gives the same matrix
-    g = constraint_gradient_matrix(op, lay)
-    c_table = g @ canonical_structure(lay) @ g.T
+    g = constraint_gradient_matrix(op)
+    c_table = g @ canonical_structure(op) @ g.T
     assert c_table.degree == 0
-    assert np.max(np.abs(dense_table(c_table) - c)) < 1e-12 / lay.dx
+    assert np.max(np.abs(dense_table(c_table) - c)) < 1e-12 / dx
 
 
 def test_constraint_bracket_independent_of_potential(rng):
     grid = build_grid(24, -3.0, 3.0)
-    lay = PhaseLayout(n=24, dx=grid.dx)
     op_a = build_operator(grid, Potential(np.zeros(24)))
     op_b = build_operator(grid, Potential(rng.standard_normal(24)))
-    c_a = constraint_bracket_matrix(op_a, lay)
-    c_b = constraint_bracket_matrix(op_b, lay)
+    c_a = constraint_bracket_matrix(op_a)
+    c_b = constraint_bracket_matrix(op_b)
     assert np.array_equal(c_a, c_b)
 
 
 def test_dirac_structure_blocks(small_harmonic):
     op, _ = small_harmonic
-    lay = _layout(op)
-    jd = dirac_structure(op, lay)
+    jd = dirac_structure(op)
     m = dense_table(jd)
-    eye_dx = np.eye(40) / lay.dx
-    k_dx = op.matrix / lay.dx
+    eye_dx = np.eye(40) / op.grid.dx
+    k_dx = op.matrix / op.grid.dx
     tol = 1e-12 * np.max(np.abs(k_dx))
-    assert np.max(np.abs(m[lay.block("pi"), :])) < tol
-    assert np.max(np.abs(m[:, lay.block("pi")])) < tol
-    assert np.max(np.abs(m[lay.block("phi"), lay.block("varphi")])) < tol
-    assert np.max(np.abs(m[lay.block("phi"), lay.block("p")] - eye_dx)) < tol
-    assert np.max(np.abs(m[lay.block("varphi"), lay.block("p")] + k_dx)) < tol
+    assert np.max(np.abs(m[block("pi", 40), :])) < tol
+    assert np.max(np.abs(m[:, block("pi", 40)])) < tol
+    assert np.max(np.abs(m[block("phi", 40), block("varphi", 40)])) < tol
+    assert np.max(np.abs(m[block("phi", 40), block("p", 40)] - eye_dx)) < tol
+    assert np.max(np.abs(m[block("varphi", 40), block("p", 40)] + k_dx)) < tol
 
 
 def test_dirac_generic_solve_matches_block_inverse(small_harmonic):
     op, _ = small_harmonic
-    lay = _layout(op)
-    a = dense_table(dirac_structure(op, lay))
-    b = dirac_structure_generic(op, lay)
+    a = dense_table(dirac_structure(op))
+    b = dirac_structure_generic(op)
     assert np.max(np.abs(a - b)) < 1e-10 * np.max(np.abs(a))
 
 
 def test_verify_relations_pass_free3(free3):
-    lay = _layout(free3)
-    report = verify_dirac_relations(free3, lay)
+    report = verify_dirac_relations(dirac_structure(free3))
     assert all(entry["passed"] for entry in report)
 
 
 def test_verify_relations_pass_harmonic400(harmonic400):
     op, _ = harmonic400
-    report = verify_dirac_relations(op, _layout(op))
+    report = verify_dirac_relations(dirac_structure(op))
     assert all(entry["passed"] for entry in report)
 
 
 def test_verify_relations_detector_flags_targeted_identities(small_harmonic, rng):
     op, _ = small_harmonic
-    lay = _layout(op)
-    c = np.array(dirac_structure(op, lay).coeffs)
+    c = np.array(dirac_structure(op).coeffs)
     # a table holds polynomials in K, so the noise is a random c0 I + c1 K
     noise = 1e-6 * rng.standard_normal(2)
     c[0, 1] += noise
     c[1, 0] -= noise
-    report = verify_dirac_relations(op, lay, dirac=BracketTable(c, lay, op))
+    report = verify_dirac_relations(BracketTable(c, op))
     failed = {e["name"] for e in report if not e["passed"]}
     assert failed == {
         "dirac_phi_p_is_delta",
@@ -186,22 +175,34 @@ def test_verify_relations_detector_flags_targeted_identities(small_harmonic, rng
     }
 
 
+def test_verify_relations_flag_a_table_at_half_scale(small_harmonic):
+    # The scale of every block comes from the table's own operator, so a J_D
+    # built as if dx were twice the grid's no longer passes.
+    op, _ = small_harmonic
+    report = verify_dirac_relations(BracketTable(0.5 * dirac_structure(op).coeffs, op))
+    failed = {e["name"] for e in report if not e["passed"]}
+    assert failed == {
+        "dirac_phi_p_is_delta",
+        "dirac_varphi_p_is_minus_K",
+        "dirac_field_sector_canonical",
+        "dirac_wave_sector_noncanonical",
+    }
+
+
 def test_casimir_and_sector_coincidences(small_harmonic):
     op, _ = small_harmonic
-    lay = _layout(op)
-    jd = dirac_structure(op, lay)
-    g = dense_table(constraint_gradient_matrix(op, lay))
+    jd = dirac_structure(op)
+    g = dense_table(constraint_gradient_matrix(op))
     scale = np.max(np.abs(dense_table(jd)))
     assert np.max(np.abs(dense_table(jd) @ g.T)) < 1e-12 * scale
-    canon = dense_table(canonical_structure(lay).sector(("phi", "p")))
+    canon = dense_table(canonical_structure(op).sector(("phi", "p")))
     assert np.max(np.abs(dense_table(jd.sector(("phi", "p"))) - canon)) < 1e-12 * scale
-    noncanon = dense_table(noncanonical_structure(op, lay))
+    noncanon = dense_table(noncanonical_structure(op))
     assert np.max(np.abs(dense_table(jd.sector(("varphi", "p"))) - noncanon)) < 1e-12 * scale
 
 
 def test_generalized_hamiltonian_checks(free3, rng):
-    lay = _layout(free3)
-    report = generalized_hamiltonian_check(free3, lay, rng=rng)
+    report = generalized_hamiltonian_check(free3, rng=rng)
     by_name = {e["name"]: e for e in report}
     assert by_name["generalized_flow_matches_schrodinger"]["violation"] < 1e-13
     assert by_name["generalized_energy_conserved"]["violation"] < 1e-13
@@ -209,8 +210,8 @@ def test_generalized_hamiltonian_checks(free3, rng):
     spec = eigendecompose(free3)
     u0 = spec.vectors[:, -1]
     k0 = spec.eigenvalues[-1]
-    jp = noncanonical_structure(free3, lay)
-    grad = lay.dx * np.concatenate([u0, np.zeros(3)]) / free3.hbar
+    jp = noncanonical_structure(free3)
+    grad = free3.grid.dx * np.concatenate([u0, np.zeros(3)]) / free3.hbar
     flow = jp @ grad
     dre, dim = schrodinger_rhs(free3, WaveFunction(re=u0, im=np.zeros(3)))
     assert np.max(np.abs(flow[:3] - dre)) < 1e-13
@@ -225,13 +226,13 @@ def test_generalized_energy_conserved_at_n3200():
     x = grid.points()
     op = build_operator(grid, Potential(0.5 * x * x))
     for seed in range(3):
-        report = generalized_hamiltonian_check(op, _layout(op), rng=np.random.default_rng(seed))
+        report = generalized_hamiltonian_check(op, rng=np.random.default_rng(seed))
         assert all(entry["passed"] for entry in report), report
 
 
 def test_generalized_energy_conserved_flags_a_symmetric_part(small_harmonic, monkeypatch):
     op, _ = small_harmonic
-    jp = noncanonical_structure(op, _layout(op))
+    jp = noncanonical_structure(op)
 
     class Tilted:
         """J' plus a symmetric part 1e-9 of its size along grad."""
@@ -240,18 +241,17 @@ def test_generalized_energy_conserved_flags_a_symmetric_part(small_harmonic, mon
             flow = jp @ grad
             return flow + 1e-9 * (np.linalg.norm(flow) / np.linalg.norm(grad)) * grad
 
-    monkeypatch.setattr(brackets, "noncanonical_structure", lambda op, layout: Tilted())
-    by_name = {e["name"]: e for e in generalized_hamiltonian_check(op, _layout(op))}
+    monkeypatch.setattr(brackets, "noncanonical_structure", lambda op: Tilted())
+    by_name = {e["name"]: e for e in generalized_hamiltonian_check(op)}
     assert 5e-10 < by_name["generalized_energy_conserved"]["violation"] < 2e-9
 
 
 def test_dirac_flow_checks(small_harmonic, rng):
     op, _ = small_harmonic
-    lay = _layout(op)
-    for entry in dirac_flow_check(op, lay, rng=rng):
+    jd = dirac_structure(op)
+    for entry in dirac_flow_check(jd, rng=rng):
         assert entry["passed"], entry
     # zero state generates zero flow
-    jd = dirac_structure(op, lay)
     zero_flow = jd.sector(("varphi", "p")) @ np.zeros(80)
     assert not zero_flow.any()
 
@@ -275,7 +275,7 @@ def _dense_jacobi_terms(j, rng):
 
 def test_jacobi_cyclic_residual(small_harmonic, periodic_free64):
     for op, _ in (small_harmonic, periodic_free64):
-        jd = dirac_structure(op, _layout(op))
+        jd = dirac_structure(op)
         rng_fast, rng_dense = np.random.default_rng(12345), np.random.default_rng(12345)
         for _ in range(3):
             fast = _jacobi_terms(jd, rng_fast)
@@ -294,7 +294,7 @@ def test_jacobi_cyclic_residual(small_harmonic, periodic_free64):
 
 def test_sector_nondegeneracy_values(small_harmonic, periodic_free64):
     op, spec = small_harmonic
-    jd = dirac_structure(op, _layout(op))
+    jd = dirac_structure(op)
     svals = sector_smallest_singular_values(jd, spec)
     assert abs(svals["phi_p"] - 1.0 / op.grid.dx) < 1e-10 / op.grid.dx
     min_kappa = np.min(np.abs(spec.eigenvalues))
@@ -302,7 +302,7 @@ def test_sector_nondegeneracy_values(small_harmonic, periodic_free64):
     assert svals["varphi_p"] > 0.0
 
     op_p, spec_p = periodic_free64
-    jd_p = dirac_structure(op_p, PhaseLayout(n=64, dx=op_p.grid.dx))
+    jd_p = dirac_structure(op_p)
     svals_p = sector_smallest_singular_values(jd_p, spec_p)
     # kernel mode degenerates the wave sector; reported, not asserted positive
     assert svals_p["varphi_p"] < 1e-10
@@ -317,13 +317,12 @@ def test_bracket_layer_memory_is_linear_at_n3200():
     grid = build_grid(3200, -20.0, 20.0)
     x = grid.points()
     op = build_operator(grid, Potential(0.5 * x * x))
-    lay = _layout(op)
     tracemalloc.start()
     try:
-        jd = dirac_structure(op, lay)
-        report = verify_dirac_relations(op, lay, dirac=jd)
-        report += dirac_flow_check(op, lay, dirac=jd)
-        generalized_hamiltonian_check(op, lay)
+        jd = dirac_structure(op)
+        report = verify_dirac_relations(jd)
+        report += dirac_flow_check(jd)
+        generalized_hamiltonian_check(op)
         jacobi = jacobi_cyclic_residual(jd)
         _, peak = tracemalloc.get_traced_memory()
     finally:

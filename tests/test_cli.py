@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from schrofield import config as config_module
-from schrofield import lattice, runs
+from schrofield import brackets, lattice, runs
 from schrofield import schrodinger as sd
 from schrofield.cli import main
 from schrofield.config import (
+    MAX_DENSE_N,
     MAX_STEPS,
     ConfigError,
     build_scenario,
@@ -21,6 +22,8 @@ from schrofield.config import (
 )
 from schrofield.render import render_snapshots
 from schrofield.runs import run_schrodinger, run_verify
+
+from conftest import sign_flipped
 
 
 def _write(tmp_path, name, cfg):
@@ -727,16 +730,16 @@ def test_real_kernel_content_is_refused_before_any_output(
     assert "zero-mode content" in err
 
 
-def test_verify_cli_passes_and_fault_flags_targets(tmp_path):
-    cfg_ok = _write(tmp_path, "ok.json", _harmonic_cfg())
+def test_verify_cli_passes_and_fault_flags_targets(tmp_path, monkeypatch):
+    cfg = _write(tmp_path, "ok.json", _harmonic_cfg())
     out = tmp_path / "vrun"
-    assert main(["verify", "--config", cfg_ok, "--out", str(out), "--quiet"]) == 0
+    assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     report = json.loads((out / "verify_report.json").read_text())
     assert report["all_pass"] is True
 
-    cfg_bad = _write(tmp_path, "bad.json", _harmonic_cfg(fault="dirac_sign_flip"))
+    monkeypatch.setattr(brackets, "dirac_structure", sign_flipped(brackets.dirac_structure))
     out_bad = tmp_path / "vbad"
-    assert main(["verify", "--config", cfg_bad, "--out", str(out_bad), "--quiet"]) == 1
+    assert main(["verify", "--config", cfg, "--out", str(out_bad), "--quiet"]) == 1
     report = json.loads((out_bad / "verify_report.json").read_text())
     failed = {e["name"] for e in report["identities"] if not e["passed"]}
     assert failed == {
@@ -745,6 +748,15 @@ def test_verify_cli_passes_and_fault_flags_targets(tmp_path):
         "dirac_constraint_casimir",
         "dirac_flow_wave_sector",
     }
+
+
+def test_fault_key_is_unknown(tmp_path, capsys):
+    # Faults are injected test-side; a config naming one is refused like any typo.
+    cfg = _write(tmp_path, "fault.json", _harmonic_cfg(fault="dirac_sign_flip"))
+    out = tmp_path / "vfault"
+    assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert "unknown keys ['fault'] in config" in capsys.readouterr().err
 
 
 def test_verify_cli_periodic_kernel_note(tmp_path):
@@ -897,6 +909,62 @@ def test_convergence_levels_past_step_budget_exit_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert (code, out.exists()) == (2, False)
     assert f"limit of {MAX_STEPS} steps" in capsys.readouterr().err
+
+
+# The CI convergence config: the verify config at n=200.
+_CONV200 = {
+    "grid": {"n": 200, "x_min": -20.0, "x_max": 20.0, "boundary": "dirichlet"},
+    "potential": {"name": "harmonic", "omega": 1.0},
+    "initial_state": {"type": "gaussian", "center": -2.0, "width": 1.0, "momentum": 1.0},
+    "integrator": "spectral",
+    "dt": 0.01,
+    "t_final": 1.0,
+}
+
+
+@pytest.mark.parametrize(
+    "cfg, levels",
+    [
+        (_CONV200, 8),  # finest grid 25,727 points
+        (_harmonic_cfg(grid={"n": 40, "x_min": -8.0, "x_max": 8.0}), 12),  # 83,967 points
+    ],
+)
+def test_convergence_past_dense_limit_exits_at_once(tmp_path, capsys, monkeypatch, cfg, levels):
+    studies = _count_calls(monkeypatch, sd, "crank_nicolson_trajectory")
+    path = _write(tmp_path, "conv.json", cfg)
+    out = tmp_path / "convrun"
+    start = time.perf_counter()
+    code = main(["convergence", "--config", path, "--out", str(out), "--levels", str(levels),
+                 "--quiet"])
+    assert time.perf_counter() - start < 2.0
+    assert (code, out.exists(), studies) == (2, False, [])
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert f"limit of {MAX_DENSE_N} points for a dense spectrum" in err
+
+
+@pytest.mark.parametrize("boundary, n", [("dirichlet", 3200), ("periodic", 3200)])
+def test_dense_limit_is_verify_grid_at_n3200(boundary, n):
+    grid = {"n": n, "x_min": -20.0, "x_max": 20.0, "boundary": boundary}
+    runs._check_refined_grids(config_from_dict({**_CONV200, "grid": grid}), 2)
+    grid["n"] = n + 1
+    with pytest.raises(ConfigError, match=f"limit of {MAX_DENSE_N} points"):
+        runs._check_refined_grids(config_from_dict({**_CONV200, "grid": grid}), 2)
+    # an inline potential is measured on its own grid and refines nothing
+    inline = {"name": "inline", "values": [0.0] * (n + 1)}
+    cfg = config_from_dict({**_CONV200, "grid": grid, "potential": inline})
+    runs._check_refined_grids(cfg, 10**9)
+
+
+def test_verify_past_dense_limit_exits_before_any_study(tmp_path, capsys, monkeypatch):
+    # verify's one refinement of n=64 is 129 points: past a limit lowered to 100.
+    monkeypatch.setattr(runs, "MAX_DENSE_N", 100)
+    checks = _count_calls(monkeypatch, runs.br, "dirac_structure")
+    cfg = _write(tmp_path, "v.json", _harmonic_cfg())
+    out = tmp_path / "vrun"
+    assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert (out.exists(), checks) == (False, [])
+    assert "limit of 100 points for a dense spectrum" in capsys.readouterr().err
 
 
 def test_spectrum_cli(tmp_path):

@@ -27,7 +27,6 @@ from schrofield import (
 )
 from schrofield.brackets import (
     BlockTable,
-    PhaseLayout,
     dirac_structure,
     sector_smallest_singular_values,
 )
@@ -131,7 +130,7 @@ def tables(draw, op):
     size = rows * cols * powers
     flat = draw(st.lists(_entries(10.0), min_size=size, max_size=size))
     coeffs = np.array(flat).reshape(rows, cols, powers)
-    return BlockTable(coeffs, PhaseLayout(n=op.n, dx=op.grid.dx), op)
+    return BlockTable(coeffs, op)
 
 
 def _abs_bound(table):
@@ -149,7 +148,7 @@ def _abs_bound(table):
 @SETTINGS
 @given(op=operators(), data=st.data())
 def test_table_matvec_and_max_abs_match_dense(op, data):
-    for table in (data.draw(tables(op)), dirac_structure(op, PhaseLayout(n=op.n, dx=op.grid.dx))):
+    for table in (data.draw(tables(op)), dirac_structure(op)):
         dense = dense_table(table)
         v = _vector(data, dense.shape[1])
         bound = 32 * EPS * (_abs_bound(table) @ np.abs(v))
@@ -163,9 +162,8 @@ def test_table_matvec_and_max_abs_match_dense(op, data):
 @given(op=operators())
 @example(op=_free_periodic())
 def test_dirac_structure_matches_generic_oracle(op):
-    layout = PhaseLayout(n=op.n, dx=op.grid.dx)
-    got = dense_table(dirac_structure(op, layout))
-    want = dirac_structure_generic(op, layout)
+    got = dense_table(dirac_structure(op))
+    want = dirac_structure_generic(op)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -173,8 +171,7 @@ def test_dirac_structure_matches_generic_oracle(op):
 @given(op=operators())
 @example(op=_free_periodic())
 def test_sector_singular_values_match_dense_svd(op):
-    layout = PhaseLayout(n=op.n, dx=op.grid.dx)
-    jd = dirac_structure(op, layout)
+    jd = dirac_structure(op)
     spec = eigendecompose(op)
     got = sector_smallest_singular_values(jd, spec)
     for key, names in (("phi_p", ("phi", "p")), ("varphi_p", ("varphi", "p"))):
