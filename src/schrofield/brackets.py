@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import constrained as cn
 from .field import FieldState, field_rhs
 from .lattice import PERIODIC, Operator, apply, stencil_product
 from .schrodinger import WaveFunction, schrodinger_rhs
@@ -351,7 +352,7 @@ def dirac_flow_check(jd, tol=1e-12, rng=None, batch=5):
     for _ in range(int(batch)):
         phi = rng.standard_normal(op.n)
         p = rng.standard_normal(op.n)
-        varphi = -apply(op, phi)
+        varphi = cn.make_onshell(op, phi, p).varphi
         flow_wave = wave_sector @ _scaled_gradient(op, varphi, p)
         rhs = schrodinger_rhs(op, WaveFunction(re=varphi, im=p))
         worst_wave = max(worst_wave, _rhs_error(flow_wave, rhs))

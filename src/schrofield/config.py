@@ -106,7 +106,7 @@ class Scenario:
     does not apply, so a leapfrog, RK4 or Crank-Nicolson run on a Dirichlet
     grid, or any run from a gaussian or inline state, never does. Once
     `spectrum` is built, `superpose` reads it, so a command that decomposes K
-    anyway builds it first (`build_scenario(cfg, spectrum=True)`).
+    anyway builds it before these presets (`build_scenario(cfg, spectrum=True)`).
     """
 
     config: ScenarioConfig
@@ -259,16 +259,16 @@ def build_scenario(cfg, spectrum=False):
     Builds the grid, potential, operator and initial pair, then checks the
     time step against the integrator's stability bound and the initial pair
     for non-finite values, so every config error surfaces before a command
-    writes anything. The spectrum is left for first use, unless `spectrum`
-    asks for it before the initial pair, which then reads its modes from it:
-    for a command that decomposes K anyway.
+    writes anything. The spectrum is built on first use. With `spectrum`, for
+    a command that decomposes K anyway, the eigenstate and modes presets take
+    their modes from it, so it is built before their initial pair.
     """
     try:
         grid, potential, operator = assemble(cfg, cfg.grid_n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     scenario = Scenario(config=cfg, grid=grid, potential=potential, operator=operator)
-    if spectrum:
+    if spectrum and cfg.initial_state["type"] in ("eigenstate", "modes"):
         scenario.spectrum
     re, im = scenario.initial_pair
     validate_stability(cfg, operator)

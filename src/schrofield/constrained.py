@@ -16,7 +16,8 @@ uses this to evaluate the step as a Taylor polynomial by Horner's rule.
 
 Parameterizing the constraint surface by (varphi, p) reproduces the
 Schrodinger system; parameterizing by (phi, p) reproduces the field system.
-The reductions refuse off-shell input.
+The reductions refuse off-shell input. `_onshell_varphi` alone forms the
+surface; `make_onshell` and every c1 (`_c1`), the run loop's too, read it.
 """
 
 from dataclasses import dataclass
@@ -65,7 +66,7 @@ def offshell_pi_rate(op, s):
     Vanishes weakly; it is the c1 constraint over hbar, i.e. minus the
     functional derivative of the Hamiltonian with respect to varphi.
     """
-    return (s.varphi + apply(op, s.phi)) / op.hbar
+    return _c1(s.varphi, apply(op, s.phi)) / op.hbar
 
 
 def constrained_hamiltonian(op, s):
@@ -94,9 +95,19 @@ def _hamiltonian(op, y, ky, pi):
     )
 
 
+def _onshell_varphi(kphi):
+    """varphi on the constraint surface c1 = varphi + K phi = 0, given K phi."""
+    return -kphi
+
+
+def _c1(varphi, kphi):
+    """c1 = varphi + K phi, given K phi: varphi's distance from its on-shell value."""
+    return varphi - _onshell_varphi(kphi)
+
+
 def constraint_residuals(op, s):
     """(c1, c2) = (varphi + K phi, pi); both vanish on the constraint surface."""
-    return s.varphi + apply(op, s.phi), np.array(s.pi)
+    return _c1(s.varphi, apply(op, s.phi)), np.array(s.pi)
 
 
 def make_onshell(op, phi, p, time=0.0):
@@ -105,7 +116,7 @@ def make_onshell(op, phi, p, time=0.0):
     return ConstrainedState(
         phi=phi,
         p=p,
-        varphi=-apply(op, phi),
+        varphi=_onshell_varphi(apply(op, phi)),
         pi=np.zeros_like(phi),
         time=time,
     )
@@ -179,19 +190,14 @@ def rk4_trajectory(op, s0, dt, nsteps):
 
 
 def _require_onshell(op, s):
-    c1, c2 = constraint_residuals(op, s)
-    scale = max(
-        float(np.max(np.abs(s.varphi), initial=0.0)),
-        float(np.max(np.abs(apply(op, s.phi)), initial=0.0)),
-        float(np.max(np.abs(s.p), initial=0.0)),
-        float(np.max(np.abs(s.pi), initial=0.0)),
-    )
-    tol = ONSHELL_RTOL * scale
-    worst = max(float(np.max(np.abs(c1), initial=0.0)), float(np.max(np.abs(c2), initial=0.0)))
+    def largest(*fields):
+        return max(float(np.max(np.abs(f), initial=0.0)) for f in fields)
+
+    kphi = apply(op, s.phi)
+    tol = ONSHELL_RTOL * largest(s.varphi, kphi, s.p, s.pi)
+    worst = largest(_c1(s.varphi, kphi), s.pi)
     if worst > tol:
-        raise OffShellError(
-            f"constraint residual {worst:.3e} exceeds tolerance {tol:.3e}"
-        )
+        raise OffShellError(f"constraint residual {worst:.3e} exceeds tolerance {tol:.3e}")
 
 
 def reduce_to_wave(op, s):
@@ -215,7 +221,7 @@ def lagrangian_residuals(op, traj):
     dt = quadrature.uniform_dt(traj.times)
     phi, varphi = traj.phi, traj.varphi
     r1 = op.hbar * op.hbar * quadrature.d2dt2_interior(phi, dt) - apply(op, varphi[1:-1])
-    r2 = varphi + apply(op, phi)
+    r2 = _c1(varphi, apply(op, phi))
     return r1, r2
 
 

@@ -2,11 +2,13 @@
 
 The central identity: Psi = -K phi + i p solves the Schrodinger system
 whenever (phi, p) solves the field system, exactly at the discrete level.
-`quantize` applies that map; `dequantize` inverts it at t = 0 by solving the
-elliptic equation K C = -re(Psi(0)) for the integration constant, so the
-field state (C, im(Psi(0))) maps to Psi(0), and evolves that state by the
-exact field flow (`dequantize_quadrature` instead integrates the imaginary
-part by the trapezoid rule, which works on raw integrator output).
+`_wave` alone forms that map, and `_density_and_phase` alone reads P and S
+off Psi; every consumer, the run loop included, calls them. `quantize`
+applies the map; `dequantize` inverts it at t = 0 by solving the elliptic
+equation K C = -re(Psi(0)) for the integration constant, so the field state
+(C, im(Psi(0))) maps to Psi(0), and evolves that state by the exact field
+flow (`dequantize_quadrature` instead integrates the imaginary part by the
+trapezoid rule, which works on raw integrator output).
 
 The inversion is unique only up to zero modes of K: the pure imaginary,
 time-independent wave functions i Pi with K Pi = 0 map to nothing. That
@@ -46,9 +48,19 @@ class KernelBasis:
         return self.modes.shape[1]
 
 
+def _wave(kphi, p):
+    """(re, im) of the wave function Psi = -K phi + i p, given K phi and p."""
+    return -kphi, p
+
+
+def _density_and_phase(hbar, re, im):
+    """P = |Psi|^2 and S = hbar arg(Psi) of Psi = re + i im."""
+    return re * re + im * im, hbar * np.arctan2(im, re)
+
+
 def quantize(op, s):
     """Wave function generated by a field state: re = -K phi, im = p."""
-    return WaveFunction(re=-apply(op, s.phi), im=s.p, time=s.time)
+    return WaveFunction(*_wave(apply(op, s.phi), s.p), time=s.time)
 
 
 def field_to_wave(op, s):
@@ -67,7 +79,8 @@ def wave_to_field(op, psi):
 
 def quantize_trajectory(op, traj):
     """Pointwise quantize; Schrodinger residual decays at second order in dt."""
-    return Trajectory(traj.times, re=-apply(op, traj.phi), im=traj.p)
+    re, im = _wave(apply(op, traj.phi), traj.p)
+    return Trajectory(traj.times, re=re, im=im)
 
 
 def kernel_basis(spec):
@@ -112,10 +125,7 @@ def probability_and_phase(op, s):
     quadrant-correct two-argument arctangent of (p, -K phi); only its
     squared-tangent relation tan^2(S/hbar) = T/U is branch-independent.
     """
-    kphi = apply(op, s.phi)
-    p_dens = s.p * s.p + kphi * kphi
-    phase = op.hbar * np.arctan2(s.p, -kphi)
-    return p_dens, phase
+    return _density_and_phase(op.hbar, *_wave(apply(op, s.phi), s.p))
 
 
 def current_residual(op, traj, p_floor_rel=1e-8):

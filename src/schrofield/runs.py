@@ -2,15 +2,15 @@
 
 All numeric output is CSV with a header row and shortest round-trip float
 formatting, so identical configs produce byte-identical files. Every command
-writes its files through one run directory (`_RunDir`), whose manifest
-isolates the only non-reproducible quantity (wall time) in a single field
-and carries a sha256 inventory of exactly the files the command wrote.
+but `verify` (which writes its report itself) writes through one run
+directory (`_RunDir`), whose manifest isolates the only non-reproducible
+quantity (wall time) in a single field and carries a sha256 inventory of
+exactly the files the command wrote.
 """
 
 import bisect
 import hashlib
 import json
-import math
 import time
 from collections.abc import Callable
 from contextlib import contextmanager
@@ -163,8 +163,8 @@ def _write_snapshot(run, step, x, hbar, fields, re, im, observables):
     read off the wave function Psi = re + i im: P = |Psi|^2, S = hbar arg(Psi)
     and E = P / 2 hbar.
     """
-    p_dens = re * re + im * im
-    extras = {"P": p_dens, "S": hbar * np.arctan2(im, re), "E": 0.5 * p_dens / hbar}
+    p_dens, phase = cr._density_and_phase(hbar, re, im)
+    extras = {"P": p_dens, "S": phase, "E": 0.5 * p_dens / hbar}
     names, columns = zip(("x", x), *fields, *((k, extras[k]) for k in observables))
     run.csv(f"snapshot_{step:06d}.csv", names, columns)
 
@@ -188,13 +188,6 @@ def _snapshot_steps(nsteps, stride):
     if stride > 0:
         chosen.update(range(0, nsteps + 1, stride))
     return chosen
-
-
-def _check_blowup(value, initial, what):
-    if abs(value) > 10.0 * abs(initial) + 1e-12:
-        raise RuntimeError(
-            f"instability: {what} grew to {value!r} from {initial!r}; aborting run"
-        )
 
 
 def _spread(values):
@@ -249,42 +242,35 @@ _BLOCK_STEPS = 64
 _BLOCK_BYTES = 1 << 20
 
 
-def _check_step(picture, t, y, row, first):
-    """Raise on the first check that the state y at time t, or its series row, fails.
-
-    A non-finite state raises a ValueError naming its first non-finite field;
-    a non-finite row value, or a guarded value ten times its size in `first`
-    (the run's first row), aborts the run.
-    """
-    if not np.isfinite(y).all():
-        name = next(name for name, f in picture.fields(y) if not np.isfinite(f).all())
-        raise ValueError(f"{name} must be finite")
-    # A finite state can still overflow its row (inf, or nan from inf - inf).
-    for column, value in zip(picture.columns, row):
-        if not math.isfinite(value):
-            raise RuntimeError(f"instability: {column} is {value!r} at t={t!r}; aborting run")
-    guard, what = picture.guard
-    _check_blowup(row[guard], first[guard], what)
-
-
 def _checked_rows(picture, op, times, ys, ky, first):
     """Series rows of the block of states ys at `times`, given their products ky.
 
-    Checks every step at once; the first step that fails raises what
-    `_check_step` raises for it, as a step-by-step loop would. `first` is the
-    run's first row, or None for the block that holds it.
+    Checks every step at once and raises for the first that fails, as a
+    step-by-step loop would. A non-finite state raises a ValueError naming its
+    first non-finite field; a non-finite row value (a finite state can still
+    overflow its row), or a guarded value over ten times its size in `first`,
+    the run's first row (None for the block that holds it), aborts the run.
     """
     rows = np.column_stack(
         picture.row(op, np.asarray(times), ys.swapaxes(0, 1), ky.swapaxes(0, 1))
     )
-    if first is None:
-        first = rows[0]
-    guard = picture.guard[0]
-    ok = np.isfinite(ys).all(axis=(1, 2)) & np.isfinite(rows).all(axis=1)
-    ok &= ~(np.abs(rows[:, guard]) > 10.0 * abs(first[guard]) + 1e-12)
-    if not ok.all():
-        j = int(np.argmin(ok))
-        _check_step(picture, times[j], ys[j], rows[j].tolist(), first.tolist())
+    first = rows[0] if first is None else first
+    guard, what = picture.guard
+    finite, state_ok = np.isfinite(rows), np.isfinite(ys).all(axis=(1, 2))
+    grown = np.abs(rows[:, guard]) > 10.0 * abs(first[guard]) + 1e-12
+    bad = ~state_ok | ~finite.all(axis=1) | grown
+    if bad.any():
+        j = int(np.argmax(bad))
+        if not state_ok[j]:
+            name = next(name for name, f in picture.fields(ys[j]) if not np.isfinite(f).all())
+            raise ValueError(f"{name} must be finite")
+        row, c = rows[j].tolist(), int(np.argmin(finite[j]))
+        message = (
+            f"{picture.columns[c]} is {row[c]!r} at t={times[j]!r}"
+            if not finite[j, c]
+            else f"{what} grew to {row[guard]!r} from {float(first[guard])!r}"
+        )
+        raise RuntimeError(f"instability: {message}; aborting run")
     return rows
 
 
@@ -410,8 +396,7 @@ def _field_stepper(scenario):
 
 
 def _field_row(op, t, y, ky):
-    # quantize(state) = -K phi + i p
-    norm = sd._norm(op, -ky[0], y[1])
+    norm = sd._norm(op, *cr._wave(ky[0], y[1]))
     return (t, norm, fd._energy(op, y[1], ky[0]), 2.0 * op.hbar * norm)
 
 
@@ -424,8 +409,7 @@ _FIELD = _Picture(
     row=_field_row,
     guard=(2, "field hamiltonian"),
     fields=lambda y: (("phi", y[0]), ("p", y[1])),
-    # quantize(state) = -K phi + i p
-    wave=lambda y, ky: (-ky[0], y[1]),
+    wave=lambda y, ky: cr._wave(ky[0], y[1]),
     drift=(("norm_drift", 1, _spread), ("hamiltonian_drift", 2, _spread)),
     summary=("energy drift", "hamiltonian_drift"),
 )
@@ -445,7 +429,7 @@ def _constrained_stepper(scenario):
 
         def flow(t):
             phi, p = field(t)
-            return phi, p, -stencil_product(op, phi)
+            return phi, p, cn._onshell_varphi(stencil_product(op, phi))
 
         return y0, products(y0[None])[0], _flow_advance(flow, cfg.dt, products)
 
@@ -464,7 +448,7 @@ def _constrained_row(op, t, y, ky):
         t,
         norm,
         cn._hamiltonian(op, y, ky, pi),
-        np.abs(varphi + ky[0]).max(axis=-1),
+        np.abs(cn._c1(varphi, ky[0])).max(axis=-1),
         np.abs(pi).max(axis=-1),
         2.0 * op.hbar * norm,
     )
@@ -530,10 +514,9 @@ def run_dequantize(scenario, out_dir, quiet=False):
     for k in snaps:
         t = k * cfg.dt
         phi, p = field(t)
-        back_re = -stencil_product(op, phi)
-        ref_re, ref_im = wave(t)
-        rows.append((t, _max_error((back_re, ref_re), (p, ref_im))))
-        _write_snapshot(run, k, x, op.hbar, (("phi", phi), ("p", p)), back_re, p, cfg.observables)
+        back = cr._wave(stencil_product(op, phi), p)
+        rows.append((t, _max_error(*zip(back, wave(t)))))
+        _write_snapshot(run, k, x, op.hbar, (("phi", phi), ("p", p)), *back, cfg.observables)
     arr = np.asarray(rows)
     run.csv("series.csv", ["t", "roundtrip_error"], arr.T)
     drift = {"roundtrip_error_max": float(np.max(arr[:, 1]))}
@@ -876,8 +859,7 @@ def run_convergence(scenario, out_dir, levels=3, quiet=False):
     if levels < 3:
         raise ConfigError("need at least 3 refinement levels")
     t0 = time.perf_counter()
-    cfg = scenario.config
-    op, spec = scenario.operator, scenario.spectrum
+    cfg, op = scenario.config, scenario.operator
     re0, im0 = scenario.initial_pair
 
     lf_dt = min(cfg.dt, 0.5 * fd.leapfrog_stability_bound(op))
@@ -892,7 +874,7 @@ def run_convergence(scenario, out_dir, levels=3, quiet=False):
             f"finest level, over the limit of {MAX_STEPS} steps"
         )
     _check_refined_grids(cfg, levels)
-    psi0 = sd.WaveFunction(re=re0, im=im0)
+    spec, psi0 = scenario.spectrum, sd.WaveFunction(re=re0, im=im0)
     with _refusing_kernel_content("convergence"):
         s0_dq = cr.dequantize(spec, psi0, 0.0, tol=1e-8)
     run = _RunDir(out_dir, "convergence", cfg, t0, quiet)

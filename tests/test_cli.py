@@ -967,6 +967,23 @@ def test_verify_past_dense_limit_exits_before_any_study(tmp_path, capsys, monkey
     assert "limit of 100 points for a dense spectrum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, n",
+    [(["verify", "--seed", "7"], 3201), (["convergence", "--levels", "3"], 1601)],
+    ids=["verify", "convergence"],
+)
+def test_past_dense_limit_decomposes_nothing(tmp_path, capsys, monkeypatch, args, n):
+    # CI's verify config (a gaussian state reads no eigenvectors) on a grid whose
+    # refinement passes the dense limit: refused before K is decomposed.
+    eighs = _count_calls(monkeypatch, lattice, "eigendecompose")
+    grid = {**_CONV200["grid"], "n": n}
+    cfg = _write(tmp_path, "dense.json", {**_CONV200, "grid": grid})
+    out = tmp_path / "run"
+    assert main([*args, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert (out.exists(), eighs) == (False, [])
+    assert f"limit of {MAX_DENSE_N} points for a dense spectrum" in capsys.readouterr().err
+
+
 def test_spectrum_cli(tmp_path):
     cfg = _write(tmp_path, "sp.json", _harmonic_cfg())
     out = tmp_path / "sprun"
@@ -1010,11 +1027,20 @@ def test_render_rejects_missing_columns(tmp_path):
 
 
 def test_blowup_guard():
-    from schrofield.runs import _check_blowup
+    from dataclasses import replace
 
-    _check_blowup(1.0, 1.0, "energy")
-    with pytest.raises(RuntimeError, match="instability"):
-        _check_blowup(11.0, 1.0, "energy")
+    def check(value, initial):
+        """The run loop's checks on one finite state whose guarded value is `value`."""
+        guard, _ = runs._WAVE.guard
+        row = lambda op, t, y, ky: tuple(np.full(len(t), value) for _ in runs._WAVE.columns)
+        first = np.zeros(len(runs._WAVE.columns))
+        first[guard] = initial
+        ys = np.zeros((1, 2, 3))
+        return runs._checked_rows(replace(runs._WAVE, row=row), None, [0.5], ys, ys, first)
+
+    check(1.0, 1.0)
+    with pytest.raises(RuntimeError, match="instability: norm grew to 11.0 from 1.0"):
+        check(11.0, 1.0)
 
 
 def test_states_reject_non_finite():

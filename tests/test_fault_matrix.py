@@ -16,6 +16,7 @@ from schrofield import correspondence as cr
 from schrofield import field as fd
 from schrofield import schrodinger as sd
 from schrofield.config import build_scenario, config_from_dict
+from schrofield.errors import OffShellError
 from schrofield.runs import run_verify
 
 from conftest import sign_flipped
@@ -41,12 +42,17 @@ def _at_scaled_time(flow, factor):
     return faulted
 
 
-def _plus_k_phi(quantize):
-    """quantize with re = +K phi instead of -K phi."""
+def _plus_k_phi(wave):
+    """The potential map with re = +K phi instead of -K phi."""
+    return lambda kphi, p: (-wave(kphi, p)[0], p)
 
-    def faulted(op, s):
-        psi = quantize(op, s)
-        return sd.WaveFunction(re=-psi.re, im=psi.im, time=psi.time)
+
+def _flipped_varphi(make_onshell):
+    """make_onshell with varphi = +K phi, off the constraint surface."""
+
+    def faulted(op, phi, p, time=0.0):
+        s = make_onshell(op, phi, p, time)
+        return cn.ConstrainedState(phi=s.phi, p=s.p, varphi=-s.varphi, pi=s.pi, time=s.time)
 
     return faulted
 
@@ -67,7 +73,11 @@ FAULTS = {
             "dirac_flow_wave_sector",
         },
     ),
-    "quantize_plus_k_phi": (cr, "quantize", _plus_k_phi, {"reconstruction_round_trip"}),
+    # The map is formed once, so the fault reaches every identity built on it.
+    # density_is_energy_density still passes: |Psi|^2 cannot see the sign of re.
+    "quantize_plus_k_phi": (
+        cr, "_wave", _plus_k_phi, {"reconstruction_round_trip", "current_residual_decays"},
+    ),
     "wave_flow_slow_clock": (
         sd, "_flow", lambda f: _at_scaled_time(f, 1.001),
         {"commuting_diagram_wave", "reconstruction_round_trip"},
@@ -94,3 +104,10 @@ def test_fault_trips_exactly_its_identities(monkeypatch, fault):
     failed = {e["name"] for e in asserted if not e["passed"]}
     assert failed == expected, (sorted(failed - expected), sorted(expected - failed))
     assert all_pass == (not expected)
+
+
+def test_offshell_start_is_refused(monkeypatch):
+    """A flipped varphi in make_onshell is refused before any report, not reported."""
+    monkeypatch.setattr(cn, "make_onshell", _flipped_varphi(cn.make_onshell))
+    with pytest.raises(OffShellError):
+        run_verify(build_scenario(config_from_dict(CONFIG)), seed=SEED, quiet=True)
