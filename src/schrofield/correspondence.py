@@ -25,10 +25,14 @@ import numpy as np
 
 from . import field as fd
 from . import quadrature
-from .field import FieldState, energy_densities
+from .field import FieldState
 from .lattice import apply, solve_elliptic
 from .quadrature import Trajectory
 from .schrodinger import WaveFunction
+
+# `current_residual` is NaN where the density is below this times its maximum
+# over the trajectory: the phase, and so the current, is undefined at nodes.
+DENSITY_FLOOR_RTOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,25 +132,34 @@ def probability_and_phase(op, s):
     return _density_and_phase(op.hbar, *_wave(apply(op, s.phi), s.p))
 
 
-def current_residual(op, traj, p_floor_rel=1e-8):
+def current_residual(op, traj):
     """Residual of the energy-transport equation along a field trajectory.
 
     r = dE/dt + div(2 hbar^{-2} E grad S) with the gradient carrying the
     quantum scale hbar / sqrt(2m), time derivatives central on interior
     samples, and S unwrapped along x (period 2 pi hbar) before
     differentiating. Entries are NaN where the density falls below
-    p_floor_rel times its trajectory maximum (the phase is undefined at
-    nodes) and at the two points nearest each edge, where the spatial
+    DENSITY_FLOOR_RTOL times its trajectory maximum (the phase is undefined
+    at nodes) and at the two points nearest each edge, where the spatial
     stencils do not fit. Returns an array of shape (len(times) - 2, n)
-    aligned with traj.times[1:-1].
+    aligned with traj.times[1:-1]. The field enters only through K phi:
+    this is `_current_residual` of K phi and p.
     """
-    dt = quadrature.uniform_dt(traj.times)
+    return _current_residual(op, traj.times, apply(op, traj.phi), traj.p)
+
+
+def _current_residual(op, times, kphi, p):
+    """current_residual of the field trajectory with K phi = kphi and momentum p at `times`.
+
+    P and S are read off Psi = -K phi + i p (`_wave`), E = (p^2 + (K phi)^2) / 2 hbar.
+    """
+    dt = quadrature.uniform_dt(times)
     hbar = op.hbar
     scale = hbar / np.sqrt(2.0 * op.mass)
     dx = op.grid.dx
 
-    e_all = energy_densities(op, traj)[2]
-    p_all, phase = probability_and_phase(op, traj)
+    e_all = fd._energy_densities(hbar, kphi, p)[2]
+    p_all, phase = _density_and_phase(hbar, *_wave(kphi, p))
     s_all = np.unwrap(phase, period=2.0 * np.pi * hbar)
 
     def grad_x(f):
@@ -158,6 +171,6 @@ def current_residual(op, traj, p_floor_rel=1e-8):
     flux = 2.0 * e_all[1:-1] * (scale * grad_x(s_all[1:-1])) / (hbar * hbar)
     residual = de_dt + scale * grad_x(flux)
 
-    floor = p_floor_rel * float(np.max(p_all))
+    floor = DENSITY_FLOOR_RTOL * float(np.max(p_all))
     residual[p_all[1:-1] < floor] = np.nan
     return residual

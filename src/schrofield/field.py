@@ -136,9 +136,13 @@ def spectral_field_trajectory(spec, s0, dt, nsteps):
 
 def energy_densities(op, s):
     """Pointwise kinetic, potential, and total energy densities (T, U, E)."""
-    kphi = apply(op, s.phi)
-    t = 0.5 * s.p * s.p / op.hbar
-    u = 0.5 * kphi * kphi / op.hbar
+    return _energy_densities(op.hbar, apply(op, s.phi), s.p)
+
+
+def _energy_densities(hbar, kphi, p):
+    """energy_densities of a state with momentum p, given kphi = K phi."""
+    t = 0.5 * p * p / hbar
+    u = 0.5 * kphi * kphi / hbar
     return t, u, t + u
 
 

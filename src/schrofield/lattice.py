@@ -14,9 +14,11 @@ the same stencil, by cyclic reduction down to a dense tail of at most
 _DENSE_TAIL unknowns. `spectral_radius` bisects both ends of the spectrum on
 the stencil too, one O(n) inertia count per shift (Sturm sequences; Barth,
 Martin and Wilkinson 1967), and `eigenpairs` finds chosen eigenpairs of a
-Dirichlet K the same way, O(n) per mode. `Operator.matrix` is a dense view
-that `eigendecompose`, the full dense spectrum, builds on first use and keeps
-for the operator's lifetime.
+Dirichlet K the same way, O(n) per mode. `zero_mode_count` counts the zero
+modes of K on either closure from two such counts, the periodic one the LDL^T
+factorization whose corners fill in the last column. `Operator.matrix` is a
+dense view that `eigendecompose`, the full dense spectrum, builds on first use
+and keeps for the operator's lifetime.
 
 Discrete conventions shared by the whole package:
 
@@ -521,6 +523,57 @@ def _count_below(diag, b2, x):
             if d > -_PIVMIN:
                 d = -_PIVMIN
     return count
+
+
+def _count_below_periodic(diag, b, x):
+    """Number of eigenvalues below x of the periodic stencil (diag, b).
+
+    The negative pivots of the LDL^T factorization of the cyclic K - x I,
+    all of them, where `_positive_definite` stops at the first, and floored
+    as in `_count_below`. The pivots d_i follow the
+    Sturm recurrence d_i = (a_i - x) - b^2 / d_{i-1}; the corners fill in
+    only the last column, e_{i+1} = -b e_i / d_i, and the last pivot is its
+    Schur complement (a_{n-1} - x) - sum e_i^2 / d_i. While the pivots are
+    positive every term of that sum is, so it only falls.
+    """
+    b2 = b * b
+    count = 0
+    last = diag[-1] - x
+    d = diag[0] - x
+    e = b
+    for a in diag[1:-1]:
+        if d < _PIVMIN:
+            count += 1
+            if d > -_PIVMIN:
+                d = -_PIVMIN
+        g = e / d
+        last -= e * g
+        e = -b * g
+        d = a - x - b2 / d
+    if d < _PIVMIN:
+        count += 1
+        if d > -_PIVMIN:
+            d = -_PIVMIN
+    e += b
+    return count + (last - e * e / d < _PIVMIN)
+
+
+def zero_mode_count(op):
+    """Number of eigenvalues of K in [-tol, tol], tol = ZERO_MODE_RTOL * spectral_radius(op).
+
+    The count of zero modes that `eigendecompose` finds, from two Sturm counts
+    on the stencil (`_count_below`, or `_count_below_periodic` on a periodic
+    grid) at -tol and tol, without building `op.matrix`: O(n) time and
+    memory. The spectral radius is bisected afresh, not read through the
+    cache of `spectral_radius`, so that the count keeps no operator alive: a
+    refinement study counts on operators it drops after one level. K is
+    scaled as in `spectral_radius`.
+    """
+    scale, diag, b = _scaled_stencil(op)
+    tol = math.ldexp(ZERO_MODE_RTOL * spectral_radius.__wrapped__(op), scale)
+    if op.grid.boundary == PERIODIC:
+        return _count_below_periodic(diag, b, tol) - _count_below_periodic(diag, b, -tol)
+    return _count_below(diag, b * b, tol) - _count_below(diag, b * b, -tol)
 
 
 def _pivots(shifted, b2):

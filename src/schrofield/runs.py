@@ -27,7 +27,7 @@ from . import field as fd
 from . import schrodinger as sd
 from .config import MAX_DENSE_N, MAX_STEPS, assemble
 from .errors import ConfigError, EllipticObstructionError
-from .lattice import eigendecompose, solve_elliptic, stencil_product
+from .lattice import eigendecompose, solve_elliptic, stencil_product, zero_mode_count
 
 
 # write_csv formats at most about this many cells at a time, so that its
@@ -765,18 +765,21 @@ def _without_kernel(basis, dx, f):
     return f - basis.modes @ (dx * (basis.modes.T @ f))
 
 
-def _packet_probe_state(spec):
+def _packet_probe_state(grid, kernel):
     """Traveling-packet probe with a node-free density and a linear phase.
 
-    The field state is reconstructed from a Gaussian envelope times a plane
-    wave, so its generated wave function has P = envelope^2 (no interior
-    nodes) and S exactly linear in x at t = 0. Anything with phase structure
-    in the envelope tails makes the residual's high-order derivatives blow
-    up there and spoils refinement studies. Kernel content of the real part
-    is projected out (the map's image excludes it), so periodic grids work
-    too. Being a pure function of x, the state refines consistently.
+    The wave function Psi_0 = re_0' + i im_0, a Gaussian envelope times a
+    plane wave, so P = envelope^2 (no interior nodes) and S is exactly linear
+    in x at t = 0. Anything with phase structure in the envelope tails makes
+    the residual's high-order derivatives blow up there and spoils refinement
+    studies. `kernel` is the kernel basis of K on `grid`, which may be empty,
+    or None when K has no zero modes; the kernel content of the real part is
+    projected out (the map's image excludes it), so periodic grids work too.
+    The field state that generates Psi_0 is (C, im_0) with K C = -re_0', so
+    it needs no solve: its K phi is -re_0'. Being a pure function of x, the
+    state refines consistently.
     """
-    x = spec.grid.points()
+    x = grid.points()
     span = x[-1] - x[0]
     center = x[0] + 0.5 * span
     # narrow enough that the tail density crosses the 1e-8 mask floor well
@@ -786,9 +789,9 @@ def _packet_probe_state(spec):
     env = np.exp(-0.5 * ((x - center) / width) ** 2)
     re = env * np.cos(k0 * (x - center))
     im = env * np.sin(k0 * (x - center))
-    re = _without_kernel(cr.kernel_basis(spec), spec.grid.dx, re)
-    psi = sd.WaveFunction(re=re, im=im)
-    return cr.dequantize(spec, psi, 0.0, tol=1e-8)
+    if kernel is not None:
+        re = _without_kernel(kernel, grid.dx, re)
+    return sd.WaveFunction(re=re, im=im)
 
 
 # Steps of the coarsest level of a current-residual refinement study.
@@ -800,9 +803,14 @@ _VERIFY_CURRENT_LEVELS = 2
 def _check_refined_grids(cfg, levels):
     """Refuse a current-residual study whose finest refined grid is past MAX_DENSE_N.
 
-    Each refined level decomposes a dense K, so this runs before any study
-    and any output. Refining stops past the limit: a huge `levels` builds no
-    huge int. An inline potential is measured on its own grid only.
+    This runs before any study and any output. Refining stops past the
+    limit: a huge `levels` builds no huge int. An inline potential is
+    measured on its own grid only. A level takes the dense path, a dense K
+    and its `eigh`, only when K has zero modes or when the Chebyshev series of
+    `sd._chebyshev_flow` would cost more (`sd._chebyshev_is_cheaper`), so the
+    limit bounds each level's cost by that of a dense spectrum at MAX_DENSE_N.
+    A series that is cheaper still grows with the grid, so lifting the limit
+    for grids without zero modes waits for a preflight of its term count.
     """
     if cfg.potential["name"] == "inline":
         return
@@ -823,13 +831,21 @@ def _current_errors(scenario, levels):
     configured initial state: near density nodes the phase gradient degrades
     with resolution, so order measurement needs a node-free probe to say
     anything about the discretization itself. Level 0 is the scenario's own
-    grid; each further level refines it and decomposes the refined operator.
-    A level whose mask leaves no valid interior point records NaN, and so
-    does every refined level of an inline potential, which has values on the
-    configured grid only.
+    grid and each further level refines it. The field flow from the probe's
+    state (C, im_0) has (K phi(t), p(t)) = (-re(t), im(t)) of the wave flow
+    exp(i K t / hbar) Psi_0, evaluated at all sample times at once. A level
+    runs it from its operator alone, by `sd._chebyshev_flow`, unless the
+    series would cost more than the dense path (`sd._chebyshev_is_cheaper`:
+    a stiff potential, or a small mass, can need far more terms than n); the
+    level then evolves by the dense `sd._flow`. A level decomposes K on that
+    path, or when K has zero modes (`zero_mode_count`), for the kernel basis;
+    at level 0 the decomposition is the scenario's spectrum. A level whose
+    mask leaves no valid interior point records NaN, and so does every
+    refined level of an inline potential, which has values on the configured
+    grid only.
     """
     cfg = scenario.config
-    op, spec = scenario.operator, scenario.spectrum
+    op = scenario.operator
     dt = min(cfg.dt, 0.02)
     measured = 1 if cfg.potential["name"] == "inline" else levels
     errors = []
@@ -838,10 +854,15 @@ def _current_errors(scenario, levels):
         if level > 0:
             n = _refine(n, cfg.boundary)
             op = assemble(cfg, n)[2]
-            spec = eigendecompose(op)
-        steps = _CURRENT_BASE_STEPS * 2**level
-        traj = fd.spectral_field_trajectory(spec, _packet_probe_state(spec), dt / 2**level, steps)
-        res = cr.current_residual(op, traj)
+        times = (dt / 2**level) * np.arange(_CURRENT_BASE_STEPS * 2**level + 1)
+        series = sd._chebyshev_is_cheaper(op, times)
+        spec = None
+        if not series or zero_mode_count(op):
+            spec = scenario.spectrum if level == 0 else eigendecompose(op)
+        psi = _packet_probe_state(op.grid, None if spec is None else cr.kernel_basis(spec))
+        flow = sd._chebyshev_flow(op, psi.re, psi.im) if series else sd._flow(spec, psi.re, psi.im)
+        y = flow(times)
+        res = cr._current_residual(op, times, -y[:, 0], y[:, 1])
         if np.all(np.isnan(res)):
             errors.append(float("nan"))
         else:

@@ -9,12 +9,14 @@ operator K the evolution reads
 
 which is i hbar dPsi/dt = -K Psi in complex form. Exact propagation is a
 phase rotation of each eigenmode coefficient (the reference oracle for every
-convergence study). The Crank-Nicolson step is the Cayley transform of K,
-taken in O(n) by a tridiagonal solve, and therefore preserves the norm
+convergence study), or, with no eigenvectors, a Chebyshev series of stencil
+products (`_chebyshev_flow`). The Crank-Nicolson step is the Cayley transform
+of K, taken in O(n) by a tridiagonal solve, and therefore preserves the norm
 functional to roundoff for any step size.
 """
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -144,6 +146,147 @@ def _flow(spec, re, im):
         return _synthesize(spec, (r * c - s * sn, s * c + r * sn), t)
 
     return at
+
+
+# A Chebyshev series stops at the first term N with 2 sum_{k >= N} |J_k| below
+# this: |T_k(X)| <= 1 on [-1, 1] in the 2-norm, so the dropped terms move the
+# state by less than this times its 2-norm, far below one ulp of its entries.
+_CHEBYSHEV_TAIL = 2.0**-60
+# Terms of a Chebyshev series kept at once, then multiplied into the
+# accumulators by one matrix product per parity; even, so a chunk starts on an
+# even term. At n = 6401 a chunk is 3.3 MB.
+_CHEBYSHEV_CHUNK = 32
+# The fixed cost of one term of a Chebyshev series, in multiply-adds of its
+# accumulators: the Python and numpy calls of a stencil product and of a step
+# of the Bessel recurrence, about 11 us on a 2-core x86 host at 1 BLAS thread,
+# where a multiply-add of a term costs about 0.35 ns.
+_CHEBYSHEV_TERM_OVERHEAD = 2**15
+
+
+def _chebyshev_flow(op, re, im):
+    """Exact flow of (re, im) from the stencil alone: t -> (re, im) at t, shape (2, n).
+
+    A 1-D array of T times gives (T, 2, n), as `_flow` does. The flow is
+
+        exp(i K tau) Psi = e^{i c tau} sum_k eps_k i^k J_k(r tau) T_k(X) Psi,
+
+    tau = t / hbar, X = (K - c) / r, eps_0 = 1 and eps_k = 2 (the
+    Jacobi-Anger expansion; Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967,
+    1984), where [c - r, c + r] = [min a - 2|b|, max a + 2|b|] is the
+    Gershgorin interval of the stencil, so the spectrum of X lies in [-1, 1].
+    One recurrence T_{k+1}(X) Psi = 2 X T_k(X) Psi - T_{k-1}(X) Psi, one
+    stencil product a term, serves every time: its terms are multiplied into
+    one accumulator per parity of k a chunk at a time, so memory stays
+    O((T + _CHEBYSHEV_CHUNK) n). The term count comes from the Bessel tail
+    (`_chebyshev_coefficients`), about r tau_max + O((r tau_max)^(1/3)).
+    """
+    y = np.array([re, im], dtype=float)
+    n = op.n
+    c, r = _gershgorin(op)
+    # 2 X as a stencil, so that each term is one product
+    two_x = replace(op, diagonal=(op.diagonal - c) * (2.0 / r), coupling=op.coupling * (2.0 / r))
+
+    def at(t):
+        tau = np.reshape(t, -1) / op.hbar
+        coeffs = _chebyshev_coefficients(r * tau)
+        last = len(coeffs) - 1
+        # acc[0] sums the even terms and acc[1] the odd ones, each term a row (re, im)
+        acc = np.zeros((2, tau.size, 2 * n))
+        # rows 0 and 1 carry the last two terms of the previous chunk
+        terms = np.empty((_CHEBYSHEV_CHUNK + 2, 2, n))
+        first = 0
+        for k in range(last + 1):
+            j = 2 + k % _CHEBYSHEV_CHUNK
+            if k == 0:
+                terms[j] = y
+            else:
+                stencil_product(two_x, terms[j - 1], terms[j])
+                if k == 1:
+                    terms[j] *= 0.5
+                else:
+                    terms[j] -= terms[j - 2]
+            if j == _CHEBYSHEV_CHUNK + 1 or k == last:
+                rows = terms[2 : j + 1].reshape(j - 1, 2 * n)
+                acc[0] += coeffs[first : k + 1 : 2].T @ rows[0::2]
+                acc[1] += coeffs[first + 1 : k + 1 : 2].T @ rows[1::2]
+                terms[:2] = terms[j - 1 : j + 1]
+                first = k + 1
+        # the odd terms carry a factor i: sum = acc[0] + i acc[1]
+        s_re = acc[0, :, :n] - acc[1, :, n:]
+        s_im = acc[0, :, n:] + acc[1, :, :n]
+        cos, sin = np.cos(c * tau)[:, None], np.sin(c * tau)[:, None]
+        out = np.stack([cos * s_re - sin * s_im, sin * s_re + cos * s_im], axis=1)
+        return out if np.ndim(t) else out[0]
+
+    return at
+
+
+def _gershgorin(op):
+    """(c, r): the Gershgorin interval [min a - 2|b|, max a + 2|b|] of the stencil is [c - r, c + r]."""
+    lo = float(np.min(op.diagonal)) - 2.0 * op.coupling
+    hi = float(np.max(op.diagonal)) + 2.0 * op.coupling
+    return 0.5 * (hi + lo), 0.5 * (hi - lo)
+
+
+def _chebyshev_is_cheaper(op, times):
+    """Whether `_chebyshev_flow(op, ...)(times)` costs less than `eigendecompose(op)` and `_flow`.
+
+    The series takes N terms, N at most the order `_bessel_order` of r tau_max,
+    which grows with 1/(mass dx^2) and with the range of the potential, and each
+    term costs about n (T + 16) multiply-adds for T times (its stencil product,
+    its accumulation and its Bessel values) plus _CHEBYSHEV_TERM_OVERHEAD. The
+    dense path costs about n^3 of them, nearly all in `eigh`. Timed against
+    each other at n = 200 to 3215 and T = 9 to 33, this rule picks a path
+    within 1.5 times the cheaper one. The series' Bessel table, N T floats,
+    then holds fewer than n^2 of them, so the chosen path is also bounded in
+    memory by the dense one, whose K alone is n^2.
+    """
+    n, samples = op.n, np.size(times)
+    terms = _bessel_order(_gershgorin(op)[1] * float(np.max(np.abs(times))) / op.hbar)
+    return terms * (n * (samples + 16) + _CHEBYSHEV_TERM_OVERHEAD) <= n**3
+
+
+def _chebyshev_coefficients(z):
+    """eps_k i^k J_k(z) of `_chebyshev_flow` without the factor i of odd k, shape (N, T).
+
+    That is eps_k (-1)^(k // 2) J_k(z_t) for each of the T arguments z_t, for
+    the N leading orders that the tail rule of _CHEBYSHEV_TAIL keeps.
+    """
+    j = _bessel_j(z)
+    tail = 2.0 * np.cumsum(np.maximum(j.max(axis=1), -j.min(axis=1))[::-1])[::-1]
+    coeffs = j[: max(1, int(np.count_nonzero(tail > _CHEBYSHEV_TAIL)))]
+    coeffs[1:] *= 2.0
+    coeffs[2::4] *= -1.0
+    coeffs[3::4] *= -1.0
+    return coeffs
+
+
+def _bessel_j(z):
+    """J_k(z_t) for k = 0, ..., m and each entry z_t of the 1-D array z, shape (m + 1, T).
+
+    Miller's backward recurrence J_{k-1} = (2k / z) J_k - J_{k+1}, run on the
+    ratios J_k / J_{k-1} = z / (2k - z J_{k+1} / J_k) from J_{m+1} = 0, so that
+    nothing overflows, and normalised by J_0 + 2 sum_k J_2k = 1 (Abramowitz and
+    Stegun 9.1.46; Numerical Recipes, section 6.5). The recurrence starts at
+    m = |z| + 18 |z|^(1/3) + 40, past the order where J_m falls below 1e-30 (the
+    transition region of J_k is about (|z| / 2)^(1/3) wide), so the orders the
+    series keeps come out to roundoff. z = 0 gives J_0 = 1 and J_k = 0.
+    """
+    m = _bessel_order(float(np.max(np.abs(z))))
+    j = np.empty((m + 1, z.size))
+    j[0] = 1.0
+    ratio = np.zeros(z.size)
+    for k in range(m, 0, -1):
+        ratio = z / (2.0 * k - z * ratio)
+        j[k] = ratio
+    np.cumprod(j, axis=0, out=j)
+    j /= j[0] + 2.0 * j[2::2].sum(axis=0)
+    return j
+
+
+def _bessel_order(top):
+    """The order m at which `_bessel_j` starts its recurrence for arguments up to |z| = top."""
+    return int(top + 18.0 * math.cbrt(top) + 40.0)
 
 
 def _synthesize(spec, coeffs, t):

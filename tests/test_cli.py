@@ -583,12 +583,10 @@ _LARGE_MODES = {
 def test_each_command_builds_once(
     tmp_path, monkeypatch, command, overrides, decompositions, stencil_solves
 ):
-    # verify decomposes the scenario's K and the doubled grid of its current-residual study;
-    # the n=64 runs from eigenstates and modes sit below the stencil eigensolver's crossover
-    if overrides is _LARGE_MODES:
-        # The current-residual study decomposes its own refined grids (n = 2401 and
-        # 4803 here, seconds each); only the scenario's decompositions are counted.
-        monkeypatch.setattr(runs, "_current_errors", lambda scenario, levels: [np.nan] * levels)
+    # verify decomposes the scenario's K, and the refined grid of its current-residual
+    # study only where a dense spectrum costs less than the series on the stencil: the
+    # 129 points refined from n=64 do, the 2401 refined from n=1200 do not. The n=64 runs
+    # from eigenstates and modes sit below the stencil eigensolver's crossover.
     builds = _count_calls(monkeypatch, config_module, "build_scenario")
     eighs = _count_calls(monkeypatch, lattice, "eigendecompose")
     stencil = _count_calls(monkeypatch, lattice, "eigenpairs")

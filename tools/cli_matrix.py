@@ -166,18 +166,23 @@ def compare(case, old, new):
     return [f"{case}: {line}" for line in lines]
 
 
+def extract_revision(rev, dest):
+    """Write the files of git revision `rev` of this repository into the directory `dest`."""
+    archive = subprocess.run(
+        ["git", "-C", str(REPO), "archive", "--format=tar", rev],
+        capture_output=True, check=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
 def main(argv):
     if len(argv) != 1:
         print(__doc__.splitlines()[2], file=sys.stderr)
         return 2
-    archive = subprocess.run(
-        ["git", "-C", str(REPO), "archive", "--format=tar", argv[0]],
-        capture_output=True, check=True,
-    ).stdout
     with tempfile.TemporaryDirectory(prefix="cli_matrix_") as tmp:
         tmp = Path(tmp)
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp / "rev", filter="data")
+        extract_revision(argv[0], tmp / "rev")
         old = run_side(tmp / "rev" / "src", tmp / "old")
         new = run_side(REPO / "src", tmp / "new")
     differences = [line for case in old for line in compare(case, old[case], new[case])]
