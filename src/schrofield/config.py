@@ -32,13 +32,18 @@ MAX_STEPS = 10**7
 # Largest grid a current-residual study may decompose densely: `verify`'s refined
 # grid at n = 3200. Its K and spectrum take 24 n^2 bytes, 0.98 GB at this n.
 MAX_DENSE_N = 6401
-# `lattice.eigenpairs` costs about 55 O(n) Sturm counts per mode, one dense
-# `eigh` O(n^3), so the stencil wins below about k* = c n^2 modes. Measured
-# (Dirichlet harmonic on [-20, 20], 1 BLAS thread, best of 7): k* = 0.9, 2.6,
-# 3.8, 6.6, 12.6, 15.5, 62 and 410 at n = 64, 150, 200, 300, 400, 600, 1200 and
-# 3200, so c falls from 2e-4 to 4e-5 as `eigh` approaches its n^3 regime. At
-# this value the rule is within a factor 1.5 of k* from n = 150 up.
-STENCIL_MODES_PER_N2 = 6e-5
+# `lattice.eigenpairs` costs about 20 to 60 O(n) passes of one reduction for
+# all its modes, plus 4 O(n) Sturm counts and a twisted factorization per
+# mode, and one dense `eigh` O(n^3), so the stencil wins below about k* = c n^2
+# modes. Measured (Dirichlet harmonic on [-20, 20], 1 BLAS thread, CPU time,
+# best of 7): k* = 1.0, 3.0, 2.8, 25, 30, 63, 260 and 2370 at n = 64, 150,
+# 200, 300, 400, 600, 1200 and 3200. From n = 300 up c is 1.7e-4 to 2.8e-4,
+# and this value is within a factor 1.5 of k*. Below that the cost is not
+# monotone in k, since a request of modes x n past the reduction's
+# `lattice._REDUCTION_MIN_SIZE` takes the lockstep passes: at n = 150 to 400
+# every request this rule sends to the stencil costs at most 1.24 times `eigh`
+# (n = 150, 4 modes).
+STENCIL_MODES_PER_N2 = 2e-4
 
 _TOP_KEYS = {
     "grid",

@@ -129,9 +129,19 @@ def rk4_stability_bound(op):
 
 def step_rk4(op, s, dt):
     """Classical fourth-order Runge-Kutta step of the substituted system."""
+    dt = _stable_rk4_dt(op, dt)
     y = np.stack([s.phi, s.p, s.varphi])
     phi, p, varphi = _rk4(op, y, dt, np.empty_like(y))
-    return ConstrainedState(phi=phi, p=p, varphi=varphi, pi=s.pi, time=s.time + float(dt))
+    return ConstrainedState(phi=phi, p=p, varphi=varphi, pi=s.pi, time=s.time + dt)
+
+
+def _stable_rk4_dt(op, dt):
+    """dt as a float, or StabilityError if the RK4 step does not accept it."""
+    dt = float(dt)
+    bound = rk4_stability_bound(op)
+    if not 0.0 < dt < bound:
+        raise StabilityError(dt, bound, "rk4")
+    return dt
 
 
 # Horner factors 1/4, 1/3, 1/2, 1 of the degree-4 Taylor polynomial, one (2, 1)
@@ -143,20 +153,17 @@ _HORNER = np.outer([1.0 / 4.0, 1.0 / 3.0, 1.0 / 2.0, 1.0], [1.0, -1.0])[:, :, No
 def _rk4(op, y, dt, out):
     """step_rk4 on y = (phi, p, varphi), written into `out` (not y's memory).
 
-    On a linear autonomous system classical RK4 is the degree-4 Taylor map of
-    dt times the generator (Hairer, Norsett and Wanner, Solving ODEs I,
-    section II.1), evaluated here by Horner's rule on the closed pair
-    u = (p, varphi). With tau = dt / hbar and J K u = (K varphi, -K p):
+    dt is a float that `_stable_rk4_dt` has passed. On a linear autonomous
+    system classical RK4 is the degree-4 Taylor map of dt times the generator
+    (Hairer, Norsett and Wanner, Solving ODEs I, section II.1), evaluated
+    here by Horner's rule on the closed pair u = (p, varphi). With
+    tau = dt / hbar and J K u = (K varphi, -K p):
 
         w = u + (tau/4) J K u,  w = u + (tau/3) J K w,  w = u + (tau/2) J K w,
         phi' = phi + tau w[0],  u' = u + tau J K w.
 
     That is four stencil products of a stacked pair per step.
     """
-    dt = float(dt)
-    bound = rk4_stability_bound(op)
-    if not 0.0 < dt < bound:
-        raise StabilityError(dt, bound, "rk4")
     tau = dt / op.hbar
     *stages, last = tau * _HORNER
     u = y[1:]
@@ -174,7 +181,8 @@ def _rk4(op, y, dt, out):
 
 
 def _rk4_steps(op, ys, dt):
-    """The one RK4 loop: step ys[0] = (phi, p, varphi) on into ys[1:]."""
+    """The one RK4 loop: step ys[0] = (phi, p, varphi) on into ys[1:], dt checked once."""
+    dt = _stable_rk4_dt(op, dt)
     for j in range(1, len(ys)):
         _rk4(op, ys[j - 1], dt, ys[j])
 

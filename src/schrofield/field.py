@@ -49,20 +49,26 @@ def step_leapfrog(op, s, dt):
     Negative dt is allowed (the scheme is time-reversible); |dt| must stay
     under the oscillator stability bound or the step is rejected.
     """
+    dt = _stable_leapfrog_dt(op, dt)
     y, _, _ = _leapfrog(op, (s.phi, s.p), apply(op, apply(op, s.phi)), dt)
-    return FieldState(phi=y[0], p=y[1], time=s.time + float(dt))
+    return FieldState(phi=y[0], p=y[1], time=s.time + dt)
 
 
-def _leapfrog(op, y, kk_phi, dt):
-    """step_leapfrog on y = (phi, p), given kk_phi = K^2 phi.
-
-    Returns the stacked (phi, p) one step on with its K phi and K^2 phi; the
-    closing kick's K^2 phi is the next step's opening kick.
-    """
+def _stable_leapfrog_dt(op, dt):
+    """dt as a float, or StabilityError if the leapfrog step does not accept it."""
     dt = float(dt)
     bound = leapfrog_stability_bound(op)
     if dt == 0.0 or abs(dt) >= bound:
         raise StabilityError(dt, bound, "leapfrog")
+    return dt
+
+
+def _leapfrog(op, y, kk_phi, dt):
+    """step_leapfrog on y = (phi, p), given kk_phi = K^2 phi and a float dt already checked.
+
+    Returns the stacked (phi, p) one step on with its K phi and K^2 phi; the
+    closing kick's K^2 phi is the next step's opening kick.
+    """
     half = 0.5 * dt / op.hbar
     p_half = y[1] - half * kk_phi
     phi = y[0] + dt * p_half / op.hbar
@@ -74,8 +80,10 @@ def _leapfrog(op, y, kk_phi, dt):
 def _leapfrog_steps(op, ys, kk_phi, dt):
     """The one leapfrog loop: step ys[0] = (phi, p), with kk_phi = K^2 phi, into ys[1:].
 
-    Returns K phi of ys[1:], shape (len(ys) - 1, 1, n), and the last K^2 phi.
+    Checks dt against the stability bound once. Returns K phi of ys[1:],
+    shape (len(ys) - 1, 1, n), and the last K^2 phi.
     """
+    dt = _stable_leapfrog_dt(op, dt)
     k_phis = np.empty((len(ys) - 1, 1, op.n))
     for j in range(1, len(ys)):
         ys[j], k_phis[j - 1, 0], kk_phi = _leapfrog(op, ys[j - 1], kk_phi, dt)

@@ -13,12 +13,16 @@ and `CayleySolver` solves the Crank-Nicolson system I - i a K in O(n) from
 the same stencil, by cyclic reduction down to a dense tail of at most
 _DENSE_TAIL unknowns. `spectral_radius` bisects both ends of the spectrum on
 the stencil too, one O(n) inertia count per shift (Sturm sequences; Barth,
-Martin and Wilkinson 1967), and `eigenpairs` finds chosen eigenpairs of a
-Dirichlet K the same way, O(n) per mode. `zero_mode_count` counts the zero
-modes of K on either closure from two such counts, the periodic one the LDL^T
-factorization whose corners fill in the last column. `Operator.matrix` is a
-dense view that `eigendecompose`, the full dense spectrum, builds on first use
-and keeps for the operator's lifetime.
+Martin and Wilkinson 1967). `eigenpairs` finds chosen eigenpairs of a
+Dirichlet K from such counts, O(n) per mode: it narrows all requested
+eigenvalues in lockstep, one shift per eigenvalue per pass, and counts the
+pass's shifts together by odd-even reduction of K - x I over a (shifts, n)
+array (`_counts_below`), then checks each result on the scalar Sturm count,
+so it returns what bisection on that count alone returns. `zero_mode_count`
+counts the zero modes of K on either closure from two such counts, the
+periodic one the LDL^T factorization whose corners fill in the last column.
+`Operator.matrix` is a dense view that `eigendecompose`, the full dense
+spectrum, builds on first use and keeps for the operator's lifetime.
 
 Discrete conventions shared by the whole package:
 
@@ -588,6 +592,235 @@ def _pivots(shifted, b2):
     return np.array(out)
 
 
+# A pass of `eigenpairs` counts its shifts together by `_counts_below` once
+# shifts x n reaches this, one at a time by `_count_below` below it, and a
+# request of columns x n below it never reaches the reduction. One reduction
+# costs as much as about 9 scalar counts at n = 200, 2.5 at n = 800 and 1.8 at
+# n = 1200, and less than one from n = 3200 (one core of a shared 2-vCPU
+# host), but it also gives log|det| for the secant steps, which halve the
+# passes. Over whole requests for the 1, 2, 4 and 8 top modes of Dirichlet
+# harmonic grids at n = 200 to 3200, 1000 was as fast as 500, 1500 and 2000
+# or faster, and no request was slower than per-column bisection.
+_REDUCTION_MIN_SIZE = 1000
+# Below this bracket width (K scaled as in `_scaled_stencil`, so max|kappa| is
+# under 3/4), a secant step that does not halve the bracket is taken to be
+# lost in roundoff, and its column bisects from then on.
+_SECANT_FLOOR = 2.0**-48
+
+
+def _counts_below(diag, b2, shifts):
+    """`_count_below` at every shift at once, with log|det(K - x I)| at each.
+
+    Odd-even reduction of K - x I over a (shifts, n) array, diag an array.
+    At each level the odd-numbered rows are coupled only to even-numbered
+    ones, so their diagonals are pivots of a congruence, and eliminating them
+    leaves a tridiagonal Schur complement on the even-numbered rows: d_2k
+    loses c_2k-1 / d_2k-1 + c_2k / d_2k+1, and the squared couplings become
+    c_2k c_2k+1 / d_2k+1^2. By Sylvester's law of inertia the count is the
+    number of negative pivots over all levels. Pivots are floored as in
+    `_count_below`. This is not the Sturm recurrence's arithmetic, so near an
+    eigenvalue a count can differ from `_count_below`'s, and a coupling that
+    overflows leaves its shift's count and log|det| meaningless; neither
+    raises a warning. O(n) work per shift in about log2(n) levels.
+    """
+    shifts = np.asarray(shifts, dtype=float)
+    d = diag - shifts[:, None]
+    pivots = np.empty_like(d)
+    done = 0
+    with np.errstate(all="ignore"):
+        c = np.full((shifts.size, d.shape[1] - 1), b2)
+        while True:
+            odd = d[:, 1::2] if d.shape[1] > 1 else d
+            np.minimum(odd, -_PIVMIN, out=odd, where=odd < _PIVMIN)
+            pivots[:, done : done + odd.shape[1]] = odd
+            done += odd.shape[1]
+            if d.shape[1] == 1:
+                count = np.count_nonzero(pivots < _PIVMIN, axis=1)
+                return count, np.log(np.abs(pivots)).sum(axis=1)
+            left = c[:, ::2] / odd
+            right = c[:, 1::2] / odd[:, : c.shape[1] // 2]
+            d = d[:, ::2].copy()
+            d[:, : left.shape[1]] -= left
+            d[:, 1:] -= right
+            right *= left[:, : right.shape[1]]
+            c = right
+
+
+class _Bracket:
+    """A bracket lo < hi on the eigenvalue of ascending index j, and what is known at its ends.
+
+    Index 0 of `count`, `logdet` and `exact` is lo, index 1 is hi: the number
+    of eigenvalues below the end, log|det(K - x I)| there (nan where not
+    known) and whether `_count_below` gave the count. `kept` is the end that
+    the last `run` secant passes kept, `stalls` the passes running in which
+    the bracket did not halve, and `noisy` whether secant steps stopped paying.
+    """
+
+    __slots__ = (
+        "j", "lo", "hi", "count", "logdet", "exact", "stepped", "kept", "run", "stalls", "noisy"
+    )
+
+    def __init__(self, j, lo, hi, n):
+        self.j, self.lo, self.hi = j, lo, hi
+        self.count = [0, n]
+        self.logdet = [math.nan, math.nan]
+        self.exact = [True, True]
+        self.stepped, self.kept, self.run, self.stalls, self.noisy = False, None, 0, 0, False
+
+    def open(self):
+        return self.lo < 0.5 * (self.lo + self.hi) < self.hi
+
+    def secant(self):
+        """Whether the next shift is a secant point: one eigenvalue inside, both logdets known."""
+        return (
+            self.count[1] - self.count[0] == 1
+            and math.isfinite(self.logdet[0])
+            and math.isfinite(self.logdet[1])
+            and self.stalls < 5
+            and not self.noisy
+        )
+
+    def shift(self):
+        """The midpoint, or where the secant through (lo, det lo) and (hi, det hi) crosses zero.
+
+        Sets `stepped` to whether it is the secant point.
+        """
+        lo, hi = self.lo, self.hi
+        self.stepped = self.secant()
+        if not self.stepped:
+            return 0.5 * (lo + hi)
+        # det has opposite signs at the ends, so the crossing is at
+        # lo + (hi - lo) |det lo| / (|det lo| + |det hi|).
+        d = self.logdet[1] - self.logdet[0]
+        e = math.exp(-abs(d))
+        x = lo + (hi - lo) * (e if d > 0.0 else 1.0) / (1.0 + e)
+        if self.run >= 3:
+            # One end moved three times running, so the root is likely much
+            # closer to it than the secant step says. Step the geometric mean
+            # of that step and the width: that brings the other end in if so,
+            # and moves this end further if not.
+            near = (lo, hi)[1 - self.kept]
+            x = near + math.copysign(math.sqrt(abs(x - near) * (hi - lo)), x - near)
+        return min(max(x, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+
+    def narrow(self, xs, counts, logdets, exact):
+        """Move the ends in to every counted shift of xs that falls inside."""
+        secant = self.stepped
+        width = self.hi - self.lo
+        previous = list(self.logdet)
+        moved = [False, False]
+        for x, c, ld in zip(xs, counts, logdets):
+            if self.lo < x < self.hi:
+                end = int(c > self.j)
+                if end:
+                    self.hi = x
+                else:
+                    self.lo = x
+                self.count[end], self.logdet[end], self.exact[end] = c, ld, exact
+                moved[end] = True
+        halved = self.hi - self.lo <= 0.5 * width
+        self.stalls = 0 if halved else self.stalls + 1
+        self.noisy |= secant and not halved and width < _SECANT_FLOOR
+        kept = moved.index(False) if secant and moved.count(True) == 1 else None
+        again = kept is not None and kept == self.kept
+        if again:
+            # Anderson and Bjorck: scale |det| at the end kept twice running by
+            # 1 - det_new / det_old of the end that moved, or else halve it.
+            ratio = math.exp(min(self.logdet[1 - kept] - previous[1 - kept], 0.0))
+            self.logdet[kept] += math.log(1.0 - ratio if ratio < 1.0 else 0.5)
+        self.kept, self.run = kept, (self.run + 1 if again else int(kept is not None))
+
+
+def _bracket_eigenvalues(diag, b, cols):
+    """Adjacent floats lo < hi with `_count_below` at most j at lo and above j at hi.
+
+    One pair per column j of `cols`, found for all columns in lockstep. Each
+    pass takes one shift per unfinished column: the midpoint of its bracket,
+    or, once the bracket holds exactly one eigenvalue and log|det(K - x I)|
+    is known at both ends, the regula falsi point of det with the
+    Anderson-Bjorck scaling of an end kept twice running (Galdino, "A family
+    of regula falsi root-finding methods", 2011), pushed further after three
+    (`_Bracket.shift`). A column takes the midpoint after five passes running
+    in which its bracket did not halve, and for good once a secant step
+    fails to halve a bracket narrower than _SECANT_FLOOR, where log|det| is
+    roundoff. Every count narrows every bracket it falls into. A pass counts
+    by `_counts_below` when it takes a secant point or its shifts times n
+    reach _REDUCTION_MIN_SIZE, otherwise by `_count_below`.
+
+    Each end that a `_counts_below` count set is then checked by
+    `_count_below`, and where the two disagree the bracket is mended
+    (`_mend`). The floating-point Sturm count is monotone in the shift
+    (Kahan's argument; Demmel, Dhillon and Ren, ETNA 3, 1995), so the pair is
+    the one that bisection on `_count_below` alone finds.
+    """
+    b2 = b * b
+    n = len(diag)
+    lo, hi = min(diag) - 2.0 * b, max(diag) + 2.0 * b
+    if len(cols) * n < _REDUCTION_MIN_SIZE:
+        # No pass could reach the reduction: bisect the columns in turn, each
+        # from the tightest bracket that the earlier counts give.
+        counts = {lo: 0, hi: n}
+        out = []
+        for j in cols:
+            lo = max(x for x, c in counts.items() if c <= j)
+            hi = min(x for x, c in counts.items() if c > j)
+            out.append(_bisect(diag, b2, j, lo, hi, counts))
+        return out
+    diag_row = np.array(diag)
+    brackets = [_Bracket(j, lo, hi, n) for j in cols]
+    while live := [br for br in brackets if br.open()]:
+        xs = sorted({br.shift() for br in live})
+        if any(br.stepped for br in live) or len(xs) * n >= _REDUCTION_MIN_SIZE:
+            counts, logdets = (a.tolist() for a in _counts_below(diag_row, b2, xs))
+            exact = False
+        else:
+            counts = [_count_below(diag, b2, x) for x in xs]
+            logdets, exact = [math.nan] * len(xs), True
+        for br in live:
+            br.narrow(xs, counts, logdets, exact)
+    out = []
+    for br in brackets:
+        if not br.exact[0] and _count_below(diag, b2, br.lo) > br.j:
+            out.append(_mend(diag, b2, br.j, br.lo, -1.0))
+        elif not br.exact[1] and _count_below(diag, b2, br.hi) <= br.j:
+            out.append(_mend(diag, b2, br.j, br.hi, 1.0))
+        else:
+            out.append((br.lo, br.hi))
+    return out
+
+
+def _mend(diag, b2, j, edge, direction):
+    """The bracket of column j found beyond `edge`, past which `_count_below` puts eigenvalue j.
+
+    Steps from edge in `direction` (-1 or 1) by 1, 2, 4, ... ulps until the
+    count crosses j, then bisects the last step (`_bisect`).
+    """
+    step = math.ulp(edge)
+    while True:
+        far = edge + direction * step
+        if (_count_below(diag, b2, far) > j) != (direction < 0):
+            break
+        edge = far
+        step *= 2.0
+    return _bisect(diag, b2, j, *sorted((edge, far)))
+
+
+def _bisect(diag, b2, j, lo, hi, counts=None):
+    """Bisect (lo, hi) to adjacent floats on `_count_below`, keeping j's eigenvalue inside.
+
+    Records each count in `counts` if given.
+    """
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        c = _count_below(diag, b2, mid)
+        if counts is not None:
+            counts[mid] = c
+        if c <= j:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def eigenpairs(op, cols):
     """Eigenpairs of a Dirichlet K in the ascending-kappa columns `cols`, from the stencil.
 
@@ -597,16 +830,22 @@ def eigenpairs(op, cols):
     within ISOLATION_RTOL * (max|a| + 2|b|) of it, or when a vector comes out
     non-finite. Never builds `op.matrix`: O(n) time and memory per column.
 
-    K is scaled as in `spectral_radius`. Each eigenvalue is bisected to
-    adjacent floats on Sturm counts (`_count_below`; Barth, Martin and
-    Wilkinson 1967), about 55 counts each; every count is kept, so a column's
-    bisection starts from the tightest bracket the earlier ones found. Two
-    more counts, one gap below and above, check its isolation. Dirichlet K is
-    an unreduced tridiagonal (coupling > 0), so its eigenvalues are simple.
-    The vector is one twisted factorization at that shift (Dhillon and
-    Parlett 2004): the pivots of K - kappa I factored from the top and from
-    the bottom meet at the index r where |gamma_r| is least, and z with
-    z_r = 1 follows from the two unit bidiagonal factors as running products.
+    K is scaled as in `spectral_radius`. Each eigenvalue is bracketed to
+    adjacent floats lo < hi on Sturm counts (`_count_below`; Barth, Martin
+    and Wilkinson 1967), and kappa is lo. The columns are bracketed in
+    lockstep, most passes counted by odd-even reduction (`_counts_below`) and
+    regula falsi on log|det| once a bracket isolates its eigenvalue; each end
+    a reduction count set is checked on `_count_below` and mended where they
+    differ (`_bracket_eigenvalues`). So kappa and the vector are, bit for bit,
+    what one bisection per column on `_count_below` gives, at about 20 to 60
+    passes of one reduction for all columns instead of about 55 scalar counts
+    each. Two more counts, one gap below and above, check isolation.
+    Dirichlet K is an unreduced tridiagonal (coupling > 0), so its
+    eigenvalues are simple. The vector is one twisted factorization at that
+    shift (Dhillon and Parlett 2004): the pivots of K - kappa I factored from
+    the top and from the bottom meet at the index r where |gamma_r| is least,
+    and z with z_r = 1 follows from the two unit bidiagonal factors as
+    running products.
     """
     n = op.n
     if op.grid.boundary != DIRICHLET:
@@ -616,21 +855,10 @@ def eigenpairs(op, cols):
     scale, diag, b = _scaled_stencil(op)
     b2 = b * b
     gap = ISOLATION_RTOL * (max(map(abs, diag)) + 2.0 * b)
-    counts = {min(diag) - 2.0 * b: 0, max(diag) + 2.0 * b: n}
-    kappa = []
-    vectors = np.empty((n, len(cols)))
-    for k, j in enumerate(cols):
-        lo = max(x for x, c in counts.items() if c <= j)
-        hi = min(x for x, c in counts.items() if c > j)
-        while lo < (mid := 0.5 * (lo + hi)) < hi:
-            counts[mid] = _count_below(diag, b2, mid)
-            if counts[mid] <= j:
-                lo = mid
-            else:
-                hi = mid
-        for x in (lo - gap, hi + gap):
-            counts[x] = _count_below(diag, b2, x)
-        if (counts[lo - gap], counts[hi + gap]) != (j, j + 1):
+    brackets = _bracket_eigenvalues(diag, b, cols)
+    vectors = np.empty((n, len(brackets)))
+    for k, (j, (lo, hi)) in enumerate(zip(cols, brackets)):
+        if (_count_below(diag, b2, lo - gap), _count_below(diag, b2, hi + gap)) != (j, j + 1):
             return None
         shifted = [a - lo for a in diag]
         down = _pivots(shifted, b2)
@@ -643,8 +871,7 @@ def eigenpairs(op, cols):
         if not math.isfinite(norm):
             return None
         vectors[:, k] = z / (norm * math.sqrt(op.grid.dx))
-        kappa.append(lo)
-    return np.ldexp(np.array(kappa), -scale), _signed(vectors)
+    return np.ldexp(np.array([lo for lo, _ in brackets]), -scale), _signed(vectors)
 
 
 def solve_elliptic(spec, rhs, tol=1e-10):

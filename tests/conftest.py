@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from schrofield import (
     build_operator,
     eigendecompose,
 )
+from schrofield import lattice
 from schrofield.brackets import BLOCKS, BracketTable
 
 
@@ -120,6 +123,49 @@ def sign_flipped(dirac_structure):
         return BracketTable(c, op)
 
     return flipped
+
+
+def bisection_eigenpairs(op, cols):
+    """Oracle: `lattice.eigenpairs` as one bisection per column on scalar Sturm counts.
+
+    Each column is bisected to adjacent floats on `lattice._count_below`,
+    starting from the tightest bracket that all earlier counts give, and then
+    checked for isolation one gap below and above; the vector is the same
+    twisted factorization. Returns what `eigenpairs` must return bit for bit.
+    """
+    n = op.n
+    scale, diag, b = lattice._scaled_stencil(op)
+    b2 = b * b
+    gap = lattice.ISOLATION_RTOL * (max(map(abs, diag)) + 2.0 * b)
+    counts = {min(diag) - 2.0 * b: 0, max(diag) + 2.0 * b: n}
+    kappa = []
+    vectors = np.empty((n, len(cols)))
+    for k, j in enumerate(cols):
+        lo = max(x for x, c in counts.items() if c <= j)
+        hi = min(x for x, c in counts.items() if c > j)
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            counts[mid] = lattice._count_below(diag, b2, mid)
+            if counts[mid] <= j:
+                lo = mid
+            else:
+                hi = mid
+        for x in (lo - gap, hi + gap):
+            counts[x] = lattice._count_below(diag, b2, x)
+        if (counts[lo - gap], counts[hi + gap]) != (j, j + 1):
+            return None
+        shifted = [a - lo for a in diag]
+        down = lattice._pivots(shifted, b2)
+        up = lattice._pivots(shifted[::-1], b2)[::-1]
+        r = int(np.argmin(np.abs(down + up - shifted)))
+        z = np.ones(n)
+        z[:r] = np.cumprod(-b / down[:r][::-1])[::-1]
+        z[r + 1 :] = np.cumprod(-b / up[r + 1 :])
+        norm = float(np.linalg.norm(z))
+        if not math.isfinite(norm):
+            return None
+        vectors[:, k] = z / (norm * math.sqrt(op.grid.dx))
+        kappa.append(lo)
+    return np.ldexp(np.array(kappa), -scale), lattice._signed(vectors)
 
 
 @pytest.fixture(scope="session")

@@ -15,8 +15,9 @@ from schrofield import (
     step_leapfrog,
 )
 from schrofield.config import ConfigError, build_scenario, config_from_dict
-from schrofield.constrained import make_onshell, rk4_stability_bound, step_rk4
-from schrofield.field import leapfrog_stability_bound
+from schrofield import constrained, field
+from schrofield.constrained import make_onshell, rk4_stability_bound, rk4_trajectory, step_rk4
+from schrofield.field import leapfrog_stability_bound, leapfrog_trajectory
 from schrofield.lattice import spectral_radius
 from schrofield.runs import run_constrained, run_field
 
@@ -117,6 +118,36 @@ def test_steps_reject_dt_exactly_at_bound(small_harmonic, rng):
     with pytest.raises(StabilityError):
         step_rk4(op, make_onshell(op, phi, p), rk)
     step_rk4(op, make_onshell(op, phi, p), float(np.nextafter(rk, 0.0)))
+
+
+def test_every_stepping_path_rejects_an_unstable_dt(small_harmonic, rng):
+    op, _ = small_harmonic
+    phi, p = rng.standard_normal(40), rng.standard_normal(40)
+    lf = leapfrog_stability_bound(op)
+    for dt in (lf, -lf, 2.0 * lf, 0.0):
+        with pytest.raises(StabilityError):
+            step_leapfrog(op, FieldState(phi=phi, p=p), dt)
+        with pytest.raises(StabilityError):
+            leapfrog_trajectory(op, FieldState(phi=phi, p=p), dt, 3)
+    rk = rk4_stability_bound(op)
+    for dt in (rk, 2.0 * rk, -0.5 * rk, 0.0):
+        with pytest.raises(StabilityError):
+            step_rk4(op, make_onshell(op, phi, p), dt)
+        with pytest.raises(StabilityError):
+            rk4_trajectory(op, make_onshell(op, phi, p), dt, 3)
+
+
+def test_a_trajectory_looks_the_bound_up_once(small_harmonic, rng, monkeypatch):
+    op, _ = small_harmonic
+    phi, p = rng.standard_normal(40), rng.standard_normal(40)
+    lf, rk = 0.5 * leapfrog_stability_bound(op), 0.5 * rk4_stability_bound(op)
+    calls = []
+    for module, name in ((field, "leapfrog_stability_bound"), (constrained, "rk4_stability_bound")):
+        bound = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda op, bound=bound: calls.append(op) or bound(op))
+    leapfrog_trajectory(op, FieldState(phi=phi, p=p), lf, 50)
+    rk4_trajectory(op, make_onshell(op, phi, p), rk, 50)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
