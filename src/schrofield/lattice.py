@@ -731,40 +731,48 @@ class _Bracket:
         self.kept, self.run = kept, (self.run + 1 if again else int(kept is not None))
 
 
-def _bracket_eigenvalues(diag, b, cols):
+def _bracket_eigenvalues(diag, b, cols, gap):
     """Adjacent floats lo < hi with `_count_below` at most j at lo and above j at hi.
 
-    One pair per column j of `cols`, found for all columns in lockstep. Each
-    pass takes one shift per unfinished column: the midpoint of its bracket,
-    or, once the bracket holds exactly one eigenvalue and log|det(K - x I)|
-    is known at both ends, the regula falsi point of det with the
-    Anderson-Bjorck scaling of an end kept twice running (Galdino, "A family
-    of regula falsi root-finding methods", 2011), pushed further after three
-    (`_Bracket.shift`). A column takes the midpoint after five passes running
-    in which its bracket did not halve, and for good once a secant step
-    fails to halve a bracket narrower than _SECANT_FLOOR, where log|det| is
-    roundoff. Every count narrows every bracket it falls into. A pass counts
-    by `_counts_below` when it takes a secant point or its shifts times n
-    reach _REDUCTION_MIN_SIZE, otherwise by `_count_below`.
+    One pair per column j of `cols`, or None once a column is found not
+    isolated (`_isolated`), which is when `eigenpairs` declines. The columns
+    are bracketed in lockstep. Each pass takes one shift per unfinished
+    column: the midpoint of its bracket, or, once the bracket holds exactly
+    one eigenvalue and log|det(K - x I)| is known at both ends, the regula
+    falsi point of det with the Anderson-Bjorck scaling of an end kept twice
+    running (Galdino, "A family of regula falsi root-finding methods",
+    2011), pushed further after three (`_Bracket.shift`). A column takes the
+    midpoint after five passes running in which its bracket did not halve,
+    and for good once a secant step fails to halve a bracket narrower than
+    _SECANT_FLOOR, where log|det| is roundoff. Every count narrows every
+    bracket it falls into. A pass counts by `_counts_below` when it takes a
+    secant point or its shifts times n reach _REDUCTION_MIN_SIZE, otherwise
+    by `_count_below`; a request whose columns times n fall below it never
+    could, and is bisected column by column.
 
-    Each end that a `_counts_below` count set is then checked by
-    `_count_below`, and where the two disagree the bracket is mended
-    (`_mend`). The floating-point Sturm count is monotone in the shift
-    (Kahan's argument; Demmel, Dhillon and Ren, ETNA 3, 1995), so the pair is
-    the one that bisection on `_count_below` alone finds.
+    A column that closes has each end that a `_counts_below` count set
+    checked by `_count_below`, and where the two disagree its bracket is
+    mended (`_mend`); then its isolation is checked. The floating-point Sturm
+    count is monotone in the shift (Kahan's argument; Demmel, Dhillon and
+    Ren, ETNA 3, 1995), so each pair is the one that bisection on
+    `_count_below` alone finds. A column whose open bracket is narrower than
+    gap / 2 and holds another eigenvalue by `_count_below` cannot be
+    isolated, and ends the search at once.
     """
     b2 = b * b
     n = len(diag)
     lo, hi = min(diag) - 2.0 * b, max(diag) + 2.0 * b
     if len(cols) * n < _REDUCTION_MIN_SIZE:
-        # No pass could reach the reduction: bisect the columns in turn, each
-        # from the tightest bracket that the earlier counts give.
+        # Each column from the tightest bracket that the earlier counts give.
         counts = {lo: 0, hi: n}
         out = []
         for j in cols:
             lo = max(x for x, c in counts.items() if c <= j)
             hi = min(x for x, c in counts.items() if c > j)
-            out.append(_bisect(diag, b2, j, lo, hi, counts))
+            lo, hi = _bisect(diag, b2, j, lo, hi, counts)
+            if not _isolated(diag, b2, j, lo, hi, gap, counts):
+                return None
+            out.append((lo, hi))
         return out
     diag_row = np.array(diag)
     brackets = [_Bracket(j, lo, hi, n) for j in cols]
@@ -777,16 +785,37 @@ def _bracket_eigenvalues(diag, b, cols):
             counts = [_count_below(diag, b2, x) for x in xs]
             logdets, exact = [math.nan] * len(xs), True
         for br in live:
+            width = br.hi - br.lo
             br.narrow(xs, counts, logdets, exact)
-    out = []
-    for br in brackets:
-        if not br.exact[0] and _count_below(diag, b2, br.lo) > br.j:
-            out.append(_mend(diag, b2, br.j, br.lo, -1.0))
-        elif not br.exact[1] and _count_below(diag, b2, br.hi) <= br.j:
-            out.append(_mend(diag, b2, br.j, br.hi, 1.0))
-        else:
-            out.append((br.lo, br.hi))
-    return out
+            if br.open():
+                crowded = br.count[1] - br.count[0] > 1 and br.hi - br.lo < 0.5 * gap <= width
+                if crowded and _crowded(diag, b2, br):
+                    return None
+                continue
+            if not br.exact[0] and _count_below(diag, b2, br.lo) > br.j:
+                br.lo, br.hi = _mend(diag, b2, br.j, br.lo, -1.0)
+            elif not br.exact[1] and _count_below(diag, b2, br.hi) <= br.j:
+                br.lo, br.hi = _mend(diag, b2, br.j, br.hi, 1.0)
+            if not _isolated(diag, b2, br.j, br.lo, br.hi, gap):
+                return None
+    return [(br.lo, br.hi) for br in brackets]
+
+
+def _isolated(diag, b2, j, lo, hi, gap, counts=None):
+    """Whether `_count_below` is j one gap below lo and j + 1 one gap above hi.
+
+    Records both counts in `counts` if given.
+    """
+    below, above = _count_below(diag, b2, lo - gap), _count_below(diag, b2, hi + gap)
+    if counts is not None:
+        counts[lo - gap], counts[hi + gap] = below, above
+    return (below, above) == (j, j + 1)
+
+
+def _crowded(diag, b2, br):
+    """Whether `_count_below` puts br's eigenvalue j and at least one more inside br."""
+    low, high = _count_below(diag, b2, br.lo), _count_below(diag, b2, br.hi)
+    return low <= br.j < high and high - low > 1
 
 
 def _mend(diag, b2, j, edge, direction):
@@ -836,11 +865,11 @@ def eigenpairs(op, cols):
     lockstep, most passes counted by odd-even reduction (`_counts_below`) and
     regula falsi on log|det| once a bracket isolates its eigenvalue; each end
     a reduction count set is checked on `_count_below` and mended where they
-    differ (`_bracket_eigenvalues`). So kappa and the vector are, bit for bit,
-    what one bisection per column on `_count_below` gives, at about 20 to 60
+    differ, and two more counts, one gap below and above, check isolation
+    (`_bracket_eigenvalues`). So kappa and the vector are, bit for bit, what
+    one bisection per column on `_count_below` gives, at about 20 to 60
     passes of one reduction for all columns instead of about 55 scalar counts
-    each. Two more counts, one gap below and above, check isolation.
-    Dirichlet K is an unreduced tridiagonal (coupling > 0), so its
+    each. Dirichlet K is an unreduced tridiagonal (coupling > 0), so its
     eigenvalues are simple. The vector is one twisted factorization at that
     shift (Dhillon and Parlett 2004): the pivots of K - kappa I factored from
     the top and from the bottom meet at the index r where |gamma_r| is least,
@@ -855,11 +884,11 @@ def eigenpairs(op, cols):
     scale, diag, b = _scaled_stencil(op)
     b2 = b * b
     gap = ISOLATION_RTOL * (max(map(abs, diag)) + 2.0 * b)
-    brackets = _bracket_eigenvalues(diag, b, cols)
+    brackets = _bracket_eigenvalues(diag, b, cols, gap)
+    if brackets is None:
+        return None
     vectors = np.empty((n, len(brackets)))
-    for k, (j, (lo, hi)) in enumerate(zip(cols, brackets)):
-        if (_count_below(diag, b2, lo - gap), _count_below(diag, b2, hi + gap)) != (j, j + 1):
-            return None
+    for k, (lo, _) in enumerate(brackets):
         shifted = [a - lo for a in diag]
         down = _pivots(shifted, b2)
         up = _pivots(shifted[::-1], b2)[::-1]

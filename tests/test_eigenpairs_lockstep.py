@@ -107,17 +107,32 @@ def test_matches_bisection_on_the_smallest_grids(n, reduce_all, monkeypatch):
                 assert_same(eigenpairs(op, list(cols)), bisection_eigenpairs(op, list(cols)))
 
 
+def _double_well():
+    """The double well of test_eigenpairs: its lowest pair is split far below the isolation gap."""
+    x = build_grid(200, -10.0, 10.0, "dirichlet").points()
+    well = 0.5 * x * x + 30.0 * np.exp(-0.5 * x * x)
+    return _op(200, {"name": "inline", "values": well.tolist()}, -10.0, 10.0)
+
+
 @pytest.mark.parametrize("cols", [[199], [197], [198, 199], [190, 195]])
 def test_declines_what_bisection_declines(cols, monkeypatch):
     monkeypatch.setattr(lattice, "_REDUCTION_MIN_SIZE", ALWAYS_REDUCE)
-    # The double well of test_eigenpairs: its lowest pair is split far below the isolation gap.
-    x = build_grid(200, -10.0, 10.0, "dirichlet").points()
-    well = 0.5 * x * x + 30.0 * np.exp(-0.5 * x * x)
-    op = _op(200, {"name": "inline", "values": well.tolist()}, -10.0, 10.0)
+    op = _double_well()
     want = bisection_eigenpairs(op, cols)
     assert_same(eigenpairs(op, cols), want)
     if cols[-1] == 199:
         assert want is None
+
+
+def test_a_pair_within_half_the_gap_ends_the_search(monkeypatch):
+    # Bisection on the Sturm count takes about 60 counts to decline this
+    # request; the lockstep passes stop once the shared bracket is narrower
+    # than half the isolation gap, after two counts that confirm the pair.
+    monkeypatch.setattr(lattice, "_REDUCTION_MIN_SIZE", ALWAYS_REDUCE)
+    op = _double_well()
+    scalar = _counting(monkeypatch, "_count_below")
+    assert eigenpairs(op, [198, 199]) is None
+    assert len(scalar) <= 2
 
 
 def test_one_mode_below_the_break_even_counts_one_shift_at_a_time(monkeypatch):

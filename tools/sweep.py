@@ -47,7 +47,7 @@ EIGENPAIRS_MODES = (1, 8)
 EIGENPAIRS_REPEATS = 7
 # Workers per source. On a shared host one worker's best can sit well above
 # another's; alternating the sources spreads that drift over both.
-EIGENPAIRS_ROUNDS = 3
+EIGENPAIRS_ROUNDS = 5
 SEED = 7
 # Seconds a size may run, launcher and worker together. At n = 3200, verify
 # with a dense eigh per refined level took 60 s on a 2-core host.
