@@ -33,16 +33,17 @@ MAX_STEPS = 10**7
 # grid at n = 3200. Its K and spectrum take 24 n^2 bytes, 0.98 GB at this n.
 MAX_DENSE_N = 6401
 # `lattice.eigenpairs` costs about 20 to 60 O(n) passes of one reduction for
-# all its modes, plus 4 O(n) Sturm counts and a twisted factorization per
-# mode, and one dense `eigh` O(n^3), so the stencil wins below about k* = c n^2
-# modes. Measured (Dirichlet harmonic on [-20, 20], 1 BLAS thread, CPU time,
-# best of 7): k* = 1.0, 3.0, 2.8, 25, 30, 63, 260 and 2370 at n = 64, 150,
-# 200, 300, 400, 600, 1200 and 3200. From n = 300 up c is 1.7e-4 to 2.8e-4,
-# and this value is within a factor 1.5 of k*. Below that the cost is not
-# monotone in k, since a request of modes x n past the reduction's
-# `lattice._REDUCTION_MIN_SIZE` takes the lockstep passes: at n = 150 to 400
-# every request this rule sends to the stencil costs at most 1.24 times `eigh`
-# (n = 150, 4 modes).
+# all its modes, or about 64 O(n) Sturm counts per mode when modes x n is
+# under `lattice._REDUCTION_MIN_SIZE`, plus a few Sturm counts and a twisted
+# factorization per mode; one dense `eigh` costs O(n^3). So the stencil wins
+# below about k* = c n^2 modes. Measured (Dirichlet harmonic on [-20, 20],
+# 1 BLAS thread, CPU time, best of up to 9 runs interleaved with `eigh`):
+# k* = 1.1, 3.4, 3.2 to 5.1, 8.6 to 11, 16, 31, 70, 212 and 2840 at n = 64,
+# 150, 200, 250, 300, 400, 600, 1200 and 3200, so c is 1.4e-4 to 2.8e-4, and
+# this value is within a factor 1.5 of k* at each of these n but 200. There
+# the cost is not monotone in k, since 4 modes take the Sturm counts and 5
+# the reduction. A request this rule sends to the stencil costs at most
+# about 1.5 times `eigh` (4 modes at n = 150 and 200).
 STENCIL_MODES_PER_N2 = 2e-4
 
 _TOP_KEYS = {

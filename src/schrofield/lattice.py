@@ -594,7 +594,8 @@ def _pivots(shifted, b2):
 
 # A pass of `eigenpairs` counts its shifts together by `_counts_below` once
 # shifts x n reaches this, one at a time by `_count_below` below it, and a
-# request of columns x n below it never reaches the reduction. One reduction
+# request of columns x n below it takes no secant steps, which need the
+# reduction's log|det|, so it bisects on `_count_below` alone. One reduction
 # costs as much as about 9 scalar counts at n = 200, 2.5 at n = 800 and 1.8 at
 # n = 1200, and less than one from n = 3200 (one core of a shared 2-vCPU
 # host), but it also gives log|det| for the secant steps, which halve the
@@ -602,6 +603,10 @@ def _pivots(shifted, b2):
 # harmonic grids at n = 200 to 3200, 1000 was as fast as 500, 1500 and 2000
 # or faster, and no request was slower than per-column bisection.
 _REDUCTION_MIN_SIZE = 1000
+# `_counts_below` reduces at most this many shifts x n at a time. Its scratch
+# is about 36 bytes per element, so 2.4 MB at most however many shifts a pass
+# takes.
+_REDUCTION_BLOCK = 2**16
 # Below this bracket width (K scaled as in `_scaled_stencil`, so max|kappa| is
 # under 3/4), a secant step that does not halve the bracket is taken to be
 # lost in roundoff, and its column bisects from then on.
@@ -611,7 +616,22 @@ _SECANT_FLOOR = 2.0**-48
 def _counts_below(diag, b2, shifts):
     """`_count_below` at every shift at once, with log|det(K - x I)| at each.
 
-    Odd-even reduction of K - x I over a (shifts, n) array, diag an array.
+    Odd-even reduction of K - x I over a (shifts, n) array, diag an array,
+    in blocks of at most _REDUCTION_BLOCK elements (`_reduction_inertia`).
+    """
+    shifts = np.asarray(shifts, dtype=float)
+    rows = max(1, _REDUCTION_BLOCK // diag.size)
+    count = np.empty(shifts.size, dtype=np.intp)
+    logdet = np.empty(shifts.size)
+    for start in range(0, shifts.size, rows):
+        block = slice(start, start + rows)
+        count[block], logdet[block] = _reduction_inertia(diag, b2, shifts[block])
+    return count, logdet
+
+
+def _reduction_inertia(diag, b2, shifts):
+    """The count of eigenvalues below each shift and log|det(K - x I)|, by odd-even reduction.
+
     At each level the odd-numbered rows are coupled only to even-numbered
     ones, so their diagonals are pivots of a congruence, and eliminating them
     leaves a tridiagonal Schur complement on the even-numbered rows: d_2k
@@ -623,7 +643,6 @@ def _counts_below(diag, b2, shifts):
     overflows leaves its shift's count and log|det| meaningless; neither
     raises a warning. O(n) work per shift in about log2(n) levels.
     """
-    shifts = np.asarray(shifts, dtype=float)
     d = diag - shifts[:, None]
     pivots = np.empty_like(d)
     done = 0
@@ -680,13 +699,14 @@ class _Bracket:
             and not self.noisy
         )
 
-    def shift(self):
+    def shift(self, secants):
         """The midpoint, or where the secant through (lo, det lo) and (hi, det hi) crosses zero.
 
-        Sets `stepped` to whether it is the secant point.
+        The secant point only if `secants` allows it. Sets `stepped` to
+        whether it is the secant point.
         """
         lo, hi = self.lo, self.hi
-        self.stepped = self.secant()
+        self.stepped = secants and self.secant()
         if not self.stepped:
             return 0.5 * (lo + hi)
         # det has opposite signs at the ends, so the crossing is at
@@ -703,25 +723,32 @@ class _Bracket:
             x = near + math.copysign(math.sqrt(abs(x - near) * (hi - lo)), x - near)
         return min(max(x, math.nextafter(lo, hi)), math.nextafter(hi, lo))
 
-    def narrow(self, xs, counts, logdets, exact):
-        """Move the ends in to every counted shift of xs that falls inside."""
-        secant = self.stepped
+    def narrow(self, xs, counts, logdets, exact, start):
+        """Move the ends in to every counted shift that falls inside.
+
+        xs ascends, and xs[start] is the first shift above lo.
+        """
         width = self.hi - self.lo
-        previous = list(self.logdet)
+        previous = self.logdet[:]
         moved = [False, False]
-        for x, c, ld in zip(xs, counts, logdets):
-            if self.lo < x < self.hi:
-                end = int(c > self.j)
-                if end:
-                    self.hi = x
-                else:
-                    self.lo = x
-                self.count[end], self.logdet[end], self.exact[end] = c, ld, exact
-                moved[end] = True
+        for i in range(start, len(xs)):
+            x = xs[i]
+            if x >= self.hi:
+                break
+            end = int(counts[i] > self.j)
+            if end:
+                self.hi = x
+            else:
+                self.lo = x
+            self.count[end], self.logdet[end], self.exact[end] = counts[i], logdets[i], exact
+            moved[end] = True
         halved = self.hi - self.lo <= 0.5 * width
         self.stalls = 0 if halved else self.stalls + 1
-        self.noisy |= secant and not halved and width < _SECANT_FLOOR
-        kept = moved.index(False) if secant and moved.count(True) == 1 else None
+        if not self.stepped:
+            self.kept, self.run = None, 0
+            return
+        self.noisy |= not halved and width < _SECANT_FLOOR
+        kept = moved.index(False) if moved.count(True) == 1 else None
         again = kept is not None and kept == self.kept
         if again:
             # Anderson and Bjorck: scale |det| at the end kept twice running by
@@ -747,50 +774,38 @@ def _bracket_eigenvalues(diag, b, cols, gap):
     _SECANT_FLOOR, where log|det| is roundoff. Every count narrows every
     bracket it falls into. A pass counts by `_counts_below` when it takes a
     secant point or its shifts times n reach _REDUCTION_MIN_SIZE, otherwise
-    by `_count_below`; a request whose columns times n fall below it never
-    could, and is bisected column by column.
+    by `_count_below`. A request whose columns times n fall below
+    _REDUCTION_MIN_SIZE takes no secant points, so it bisects on
+    `_count_below` alone.
 
     A column that closes has each end that a `_counts_below` count set
     checked by `_count_below`, and where the two disagree its bracket is
     mended (`_mend`); then its isolation is checked. The floating-point Sturm
     count is monotone in the shift (Kahan's argument; Demmel, Dhillon and
     Ren, ETNA 3, 1995), so each pair is the one that bisection on
-    `_count_below` alone finds. A column whose open bracket is narrower than
-    gap / 2 and holds another eigenvalue by `_count_below` cannot be
-    isolated, and ends the search at once.
+    `_count_below` alone finds.
     """
+    from bisect import bisect_right
+
     b2 = b * b
     n = len(diag)
     lo, hi = min(diag) - 2.0 * b, max(diag) + 2.0 * b
-    if len(cols) * n < _REDUCTION_MIN_SIZE:
-        # Each column from the tightest bracket that the earlier counts give.
-        counts = {lo: 0, hi: n}
-        out = []
-        for j in cols:
-            lo = max(x for x, c in counts.items() if c <= j)
-            hi = min(x for x, c in counts.items() if c > j)
-            lo, hi = _bisect(diag, b2, j, lo, hi, counts)
-            if not _isolated(diag, b2, j, lo, hi, gap, counts):
-                return None
-            out.append((lo, hi))
-        return out
+    secants = len(cols) * n >= _REDUCTION_MIN_SIZE
     diag_row = np.array(diag)
-    brackets = [_Bracket(j, lo, hi, n) for j in cols]
-    while live := [br for br in brackets if br.open()]:
-        xs = sorted({br.shift() for br in live})
-        if any(br.stepped for br in live) or len(xs) * n >= _REDUCTION_MIN_SIZE:
+    brackets = live = [_Bracket(j, lo, hi, n) for j in cols]
+    while live:
+        xs = sorted({br.shift(secants) for br in live})
+        if secants and (len(xs) * n >= _REDUCTION_MIN_SIZE or any(br.stepped for br in live)):
             counts, logdets = (a.tolist() for a in _counts_below(diag_row, b2, xs))
             exact = False
         else:
             counts = [_count_below(diag, b2, x) for x in xs]
             logdets, exact = [math.nan] * len(xs), True
+        still = []
         for br in live:
-            width = br.hi - br.lo
-            br.narrow(xs, counts, logdets, exact)
+            br.narrow(xs, counts, logdets, exact, bisect_right(xs, br.lo))
             if br.open():
-                crowded = br.count[1] - br.count[0] > 1 and br.hi - br.lo < 0.5 * gap <= width
-                if crowded and _crowded(diag, b2, br):
-                    return None
+                still.append(br)
                 continue
             if not br.exact[0] and _count_below(diag, b2, br.lo) > br.j:
                 br.lo, br.hi = _mend(diag, b2, br.j, br.lo, -1.0)
@@ -798,24 +813,13 @@ def _bracket_eigenvalues(diag, b, cols, gap):
                 br.lo, br.hi = _mend(diag, b2, br.j, br.hi, 1.0)
             if not _isolated(diag, b2, br.j, br.lo, br.hi, gap):
                 return None
+        live = still
     return [(br.lo, br.hi) for br in brackets]
 
 
-def _isolated(diag, b2, j, lo, hi, gap, counts=None):
-    """Whether `_count_below` is j one gap below lo and j + 1 one gap above hi.
-
-    Records both counts in `counts` if given.
-    """
-    below, above = _count_below(diag, b2, lo - gap), _count_below(diag, b2, hi + gap)
-    if counts is not None:
-        counts[lo - gap], counts[hi + gap] = below, above
-    return (below, above) == (j, j + 1)
-
-
-def _crowded(diag, b2, br):
-    """Whether `_count_below` puts br's eigenvalue j and at least one more inside br."""
-    low, high = _count_below(diag, b2, br.lo), _count_below(diag, b2, br.hi)
-    return low <= br.j < high and high - low > 1
+def _isolated(diag, b2, j, lo, hi, gap):
+    """Whether `_count_below` is j one gap below lo and j + 1 one gap above hi."""
+    return (_count_below(diag, b2, lo - gap), _count_below(diag, b2, hi + gap)) == (j, j + 1)
 
 
 def _mend(diag, b2, j, edge, direction):
@@ -834,16 +838,10 @@ def _mend(diag, b2, j, edge, direction):
     return _bisect(diag, b2, j, *sorted((edge, far)))
 
 
-def _bisect(diag, b2, j, lo, hi, counts=None):
-    """Bisect (lo, hi) to adjacent floats on `_count_below`, keeping j's eigenvalue inside.
-
-    Records each count in `counts` if given.
-    """
+def _bisect(diag, b2, j, lo, hi):
+    """Bisect (lo, hi) to adjacent floats on `_count_below`, keeping j's eigenvalue inside."""
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        c = _count_below(diag, b2, mid)
-        if counts is not None:
-            counts[mid] = c
-        if c <= j:
+        if _count_below(diag, b2, mid) <= j:
             lo = mid
         else:
             hi = mid
@@ -869,7 +867,8 @@ def eigenpairs(op, cols):
     (`_bracket_eigenvalues`). So kappa and the vector are, bit for bit, what
     one bisection per column on `_count_below` gives, at about 20 to 60
     passes of one reduction for all columns instead of about 55 scalar counts
-    each. Dirichlet K is an unreduced tridiagonal (coupling > 0), so its
+    each; a request of columns times n under _REDUCTION_MIN_SIZE is that
+    bisection, in lockstep. Dirichlet K is an unreduced tridiagonal (coupling > 0), so its
     eigenvalues are simple. The vector is one twisted factorization at that
     shift (Dhillon and Parlett 2004): the pivots of K - kappa I factored from
     the top and from the bottom meet at the index r where |gamma_r| is least,

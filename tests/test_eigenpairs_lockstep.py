@@ -124,17 +124,6 @@ def test_declines_what_bisection_declines(cols, monkeypatch):
         assert want is None
 
 
-def test_a_pair_within_half_the_gap_ends_the_search(monkeypatch):
-    # Bisection on the Sturm count takes about 60 counts to decline this
-    # request; the lockstep passes stop once the shared bracket is narrower
-    # than half the isolation gap, after two counts that confirm the pair.
-    monkeypatch.setattr(lattice, "_REDUCTION_MIN_SIZE", ALWAYS_REDUCE)
-    op = _double_well()
-    scalar = _counting(monkeypatch, "_count_below")
-    assert eigenpairs(op, [198, 199]) is None
-    assert len(scalar) <= 2
-
-
 def test_one_mode_below_the_break_even_counts_one_shift_at_a_time(monkeypatch):
     op = _op(400, {"name": "harmonic", "omega": 1.0})
     reductions = _counting(monkeypatch, "_counts_below")
