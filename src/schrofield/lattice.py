@@ -672,41 +672,40 @@ class _Bracket:
     of eigenvalues below the end, log|det(K - x I)| there (nan where not
     known) and whether `_count_below` gave the count. `kept` is the end that
     the last `run` secant passes kept, `stalls` the passes running in which
-    the bracket did not halve, and `noisy` whether secant steps stopped paying.
+    the bracket did not halve, and `noisy` whether the bracket takes no more
+    secant points: from the start unless `secants`, or once they stop paying.
     """
 
     __slots__ = (
         "j", "lo", "hi", "count", "logdet", "exact", "stepped", "kept", "run", "stalls", "noisy"
     )
 
-    def __init__(self, j, lo, hi, n):
+    def __init__(self, j, lo, hi, n, secants):
         self.j, self.lo, self.hi = j, lo, hi
         self.count = [0, n]
         self.logdet = [math.nan, math.nan]
         self.exact = [True, True]
-        self.stepped, self.kept, self.run, self.stalls, self.noisy = False, None, 0, 0, False
+        self.stepped, self.kept, self.run, self.stalls = False, None, 0, 0
+        self.noisy = not secants
 
     def open(self):
         return self.lo < 0.5 * (self.lo + self.hi) < self.hi
 
-    def secant(self):
-        """Whether the next shift is a secant point: one eigenvalue inside, both logdets known."""
-        return (
-            self.count[1] - self.count[0] == 1
-            and math.isfinite(self.logdet[0])
-            and math.isfinite(self.logdet[1])
-            and self.stalls < 5
-            and not self.noisy
-        )
-
-    def shift(self, secants):
+    def shift(self):
         """The midpoint, or where the secant through (lo, det lo) and (hi, det hi) crosses zero.
 
-        The secant point only if `secants` allows it. Sets `stepped` to
-        whether it is the secant point.
+        The secant point when the bracket holds one eigenvalue and both
+        logdets are known, unless `noisy` or after five stalls. Sets
+        `stepped` to whether it is the secant point.
         """
         lo, hi = self.lo, self.hi
-        self.stepped = secants and self.secant()
+        self.stepped = (
+            not self.noisy
+            and self.stalls < 5
+            and self.count[1] - self.count[0] == 1
+            and math.isfinite(self.logdet[0])
+            and math.isfinite(self.logdet[1])
+        )
         if not self.stepped:
             return 0.5 * (lo + hi)
         # det has opposite signs at the ends, so the crossing is at
@@ -728,9 +727,8 @@ class _Bracket:
 
         xs ascends, and xs[start] is the first shift above lo.
         """
-        width = self.hi - self.lo
+        lo, hi = self.lo, self.hi
         previous = self.logdet[:]
-        moved = [False, False]
         for i in range(start, len(xs)):
             x = xs[i]
             if x >= self.hi:
@@ -741,13 +739,15 @@ class _Bracket:
             else:
                 self.lo = x
             self.count[end], self.logdet[end], self.exact[end] = counts[i], logdets[i], exact
-            moved[end] = True
-        halved = self.hi - self.lo <= 0.5 * width
+        if self.noisy:
+            return
+        halved = self.hi - self.lo <= 0.5 * (hi - lo)
         self.stalls = 0 if halved else self.stalls + 1
         if not self.stepped:
             self.kept, self.run = None, 0
             return
-        self.noisy |= not halved and width < _SECANT_FLOOR
+        self.noisy |= not halved and hi - lo < _SECANT_FLOOR
+        moved = (self.lo != lo, self.hi != hi)
         kept = moved.index(False) if moved.count(True) == 1 else None
         again = kept is not None and kept == self.kept
         if again:
@@ -792,9 +792,9 @@ def _bracket_eigenvalues(diag, b, cols, gap):
     lo, hi = min(diag) - 2.0 * b, max(diag) + 2.0 * b
     secants = len(cols) * n >= _REDUCTION_MIN_SIZE
     diag_row = np.array(diag)
-    brackets = live = [_Bracket(j, lo, hi, n) for j in cols]
+    brackets = live = [_Bracket(j, lo, hi, n, secants) for j in cols]
     while live:
-        xs = sorted({br.shift(secants) for br in live})
+        xs = sorted(set(map(_Bracket.shift, live)))
         if secants and (len(xs) * n >= _REDUCTION_MIN_SIZE or any(br.stepped for br in live)):
             counts, logdets = (a.tolist() for a in _counts_below(diag_row, b2, xs))
             exact = False
