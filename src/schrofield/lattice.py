@@ -868,12 +868,12 @@ def eigenpairs(op, cols):
     one bisection per column on `_count_below` gives, at about 20 to 60
     passes of one reduction for all columns instead of about 55 scalar counts
     each; a request of columns times n under _REDUCTION_MIN_SIZE is that
-    bisection, in lockstep. Dirichlet K is an unreduced tridiagonal (coupling > 0), so its
-    eigenvalues are simple. The vector is one twisted factorization at that
-    shift (Dhillon and Parlett 2004): the pivots of K - kappa I factored from
-    the top and from the bottom meet at the index r where |gamma_r| is least,
-    and z with z_r = 1 follows from the two unit bidiagonal factors as
-    running products.
+    bisection, in lockstep. Dirichlet K is an unreduced tridiagonal
+    (coupling > 0), so its eigenvalues are simple. The vector is one twisted
+    factorization at that shift (Dhillon and Parlett 2004): the pivots of
+    K - kappa I factored from the top and from the bottom meet at the index r
+    where |gamma_r| is least, and z with z_r = 1 follows from the two unit
+    bidiagonal factors as running products.
     """
     n = op.n
     if op.grid.boundary != DIRICHLET:

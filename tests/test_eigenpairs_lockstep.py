@@ -192,6 +192,17 @@ def test_counts_below_is_the_sturm_count_between_eigenvalues(op):
     assert np.all(np.isfinite(logdet))
 
 
+@pytest.mark.parametrize("block", [1, 1165])
+def test_counts_below_gives_the_same_bits_in_blocks(block, monkeypatch):
+    # 168 shifts at n = 233: one per block, or blocks of 5 and a last one of 3.
+    diag, b, shifts, _ = _midpoints(_op(233, {"name": "harmonic", "omega": 1.0}))
+    whole = lattice._counts_below(np.array(diag), b * b, shifts)
+    monkeypatch.setattr(lattice, "_REDUCTION_BLOCK", block)
+    blocked = lattice._counts_below(np.array(diag), b * b, shifts)
+    assert np.array_equal(blocked[0], whole[0])
+    assert np.array_equal(blocked[1], whole[1])
+
+
 @pytest.mark.parametrize("n", [4, 16, 100])
 def test_counts_below_floors_zero_pivots(n):
     # At the diagonal of a free stencil every first-level pivot is exactly 0.
