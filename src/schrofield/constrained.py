@@ -27,7 +27,7 @@ import numpy as np
 from . import quadrature
 from .errors import OffShellError, StabilityError
 from .field import FieldState
-from .lattice import apply, spectral_radius, stencil_product
+from .lattice import PERIODIC, apply, spectral_radius, stencil_product
 from .quadrature import Trajectory
 from .schrodinger import WaveFunction, _State
 
@@ -129,10 +129,7 @@ def rk4_stability_bound(op):
 
 def step_rk4(op, s, dt):
     """Classical fourth-order Runge-Kutta step of the substituted system."""
-    dt = _stable_rk4_dt(op, dt)
-    y = np.stack([s.phi, s.p, s.varphi])
-    phi, p, varphi = _rk4(op, y, dt, np.empty_like(y))
-    return ConstrainedState(phi=phi, p=p, varphi=varphi, pi=s.pi, time=s.time + dt)
+    return _Rk4Map(op, dt).step(s)
 
 
 def _stable_rk4_dt(op, dt):
@@ -144,20 +141,21 @@ def _stable_rk4_dt(op, dt):
     return dt
 
 
-# Horner factors 1/4, 1/3, 1/2, 1 of the degree-4 Taylor polynomial, one (2, 1)
-# column per stage, signed per row: tau times a column, applied to
-# (K varphi, K p), gives the stage's factor times tau J K w.
-_HORNER = np.outer([1.0 / 4.0, 1.0 / 3.0, 1.0 / 2.0, 1.0], [1.0, -1.0])[:, :, None]
+# Horner factors 1/4, 1/3, 1/2, 1 of the degree-4 Taylor polynomial, one pair
+# per stage, signed per row: tau times a pair, applied to (K varphi, K p),
+# gives the stage's factor times tau J K w.
+_HORNER = np.outer([1.0 / 4.0, 1.0 / 3.0, 1.0 / 2.0, 1.0], [1.0, -1.0])
 
 
 def _rk4(op, y, dt, out):
     """step_rk4 on y = (phi, p, varphi), written into `out` (not y's memory).
 
-    dt is a float that `_stable_rk4_dt` has passed. On a linear autonomous
-    system classical RK4 is the degree-4 Taylor map of dt times the generator
-    (Hairer, Norsett and Wanner, Solving ODEs I, section II.1), evaluated
-    here by Horner's rule on the closed pair u = (p, varphi). With
-    tau = dt / hbar and J K u = (K varphi, -K p):
+    y may be a stacked batch of shape (3, ..., n). dt is a float that
+    `_stable_rk4_dt` has passed. On a linear autonomous system classical RK4
+    is the degree-4 Taylor map of dt times the generator (Hairer, Norsett and
+    Wanner, Solving ODEs I, section II.1), evaluated here by Horner's rule on
+    the closed pair u = (p, varphi). With tau = dt / hbar and
+    J K u = (K varphi, -K p):
 
         w = u + (tau/4) J K u,  w = u + (tau/3) J K w,  w = u + (tau/2) J K w,
         phi' = phi + tau w[0],  u' = u + tau J K w.
@@ -165,7 +163,7 @@ def _rk4(op, y, dt, out):
     That is four stencil products of a stacked pair per step.
     """
     tau = dt / op.hbar
-    *stages, last = tau * _HORNER
+    *stages, last = tau * _HORNER.reshape(4, 2, *(1,) * (y.ndim - 1))
     u = y[1:]
     w = u
     for scale in stages:
@@ -180,18 +178,95 @@ def _rk4(op, y, dt, out):
     return out
 
 
-def _rk4_steps(op, ys, dt):
-    """The one RK4 loop: step ys[0] = (phi, p, varphi) on into ys[1:], dt checked once."""
-    dt = _stable_rk4_dt(op, dt)
-    for j in range(1, len(ys)):
-        _rk4(op, ys[j - 1], dt, ys[j])
+# The RK4 map is a polynomial of degree 4 in the tridiagonal K, so each point
+# of its output reads (p, varphi) at the offsets -_REACH..._REACH only.
+_REACH = 4
+_WIDTH = 2 * _REACH + 1
+# `_Rk4Map` steps grids of _WIDTH to _BAND_MAX_N points through the compiled
+# band, larger ones through `_rk4`. A banded step is two numpy calls whose
+# cost grows with n at 18 products per output point; `_rk4` is about 30
+# calls whose cost grows slowly. _BAND_MAX_N is the largest size of
+# BENCH_rk4_band.json (tools/sweep.py --layer rk4) up to which a banded
+# step, its build spread over 200 steps, took at most 0.9 of `_rk4`'s time:
+# 45 against 70 us a step at n = 1200; at 1600 the margin is gone, and from
+# about 2400 the band is the slower.
+_BAND_MAX_N = 1200
+
+
+def _band(op, dt):
+    """The RK4 map of (op, dt), read off `_rk4`, as (coeffs, idx), both O(n).
+
+    The step is out[r, i] = sum_k coeffs[r, k, i] g[k, i] with
+    g = (p, varphi).ravel()[idx], out = (phi' - phi, p', varphi'), and k
+    over p and then varphi at the offsets -4..4 of point i: wrapped on a
+    ring, and zero past the walls of a Dirichlet grid (where idx points at i
+    itself). The coefficients are `_rk4`'s response to comb probes that are
+    1 on every column of one colour: columns of a colour lie _WIDTH apart, so
+    each output point is reached by at most one of them, and its response is
+    that column's entry of the map, bit for bit. On a ring of n points with
+    n % _WIDTH != 0, the last n % _WIDTH columns wrap too close to the first
+    ones and get a colour each, so there are at most 2 * _WIDTH - 1 colours.
+    """
+    n = op.n
+    points = np.arange(n)
+    periodic = op.grid.boundary == PERIODIC
+    combed = n - n % _WIDTH if periodic else n
+    colour = points % _WIDTH
+    colour[combed:] = _WIDTH + np.arange(n - combed)
+    probes = np.zeros((3, 2, _WIDTH + n - combed, n))
+    probes[1, 0, colour, points] = 1.0
+    probes[2, 1, colour, points] = 1.0
+    response = _rk4(op, probes, dt, np.empty_like(probes))
+    cols = points + np.arange(-_REACH, _REACH + 1)[:, None]
+    inside = periodic | ((cols >= 0) & (cols < n))
+    cols = np.where(inside, cols % n, points)
+    coeffs = np.where(inside, response[:, :, colour[cols], points], 0.0)
+    idx = cols + n * np.arange(2)[:, None, None]
+    return coeffs.reshape(3, 2 * _WIDTH, n), idx.reshape(2 * _WIDTH, n)
+
+
+class _Rk4Map:
+    """step_rk4's map for a fixed operator and step size, dt checked once.
+
+    On grids of _WIDTH to _BAND_MAX_N points the map is compiled at
+    construction (`_band`), and a step is one gather and one sum of 18
+    products per output point; elsewhere a step is `_rk4`. Both agree to
+    roundoff. Every RK4 step of the package, public or in a run, goes
+    through this class, so all of them give the same bits.
+    """
+
+    def __init__(self, op, dt):
+        self.op = op
+        self.dt = _stable_rk4_dt(op, dt)
+        self._band = _band(op, self.dt) if _WIDTH <= op.n <= _BAND_MAX_N else None
+
+    def advance(self, y, out):
+        """Write y = (phi, p, varphi), shape (3, n), one step on into out (not y's memory)."""
+        if self._band is None:
+            _rk4(self.op, y, self.dt, out)
+            return
+        coeffs, idx = self._band
+        np.einsum("rkn,kn->rn", coeffs, y[1:].ravel().take(idx), out=out)
+        out[0] += y[0]
+
+    def steps(self, ys):
+        """The one RK4 loop: step ys[0] on into ys[1:]."""
+        for j in range(1, len(ys)):
+            self.advance(ys[j - 1], ys[j])
+
+    def step(self, s):
+        y = np.array([s.phi, s.p, s.varphi], dtype=float)
+        out = np.empty_like(y)
+        self.advance(y, out)
+        phi, p, varphi = out
+        return ConstrainedState(phi=phi, p=p, varphi=varphi, pi=s.pi, time=s.time + self.dt)
 
 
 def rk4_trajectory(op, s0, dt, nsteps):
     """Trajectory of nsteps RK4 steps from s0; pi keeps its initial value."""
     y = np.empty((int(nsteps) + 1, 3, op.n))
     y[0] = s0.phi, s0.p, s0.varphi
-    _rk4_steps(op, y, dt)
+    _Rk4Map(op, dt).steps(y)
     pi = np.broadcast_to(s0.pi, (y.shape[0], op.n))
     times = s0.time + dt * np.arange(y.shape[0])
     return Trajectory(times, phi=y[:, 0], p=y[:, 1], varphi=y[:, 2], pi=pi)

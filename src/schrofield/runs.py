@@ -433,8 +433,10 @@ def _constrained_stepper(scenario):
 
         return y0, products(y0[None])[0], _flow_advance(flow, cfg.dt, products)
 
+    rk4 = cn._Rk4Map(op, cfg.dt)
+
     def advance(ys, ky, k):
-        cn._rk4_steps(op, ys, cfg.dt)
+        rk4.steps(ys)
         return products(ys[1:])
 
     return y0, products(y0[None])[0], advance

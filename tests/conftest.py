@@ -45,23 +45,32 @@ def rk4_taylor_oracle(op, y, dt):
     L is the generator (phi, p, varphi) -> (p, K varphi, -K p) / hbar. Returns
     the map applied to y, summed in extended precision, and the same sum over
     |dt L| and |y|: the scale of the roundoff any float evaluation of the map
-    makes.
+    makes. L is applied block by block, and K through the nonzero entries
+    of its dense matrix, so the oracle costs O(n) per call once K is built.
     """
-    n = op.n
-    gen = np.zeros((3 * n, 3 * n))
-    gen[:n, n : 2 * n] = np.eye(n)
-    gen[n : 2 * n, 2 * n :] = op.matrix
-    gen[2 * n :, n : 2 * n] = -op.matrix
-    gen *= dt / op.hbar
-    term = y.reshape(-1).astype(np.longdouble)
-    size = np.abs(y.reshape(-1))
+    tau = dt / op.hbar
+    rows, cols = np.nonzero(op.matrix)
+    entries = op.matrix[rows, cols]
+
+    def generator(values, f):
+        def product(g):
+            out = np.zeros_like(g)
+            np.add.at(out, rows, values * g[cols])
+            return out
+
+        phi, p, varphi = f
+        return np.stack([tau * p, tau * product(varphi), -tau * product(p)])
+
+    exact_entries, size_entries = entries.astype(np.longdouble), np.abs(entries)
+    term = y.astype(np.longdouble)
+    size = np.abs(y)
     exact, scale = term.copy(), size.copy()
     for k in (1, 2, 3, 4):
-        term = gen.astype(np.longdouble) @ term / k
-        size = np.abs(gen) @ size / k
+        term = generator(exact_entries, term) / k
+        size = np.abs(generator(size_entries, size)) / k
         exact += term
         scale += size
-    return exact.reshape(y.shape), scale.reshape(y.shape)
+    return exact, scale
 
 
 def block(name, n):

@@ -1,9 +1,10 @@
-"""The potential map and the constraint surface each have one definition.
+"""The potential map, the constraint surface and the RK4 step each have one definition.
 
-`correspondence._wave` forms Psi = -K phi + i p and `constrained._onshell_varphi`
-the surface varphi = -K phi. Each test patches one of them and requires the
-patch to show up in every consumer, so that no consumer keeps a copy of its
-own that a fault in the definition would miss.
+`correspondence._wave` forms Psi = -K phi + i p, `constrained._onshell_varphi`
+the surface varphi = -K phi and `constrained._rk4` the RK4 step. Each test
+patches one of them and requires the patch to show up in every consumer, so
+that no consumer keeps a copy of its own that a fault in the definition
+would miss.
 """
 
 import csv
@@ -83,3 +84,29 @@ def test_one_surface_reaches_every_consumer(monkeypatch, tmp_path):
     c1 = snap["varphi"] + 2.0 * apply(op, snap["phi"])
     assert series["c1_inf"][0] == 0.0
     assert series["c1_inf"][-1] == np.abs(c1).max() > 1e-3
+
+
+def test_one_rk4_step_reaches_every_consumer(monkeypatch, tmp_path):
+    scenario = _scenario("rk4")
+    op, dt = scenario.operator, scenario.config.dt
+    nsteps = 20
+    # A grid whose steps go through the band compiled from _rk4.
+    assert 9 <= op.n <= cn._BAND_MAX_N
+    s0 = cn.make_onshell(op, *scenario.initial_pair)
+    half = cn.rk4_trajectory(op, s0, dt / 2, nsteps)
+    rk4 = cn._rk4
+    # the step halved: every consumer must now give the half-step trajectory
+    monkeypatch.setattr(cn, "_rk4", lambda op, y, dt, out: rk4(op, y, dt / 2, out))
+
+    traj = cn.rk4_trajectory(op, s0, dt, nsteps)
+    s = s0
+    for k in range(1, nsteps + 1):
+        s = cn.step_rk4(op, s, dt)
+        for name in ("phi", "p", "varphi"):
+            assert getattr(traj, name)[k].tolist() == getattr(half, name)[k].tolist(), (k, name)
+            assert getattr(s, name).tolist() == getattr(half, name)[k].tolist(), (k, name)
+
+    runs.run_constrained(scenario, tmp_path, quiet=True)
+    snap = _table(tmp_path / f"snapshot_{nsteps:06d}.csv")
+    for name in ("phi", "p", "varphi"):
+        assert snap[name].tolist() == getattr(half, name)[-1].tolist(), name

@@ -1,21 +1,31 @@
-"""Scale sweep of one layer: `verify`, or the stencil eigensolver `lattice.eigenpairs`.
+"""Scale sweep of one layer: `verify`, the stencil eigensolver or the RK4 step.
 
-Usage: python3 tools/sweep.py --label <name> [--layer verify|eigenpairs] [--rev <rev>]
+Usage: python3 tools/sweep.py --label <name> [--layer verify|eigenpairs|rk4] [--rev <rev>]
 
 The `verify` layer (the default) runs `verify --seed 7` on the CI verify
 config (a Dirichlet harmonic grid on [-20, 20], gaussian state, `spectral`,
 dt = 0.01, t_final = 1) at n = 200, 800 and 3200, and records seconds and
-peak RSS. With --rev it measures the `src` of a `git archive` of that
-revision instead of the working tree's.
+peak RSS.
 
 The `eigenpairs` layer times `lattice.eigenpairs` for the 1 and the 8 top
 columns (the lowest-energy modes) of K on the same grid and potential at
-n = 200, 800, 1200 and 3200, in CPU seconds, best of EIGENPAIRS_REPEATS in
-each fresh worker. With --rev it measures that revision and the working
-tree, alternating which goes first, for EIGENPAIRS_ROUNDS workers each, and
-records every round and each source's best.
+n = 200, 800, 1200 and 3200, in CPU seconds, best of REPEATS in each fresh
+worker.
 
-Both write BENCH_<name>.json at the repository root.
+The `rk4` layer times the RK4 step on the ring of the benchmark's
+constrained-rk4 workload (a periodic gaussian barrier on [-10, 10]) at
+dt = half the stability bound, n = RK4_SIZES plus the measured tree's
+`_BAND_MAX_N` and one past it, in CPU seconds per step, best of REPEATS
+blocks of RK4_STEPS steps in each fresh worker: `_rk4` (Horner), the
+compiled band forced on at every size, the band's build, and the run loop's
+`_Rk4Map(op, dt).steps` with its construction (whichever path the tree
+takes at that n; `_rk4_steps` on a tree that has no band).
+
+Every layer measures the working tree ROUNDS times, each round in fresh
+workers. With --rev it measures the `src` of a `git archive` of that
+revision too, alternating which of the two goes first, and records every
+round and each source's best. All write BENCH_<name>.json at the repository
+root.
 
 Each size runs in a fresh launcher process, which starts a fresh worker with
 one BLAS thread and waits for it. The worker times `schrofield.cli.main` and
@@ -44,10 +54,18 @@ SIZES = (200, 800, 3200)
 # The benchmark's field-leapfrog workload runs at n = 1200.
 EIGENPAIRS_SIZES = (200, 800, 1200, 3200)
 EIGENPAIRS_MODES = (1, 8)
-EIGENPAIRS_REPEATS = 7
+REPEATS = 7
 # Workers per source. On a shared host one worker's best can sit well above
 # another's; alternating the sources spreads that drift over both.
-EIGENPAIRS_ROUNDS = 5
+ROUNDS = 5
+# The benchmark's constrained-rk4 workload runs at n = 200.
+RK4_SIZES = (200, 400, 800, 1200, 1600, 2000, 2400, 3200)
+RK4_STEPS = 200
+# The crossover asks the band for a 10% gain: the best of one worker can sit
+# several per cent from another's on a shared host.
+RK4_MARGIN = 0.9
+RK4_GRID = {"x_min": -10.0, "x_max": 10.0, "boundary": "periodic"}
+RK4_POTENTIAL = {"name": "gaussian_barrier", "height": 5.0, "width": 1.0, "center": 0.0}
 SEED = 7
 # Seconds a size may run, launcher and worker together. At n = 3200, verify
 # with a dense eigh per refined level took 60 s on a 2-core host.
@@ -122,7 +140,7 @@ def work_eigenpairs(src):
         for k in EIGENPAIRS_MODES:
             cols = list(range(n - k, n))
             best = float("inf")
-            for _ in range(EIGENPAIRS_REPEATS):
+            for _ in range(REPEATS):
                 t0 = time.process_time()
                 pairs = lattice.eigenpairs(op, cols)
                 best = min(best, time.process_time() - t0)
@@ -132,10 +150,54 @@ def work_eigenpairs(src):
     print(json.dumps({"cpu_s": sizes, "numpy": np.__version__}))
 
 
-def measure_eigenpairs(src):
-    """One worker's record of the eigenpairs layer of the tree at src."""
+def work_rk4(src):
+    """Time the RK4 step in this process and print one JSON line of CPU seconds per step."""
+    sys.path.insert(0, src)
+    import numpy as np
+
+    from schrofield import constrained as cn
+    from schrofield import lattice
+    from schrofield.presets import potential_from_spec
+
+    def best(f):
+        times = []
+        for _ in range(REPEATS):
+            t0 = time.process_time()
+            f()
+            times.append(time.process_time() - t0)
+        return min(times)
+
+    band_max_n = getattr(cn, "_BAND_MAX_N", None)
+    sizes = set(RK4_SIZES) | ({band_max_n, band_max_n + 1} if band_max_n else set())
+    results = {}
+    for n in sorted(sizes):
+        grid = lattice.build_grid(n, RK4_GRID["x_min"], RK4_GRID["x_max"], RK4_GRID["boundary"])
+        op = lattice.build_operator(grid, potential_from_spec(grid, RK4_POTENTIAL))
+        dt = 0.5 * cn.rk4_stability_bound(op)
+        ys = np.empty((RK4_STEPS + 1, 3, n))
+        ys[0] = np.random.default_rng(SEED).standard_normal((3, n))
+
+        def horner():
+            for j in range(1, len(ys)):
+                cn._rk4(op, ys[j - 1], dt, ys[j])
+
+        record = {"horner_s_per_step": best(horner) / RK4_STEPS}
+        if band_max_n is None:
+            record["run_loop_s_per_step"] = best(lambda: cn._rk4_steps(op, ys, dt)) / RK4_STEPS
+        else:
+            record["band_build_s"] = best(lambda: cn._band(op, dt))
+            banded = cn._Rk4Map(op, dt)
+            banded._band = cn._band(op, banded.dt)
+            record["band_s_per_step"] = best(lambda: banded.steps(ys)) / RK4_STEPS
+            record["run_loop_s_per_step"] = best(lambda: cn._Rk4Map(op, dt).steps(ys)) / RK4_STEPS
+        results[str(n)] = record
+    print(json.dumps({"cpu_s": results, "band_max_n": band_max_n, "numpy": np.__version__}))
+
+
+def measure_worker(flag, src):
+    """One fresh worker's record of a timed layer of the tree at src."""
     proc = subprocess.run(
-        [sys.executable, __file__, "--work-eigenpairs", str(src)],
+        [sys.executable, __file__, flag, str(src)],
         env={**os.environ, **_THREADS}, capture_output=True, text=True, check=False,
         timeout=CAP_S,
     )
@@ -175,11 +237,45 @@ def measure(src, n, tmp):
 
 
 def _best(runs):
-    """Per size and mode count, the least CPU seconds over the workers that ran."""
+    """Per size and column (mode count, or timed path), the least CPU seconds over the workers."""
     sizes = [run["cpu_s"] for run in runs if "cpu_s" in run]
     if not sizes:
         return None
     return {n: {k: min(s[n][k] for s in sizes) for k in sizes[0][n]} for n in sizes[0]}
+
+
+def _best_verify(runs):
+    """Per size, the least wall seconds and peak RSS over the rounds that finished."""
+    best = {}
+    for n in map(str, SIZES):
+        done = [run[n] for run in runs if "wall_s" in run[n]]
+        if done:
+            best[n] = {k: min(r[k] for r in done) for k in ("wall_s", "peak_rss_mb")}
+    return best
+
+
+def _band_crossover(best):
+    """The largest of RK4_SIZES up to which the band, its build spread over RK4_STEPS
+    steps, took at most RK4_MARGIN of Horner's time at every one of them, or None."""
+    last = None
+    if not best or "band_s_per_step" not in best[str(RK4_SIZES[0])]:
+        return last
+    for n in map(str, RK4_SIZES):
+        r = best[n]
+        if r["band_s_per_step"] + r["band_build_s"] / RK4_STEPS > RK4_MARGIN * r["horner_s_per_step"]:
+            break
+        last = int(n)
+    return last
+
+
+def _alternate(sources, measure):
+    """ROUNDS records of each source, alternating which source goes first."""
+    rounds = {name: [] for name in sources}
+    for r in range(ROUNDS):
+        for name in list(sources)[:: 1 if r % 2 == 0 else -1]:
+            rounds[name].append(measure(sources[name]))
+            print(f"sweep: {name}: {json.dumps(rounds[name][-1])}", file=sys.stderr)
+    return rounds
 
 
 def _short_revision(rev):
@@ -196,13 +292,13 @@ def main(argv):
         return launch(*argv[1:])
     if argv[:1] == ["--work-eigenpairs"]:
         return work_eigenpairs(*argv[1:])
+    if argv[:1] == ["--work-rk4"]:
+        return work_rk4(*argv[1:])
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
-    parser.add_argument("--layer", choices=("verify", "eigenpairs"), default="verify")
+    parser.add_argument("--layer", choices=("verify", "eigenpairs", "rk4"), default="verify")
     parser.add_argument("--rev", default=None)
     args = parser.parse_args(argv)
-    head = _short_revision("HEAD")
-    tree = f"working tree on {head}"
     host = {
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
@@ -211,47 +307,47 @@ def main(argv):
     }
     with tempfile.TemporaryDirectory(prefix="sweep_") as tmp:
         tmp = Path(tmp)
-        src = REPO / "src"
+        sources = {}
         if args.rev is not None:
             sys.path.insert(0, str(REPO / "tools"))
             from cli_matrix import extract_revision
 
             extract_revision(args.rev, tmp / "rev")
-            src = tmp / "rev" / "src"
+            sources[f"revision {_short_revision(args.rev)}"] = tmp / "rev" / "src"
+        sources[f"working tree on {_short_revision('HEAD')}"] = REPO / "src"
+        bench = {"label": args.label, "layer": args.layer, "host": host}
         if args.layer == "eigenpairs":
-            sources = {}
-            if args.rev is not None:
-                sources[f"revision {_short_revision(args.rev)}"] = src
-            sources[tree] = REPO / "src"
-            rounds = {name: [] for name in sources}
-            for r in range(EIGENPAIRS_ROUNDS):
-                for name in list(sources)[:: 1 if r % 2 == 0 else -1]:
-                    rounds[name].append(measure_eigenpairs(sources[name]))
-                    print(f"sweep: {name}: {json.dumps(rounds[name][-1])}", file=sys.stderr)
-            results = {name: {"rounds": runs, "best_cpu_s": _best(runs)} for name, runs in rounds.items()}
-            bench = {
-                "label": args.label,
-                "layer": "eigenpairs",
-                "command": "lattice.eigenpairs(op, range(n - k, n)) for k top modes",
-                "config": {key: CONFIG[key] for key in ("grid", "potential")},
-                "clock": f"CPU seconds, best of {EIGENPAIRS_REPEATS} per worker",
-                "host": host,
-                "sources": results,
-            }
+            rounds = _alternate(sources, lambda src: measure_worker("--work-eigenpairs", src))
+            bench.update(
+                command="lattice.eigenpairs(op, range(n - k, n)) for k top modes",
+                config={key: CONFIG[key] for key in ("grid", "potential")},
+                clock=f"CPU seconds, best of {REPEATS} per worker",
+                sources={name: {"rounds": runs, "best_cpu_s": _best(runs)} for name, runs in rounds.items()},
+            )
+        elif args.layer == "rk4":
+            rounds = _alternate(sources, lambda src: measure_worker("--work-rk4", src))
+            results = {}
+            for name, runs in rounds.items():
+                best = _best(runs)
+                results[name] = {"rounds": runs, "best_cpu_s": best, "crossover_n": _band_crossover(best)}
+            bench.update(
+                command=f"{RK4_STEPS} RK4 steps of (phi, p, varphi), dt = half the stability bound",
+                config={"grid": RK4_GRID, "potential": RK4_POTENTIAL},
+                clock=f"CPU seconds per step, best of {REPEATS} blocks per worker",
+                sources=results,
+            )
         else:
-            sizes = {}
-            for n in SIZES:
-                sizes[str(n)] = measure(src, n, tmp)
-                print(f"sweep: n={n}: {json.dumps(sizes[str(n)])}", file=sys.stderr)
-            bench = {
-                "label": args.label,
-                "source": f"revision {_short_revision(args.rev)}" if args.rev else tree,
-                "command": f"verify --seed {SEED}",
-                "config": CONFIG,
-                "cap_s": CAP_S,
-                "host": host,
-                "sizes": sizes,
-            }
+            def measure_sizes(src):
+                out = Path(tempfile.mkdtemp(prefix="round_", dir=tmp))
+                return {str(n): measure(src, n, out) for n in SIZES}
+
+            rounds = _alternate(sources, measure_sizes)
+            bench.update(
+                command=f"verify --seed {SEED}",
+                config=CONFIG,
+                cap_s=CAP_S,
+                sources={name: {"rounds": runs, "best": _best_verify(runs)} for name, runs in rounds.items()},
+            )
     path = REPO / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"sweep: wrote {path.name}")
