@@ -45,6 +45,7 @@ from .schrodinger import (
 )
 from .field import (
     FieldState,
+    Leapfrog,
     energy_densities,
     field_action,
     field_hamiltonian,
@@ -67,6 +68,7 @@ from .correspondence import (
 )
 from .constrained import (
     ConstrainedState,
+    Rk4,
     constrained_hamiltonian,
     constrained_rhs,
     constraint_residuals,

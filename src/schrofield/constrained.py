@@ -128,17 +128,8 @@ def rk4_stability_bound(op):
 
 
 def step_rk4(op, s, dt):
-    """Classical fourth-order Runge-Kutta step of the substituted system."""
-    return _Rk4Map(op, dt).step(s)
-
-
-def _stable_rk4_dt(op, dt):
-    """dt as a float, or StabilityError if the RK4 step does not accept it."""
-    dt = float(dt)
-    bound = rk4_stability_bound(op)
-    if not 0.0 < dt < bound:
-        raise StabilityError(dt, bound, "rk4")
-    return dt
+    """One classical RK4 step of the substituted system; keep an `Rk4` for repeated steps."""
+    return Rk4(op, dt).step(s)
 
 
 # Horner factors 1/4, 1/3, 1/2, 1 of the degree-4 Taylor polynomial, one pair
@@ -150,12 +141,11 @@ _HORNER = np.outer([1.0 / 4.0, 1.0 / 3.0, 1.0 / 2.0, 1.0], [1.0, -1.0])
 def _rk4(op, y, dt, out):
     """step_rk4 on y = (phi, p, varphi), written into `out` (not y's memory).
 
-    y may be a stacked batch of shape (3, ..., n). dt is a float that
-    `_stable_rk4_dt` has passed. On a linear autonomous system classical RK4
-    is the degree-4 Taylor map of dt times the generator (Hairer, Norsett and
-    Wanner, Solving ODEs I, section II.1), evaluated here by Horner's rule on
-    the closed pair u = (p, varphi). With tau = dt / hbar and
-    J K u = (K varphi, -K p):
+    y may be a stacked batch of shape (3, ..., n). dt is a float that `Rk4`
+    has checked. On a linear autonomous system classical RK4 is the degree-4
+    Taylor map of dt times the generator (Hairer, Norsett and Wanner, Solving
+    ODEs I, section II.1), evaluated here by Horner's rule on the closed pair
+    u = (p, varphi). With tau = dt / hbar and J K u = (K varphi, -K p):
 
         w = u + (tau/4) J K u,  w = u + (tau/3) J K w,  w = u + (tau/2) J K w,
         phi' = phi + tau w[0],  u' = u + tau J K w.
@@ -182,7 +172,7 @@ def _rk4(op, y, dt, out):
 # of its output reads (p, varphi) at the offsets -_REACH..._REACH only.
 _REACH = 4
 _WIDTH = 2 * _REACH + 1
-# `_Rk4Map` steps grids of _WIDTH to _BAND_MAX_N points through the compiled
+# `Rk4` steps grids of _WIDTH to _BAND_MAX_N points through the compiled
 # band, larger ones through `_rk4`. A banded step is two numpy calls whose
 # cost grows with n at 18 products per output point; `_rk4` is about 30
 # calls whose cost grows slowly. _BAND_MAX_N is the largest size of
@@ -225,7 +215,7 @@ def _band(op, dt):
     return coeffs.reshape(3, 2 * _WIDTH, n), idx.reshape(2 * _WIDTH, n)
 
 
-class _Rk4Map:
+class Rk4:
     """step_rk4's map for a fixed operator and step size, dt checked once.
 
     On grids of _WIDTH to _BAND_MAX_N points the map is compiled at
@@ -236,8 +226,10 @@ class _Rk4Map:
     """
 
     def __init__(self, op, dt):
-        self.op = op
-        self.dt = _stable_rk4_dt(op, dt)
+        self.op, self.dt = op, float(dt)
+        bound = rk4_stability_bound(op)
+        if not 0.0 < self.dt < bound:
+            raise StabilityError(self.dt, bound, "rk4")
         self._band = _band(op, self.dt) if _WIDTH <= op.n <= _BAND_MAX_N else None
 
     def advance(self, y, out):
@@ -249,10 +241,14 @@ class _Rk4Map:
         np.einsum("rkn,kn->rn", coeffs, y[1:].ravel().take(idx), out=out)
         out[0] += y[0]
 
-    def steps(self, ys):
-        """The one RK4 loop: step ys[0] on into ys[1:]."""
+    def steps(self, ys, ky):
+        """The one RK4 loop: step ys[0] = (phi, p, varphi) on into ys[1:]; ky goes unread.
+
+        Returns K (phi, p) of ys[1:], shape (len(ys) - 1, 2, n), one product.
+        """
         for j in range(1, len(ys)):
             self.advance(ys[j - 1], ys[j])
+        return stencil_product(self.op, ys[1:, :2])
 
     def step(self, s):
         y = np.array([s.phi, s.p, s.varphi], dtype=float)
@@ -263,10 +259,10 @@ class _Rk4Map:
 
 
 def rk4_trajectory(op, s0, dt, nsteps):
-    """Trajectory of nsteps RK4 steps from s0; pi keeps its initial value."""
+    """Trajectory of nsteps RK4 steps from s0, by `Rk4.steps`; pi keeps its initial value."""
     y = np.empty((int(nsteps) + 1, 3, op.n))
     y[0] = s0.phi, s0.p, s0.varphi
-    _Rk4Map(op, dt).steps(y)
+    Rk4(op, dt).steps(y, None)
     pi = np.broadcast_to(s0.pi, (y.shape[0], op.n))
     times = s0.time + dt * np.arange(y.shape[0])
     return Trajectory(times, phi=y[:, 0], p=y[:, 1], varphi=y[:, 2], pi=pi)

@@ -44,23 +44,8 @@ def leapfrog_stability_bound(op):
 
 
 def step_leapfrog(op, s, dt):
-    """One kick-drift-kick velocity-Verlet step.
-
-    Negative dt is allowed (the scheme is time-reversible); |dt| must stay
-    under the oscillator stability bound or the step is rejected.
-    """
-    dt = _stable_leapfrog_dt(op, dt)
-    y, _, _ = _leapfrog(op, (s.phi, s.p), apply(op, apply(op, s.phi)), dt)
-    return FieldState(phi=y[0], p=y[1], time=s.time + dt)
-
-
-def _stable_leapfrog_dt(op, dt):
-    """dt as a float, or StabilityError if the leapfrog step does not accept it."""
-    dt = float(dt)
-    bound = leapfrog_stability_bound(op)
-    if dt == 0.0 or abs(dt) >= bound:
-        raise StabilityError(dt, bound, "leapfrog")
-    return dt
+    """One kick-drift-kick velocity-Verlet step; keep a `Leapfrog` for repeated steps."""
+    return Leapfrog(op, dt).step(s)
 
 
 def _leapfrog(op, y, kk_phi, dt):
@@ -77,24 +62,43 @@ def _leapfrog(op, y, kk_phi, dt):
     return np.stack([phi, p_half - half * kk_phi]), k_phi, kk_phi
 
 
-def _leapfrog_steps(op, ys, kk_phi, dt):
-    """The one leapfrog loop: step ys[0] = (phi, p), with kk_phi = K^2 phi, into ys[1:].
+class Leapfrog:
+    """step_leapfrog's map for a fixed operator and step size, dt checked once.
 
-    Checks dt against the stability bound once. Returns K phi of ys[1:],
-    shape (len(ys) - 1, 1, n), and the last K^2 phi.
+    Negative dt is allowed (the scheme is time-reversible); |dt| must stay
+    under the oscillator stability bound or StabilityError is raised. Holds
+    no state between calls: `steps` forms its opening kick's K^2 phi from
+    the K phi it is given.
     """
-    dt = _stable_leapfrog_dt(op, dt)
-    k_phis = np.empty((len(ys) - 1, 1, op.n))
-    for j in range(1, len(ys)):
-        ys[j], k_phis[j - 1, 0], kk_phi = _leapfrog(op, ys[j - 1], kk_phi, dt)
-    return k_phis, kk_phi
+
+    def __init__(self, op, dt):
+        self.op, self.dt = op, float(dt)
+        bound = leapfrog_stability_bound(op)
+        if self.dt == 0.0 or abs(self.dt) >= bound:
+            raise StabilityError(self.dt, bound, "leapfrog")
+
+    def steps(self, ys, ky):
+        """The one leapfrog loop: step ys[0] = (phi, p), with ky[0] = K phi, on into ys[1:].
+
+        Returns K phi of ys[1:], shape (len(ys) - 1, 1, n).
+        """
+        kk_phi = stencil_product(self.op, ky[0])
+        k_phis = np.empty((len(ys) - 1, 1, self.op.n))
+        for j in range(1, len(ys)):
+            ys[j], k_phis[j - 1, 0], kk_phi = _leapfrog(self.op, ys[j - 1], kk_phi, self.dt)
+        return k_phis
+
+    def step(self, s):
+        kk_phi = apply(self.op, apply(self.op, s.phi))
+        y, _, _ = _leapfrog(self.op, (s.phi, s.p), kk_phi, self.dt)
+        return FieldState(phi=y[0], p=y[1], time=s.time + self.dt)
 
 
 def leapfrog_trajectory(op, s0, dt, nsteps):
-    """Trajectory of nsteps leapfrog steps from s0; each step takes two stencil products."""
+    """Trajectory of nsteps `Leapfrog` steps from s0; each step takes two stencil products."""
     y = np.empty((int(nsteps) + 1, 2, op.n))
     y[0] = s0.phi, s0.p
-    _leapfrog_steps(op, y, stencil_product(op, stencil_product(op, y[0, 0])), dt)
+    Leapfrog(op, dt).steps(y, stencil_product(op, y[0, :1]))
     times = s0.time + dt * np.arange(y.shape[0])
     return Trajectory(times, phi=y[:, 0], p=y[:, 1])
 

@@ -15,6 +15,7 @@ import time
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -205,20 +206,23 @@ class _Picture:
     The loop holds each state as one stacked float array `y` of shape (m, n),
     and its stepper steps a block of them into one (B, m, n) buffer. Next to
     the states it keeps `ky`: the stencil products of each state that its
-    series row and its snapshot read. A stepper takes them where it can: from
-    its own steps (Crank-Nicolson and leapfrog compute them anyway), else as
-    one product of the whole block. `row` reads its fields as y[i] and ky[i],
-    so it takes a block's states and products component-major, (m, B, n);
-    `fields` and `wave` take one state and its products.
+    series row and its snapshot read. `row` reads its fields as y[i] and
+    ky[i], so it takes a block's states and products component-major,
+    (m, B, n); `fields` and `wave` take one state and its products.
     """
 
     command: str
     system: str
-    integrators: tuple
-    # scenario -> (y0, ky0, advance). advance(ys, ky, k): ys[0] is the state
-    # at step k and ky its products; writes the states at steps k + 1, ...,
-    # k + len(ys) - 1 into ys[1:] and returns their products
-    stepper: Callable
+    # integrator -> (scenario, y0, products) -> stepper, products being this
+    # picture's bound to the operator. stepper.steps(ys, ky): ys[0] is the
+    # current state and ky its products; writes the next states into ys[1:]
+    # and returns their products, from its own steps where they compute them
+    # anyway (Crank-Nicolson and leapfrog), else one product of the block
+    steppers: dict
+    # scenario -> y0, the initial state
+    initial: Callable
+    # (op, ys) -> the products of the states ys, one row each
+    products: Callable
     columns: tuple
     # (op, t, y, ky) -> the series columns in `columns` order, one value per
     # state of the block
@@ -234,6 +238,34 @@ class _Picture:
     drift: tuple
     # (label, drift key) shown in the stdout summary
     summary: tuple
+
+
+class _ExactFlow:
+    """Stepper of an exact flow: its state k is flow(k dt), evaluated, not stepped.
+
+    Counts its steps, so each `steps` call goes on where the last one stopped.
+    """
+
+    def __init__(self, flow, dt, products):
+        self._flow, self._dt, self._products, self._k = flow, dt, products, 0
+
+    def steps(self, ys, ky):
+        for j in range(1, len(ys)):
+            ys[j] = self._flow((self._k + j) * self._dt)
+        self._k += len(ys) - 1
+        return self._products(ys[1:])
+
+
+def _stepper(cls):
+    """A `steppers` entry that builds the stepper class `cls` from (op, dt)."""
+    return lambda scenario, y0, products: cls(scenario.operator, scenario.config.dt)
+
+
+def _exact(flow):
+    """A `steppers` entry that builds the `_ExactFlow` of flow(scenario, y0): t -> y."""
+    return lambda scenario, y0, products: _ExactFlow(
+        flow(scenario, y0), scenario.config.dt, products
+    )
 
 
 # A block of the run loop holds at most this many steps, and at most this
@@ -285,12 +317,14 @@ def _run(picture, scenario, out_dir, quiet):
     would, and leaves behind the same files.
     """
     cfg, op = scenario.config, scenario.operator
-    if cfg.integrator not in picture.integrators:
+    if cfg.integrator not in picture.steppers:
         raise ConfigError(
             f"integrator {cfg.integrator!r} does not apply to the {picture.system} system"
         )
     t0 = time.perf_counter()
-    y0, ky0, advance = picture.stepper(scenario)
+    y0 = picture.initial(scenario)
+    products = partial(picture.products, op)
+    stepper = picture.steppers[cfg.integrator](scenario, y0, products)
     nsteps = _steps(cfg)
     snaps = _snapshot_steps(nsteps, cfg.snapshot_stride)
     stops = sorted(snaps)
@@ -305,7 +339,7 @@ def _run(picture, scenario, out_dir, quiet):
     # Steppers accumulate time step by step; the exact propagators evaluate it.
     exact = cfg.integrator == "spectral"
     t = 0.0
-    k, times, states, ky = 0, [t], ys[:1], ky0[None]
+    k, times, states, ky = 0, [t], ys[:1], products(ys[:1])
     # Overflow is reported by _checked_rows as a non-finite state or row.
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
@@ -319,7 +353,7 @@ def _run(picture, scenario, out_dir, quiet):
                 break
             ys[0] = states[-1]
             end = min(stops[bisect.bisect_right(stops, k)], k + block)
-            ky = advance(ys[: end - k + 1], ky[-1], k)
+            ky = stepper.steps(ys[: end - k + 1], ky[-1])
             times = []
             for step in range(k + 1, end + 1):
                 t = step * cfg.dt if exact else t + cfg.dt
@@ -331,39 +365,21 @@ def _run(picture, scenario, out_dir, quiet):
     return run.close(drift, f"{picture.command}: {nsteps} steps, {label} {drift[key]:.3e}")
 
 
-def _flow_advance(flow, dt, products):
-    """Block advance of an exact flow: state k + j is flow((k + j) dt); products(ys) per block."""
-
-    def advance(ys, ky, k):
-        for j in range(1, len(ys)):
-            ys[j] = flow((k + j) * dt)
-        return products(ys[1:])
-
-    return advance
-
-
-def _wave_stepper(scenario):
-    """ky is K (re, im), which the next Crank-Nicolson step reads too."""
-    cfg, op = scenario.config, scenario.operator
-    y0 = np.stack(scenario.initial_pair)
-    if cfg.integrator == "spectral":
-        flow = sd._flow(scenario.spectrum, *y0)
-        advance = _flow_advance(flow, cfg.dt, lambda ys: stencil_product(op, ys))
-        return y0, stencil_product(op, y0), advance
-    cayley = sd.CrankNicolson(op, cfg.dt)
-    return y0, stencil_product(op, y0), lambda ys, ky, k: cayley.steps(ys, ky)
-
-
 def _wave_row(op, t, y, ky):
     norm = sd._norm(op, y[0], y[1])
     return (t, norm, sd._energy(op, y, ky), 2.0 * op.hbar * norm)
 
 
+# ky is K (re, im), which the next Crank-Nicolson step reads too.
 _WAVE = _Picture(
     command="run-schrodinger",
     system="wave",
-    integrators=("crank_nicolson", "spectral"),
-    stepper=_wave_stepper,
+    steppers={
+        "crank_nicolson": _stepper(sd.CrankNicolson),
+        "spectral": _exact(lambda scenario, y0: sd._flow(scenario.spectrum, *y0)),
+    },
+    initial=lambda scenario: np.stack(scenario.initial_pair),
+    products=stencil_product,
     columns=("t", "norm", "hamiltonian", "total_probability"),
     row=_wave_row,
     # The wave Hamiltonian has no fixed sign and can start near 0; the norm
@@ -376,35 +392,21 @@ _WAVE = _Picture(
 )
 
 
-def _field_stepper(scenario):
-    """ky is (K phi,); leapfrog carries K^2 phi from each closing kick to the next opening one."""
-    cfg, op = scenario.config, scenario.operator
-    y0 = np.stack(scenario.initial_pair)
-    ky0 = stencil_product(op, y0[:1])
-    if cfg.integrator == "spectral":
-        flow = fd._flow(scenario.spectrum, *y0)
-        advance = _flow_advance(flow, cfg.dt, lambda ys: stencil_product(op, ys[:, :1]))
-        return y0, ky0, advance
-    kk_phi = stencil_product(op, ky0[0])
-
-    def advance(ys, ky, k):
-        nonlocal kk_phi
-        kys, kk_phi = fd._leapfrog_steps(op, ys, kk_phi, cfg.dt)
-        return kys
-
-    return y0, ky0, advance
-
-
 def _field_row(op, t, y, ky):
     norm = sd._norm(op, *cr._wave(ky[0], y[1]))
     return (t, norm, fd._energy(op, y[1], ky[0]), 2.0 * op.hbar * norm)
 
 
+# ky is (K phi,); leapfrog forms its first opening kick's K^2 phi from it.
 _FIELD = _Picture(
     command="run-field",
     system="field",
-    integrators=("leapfrog", "spectral"),
-    stepper=_field_stepper,
+    steppers={
+        "leapfrog": _stepper(fd.Leapfrog),
+        "spectral": _exact(lambda scenario, y0: fd._flow(scenario.spectrum, *y0)),
+    },
+    initial=_WAVE.initial,
+    products=lambda op, ys: stencil_product(op, ys[:, :1]),
     columns=("t", "norm", "hamiltonian", "total_probability"),
     row=_field_row,
     guard=(2, "field hamiltonian"),
@@ -415,31 +417,20 @@ _FIELD = _Picture(
 )
 
 
-def _constrained_stepper(scenario):
-    """y is (phi, p, varphi) on shell, with pi = 0; ky is K (phi, p), one product per block."""
-    cfg, op = scenario.config, scenario.operator
-    s0 = cn.make_onshell(op, *scenario.initial_pair)
-    y0 = np.stack([s0.phi, s0.p, s0.varphi])
+def _constrained_initial(scenario):
+    s0 = cn.make_onshell(scenario.operator, *scenario.initial_pair)
+    return np.stack([s0.phi, s0.p, s0.varphi])
 
-    def products(ys):
-        return stencil_product(op, ys[:, :2])
 
-    if cfg.integrator == "spectral":
-        field = fd._flow(scenario.spectrum, s0.phi, s0.p)
+def _constrained_flow(scenario, y0):
+    """The field flow of (phi, p), with varphi on the constraint surface."""
+    op, field = scenario.operator, fd._flow(scenario.spectrum, *y0[:2])
 
-        def flow(t):
-            phi, p = field(t)
-            return phi, p, cn._onshell_varphi(stencil_product(op, phi))
+    def flow(t):
+        phi, p = field(t)
+        return phi, p, cn._onshell_varphi(stencil_product(op, phi))
 
-        return y0, products(y0[None])[0], _flow_advance(flow, cfg.dt, products)
-
-    rk4 = cn._Rk4Map(op, cfg.dt)
-
-    def advance(ys, ky, k):
-        rk4.steps(ys)
-        return products(ys[1:])
-
-    return y0, products(y0[None])[0], advance
+    return flow
 
 
 def _constrained_row(op, t, y, ky):
@@ -456,11 +447,13 @@ def _constrained_row(op, t, y, ky):
     )
 
 
+# y is (phi, p, varphi) on shell, with pi = 0; ky is K (phi, p).
 _CONSTRAINED = _Picture(
     command="run-constrained",
     system="constrained",
-    integrators=("rk4", "spectral"),
-    stepper=_constrained_stepper,
+    steppers={"rk4": _stepper(cn.Rk4), "spectral": _exact(_constrained_flow)},
+    initial=_constrained_initial,
+    products=lambda op, ys: stencil_product(op, ys[:, :2]),
     columns=("t", "norm", "hamiltonian", "c1_inf", "c2_inf", "total_probability"),
     row=_constrained_row,
     guard=(2, "constrained hamiltonian"),

@@ -113,12 +113,12 @@ class CrankNicolson:
 
 
 def step_crank_nicolson(op, psi, dt):
-    """Single Crank-Nicolson step; use the CrankNicolson class for long runs."""
+    """Single Crank-Nicolson step; keep a `CrankNicolson` for repeated steps."""
     return CrankNicolson(op, dt).step(psi)
 
 
 def crank_nicolson_trajectory(op, psi0, dt, nsteps):
-    """Trajectory of nsteps Crank-Nicolson steps starting from psi0."""
+    """Trajectory of nsteps Crank-Nicolson steps from psi0, by `CrankNicolson.steps`."""
     y = np.empty((int(nsteps) + 1, 2, op.n))
     y[0] = psi0.re, psi0.im
     CrankNicolson(op, dt).steps(y, stencil_product(op, y[0]))

@@ -12,6 +12,7 @@ from schrofield import (
     ConstrainedState,
     FieldState,
     Potential,
+    Rk4,
     Trajectory,
     WaveFunction,
     build_grid,
@@ -35,7 +36,6 @@ from schrofield import (
     reduce_to_field,
     reduce_to_wave,
     schrodinger_residual,
-    step_rk4,
     verify_dirac_relations,
     wave_to_field,
 )
@@ -210,11 +210,11 @@ def test_criterion_05_constrained_dynamics(harmonic400, small_harmonic):
     phi0 = spec.synthesize(low_mode_coefficients(rng, 400, 6))
     p0 = spec.synthesize(low_mode_coefficients(rng, 400, 6))
     state = make_onshell(op, phi0, p0)
-    dt = 1e-3
+    rk4 = Rk4(op, 1e-3)
     worst_c1 = 0.0
     worst_c2 = 0.0
     for _ in range(10_000):
-        state = step_rk4(op, state, dt)
+        state = rk4.step(state)
         c1, c2 = constraint_residuals(op, state)
         worst_c1 = max(worst_c1, float(np.max(np.abs(c1))))
         worst_c2 = max(worst_c2, float(np.max(np.abs(c2))))

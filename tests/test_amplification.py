@@ -16,9 +16,9 @@ from schrofield import (
     ConstrainedState,
     CrankNicolson,
     FieldState,
+    Leapfrog,
+    Rk4,
     WaveFunction,
-    step_leapfrog,
-    step_rk4,
 )
 from schrofield.constrained import rk4_stability_bound
 from schrofield.field import leapfrog_stability_bound
@@ -76,8 +76,9 @@ def test_leapfrog_is_velocity_verlet_map(scenario, rng):
     kick[:, 1, 0] = -0.5 * dt * spec.eigenvalues**2 / op.hbar
     drift = np.array([[1.0, dt / op.hbar], [0.0, 1.0]])
     want = _evolve_modes(spec, kick @ drift @ kick, (s.phi, s.p))
+    stepper = Leapfrog(op, dt)
     for _ in range(NSTEPS):
-        s = step_leapfrog(op, s, dt)
+        s = stepper.step(s)
     assert _relative_error((s.phi, s.p), want) < RTOL
 
 
@@ -103,7 +104,8 @@ def test_rk4_is_degree_four_taylor_map(scenario, rng):
         taylor = taylor + term
     want = _evolve_modes(spec, taylor, (s.phi, s.p, s.varphi))
     pi0 = s.pi
+    stepper = Rk4(op, dt)
     for _ in range(NSTEPS):
-        s = step_rk4(op, s, dt)
+        s = stepper.step(s)
     assert _relative_error((s.phi, s.p, s.varphi), want) < RTOL
     assert np.array_equal(s.pi, pi0)

@@ -1,10 +1,11 @@
-"""The potential map, the constraint surface and the RK4 step each have one definition.
+"""The potential map, the constraint surface and each integrator's step have one definition.
 
 `correspondence._wave` forms Psi = -K phi + i p, `constrained._onshell_varphi`
-the surface varphi = -K phi and `constrained._rk4` the RK4 step. Each test
-patches one of them and requires the patch to show up in every consumer, so
-that no consumer keeps a copy of its own that a fault in the definition
-would miss.
+the surface varphi = -K phi, `constrained._rk4` the RK4 step, `field._leapfrog`
+the leapfrog step and `schrodinger.CrankNicolson.advance` the Crank-Nicolson
+step. Each test patches one of them and requires the patch to show up in
+every consumer, so that no consumer keeps a copy of its own that a fault in
+the definition would miss.
 """
 
 import csv
@@ -13,10 +14,12 @@ import numpy as np
 
 from schrofield import constrained as cn
 from schrofield import correspondence as cr
+from schrofield import field as fd
 from schrofield import runs
+from schrofield import schrodinger as sd
 from schrofield.config import build_scenario, config_from_dict
 from schrofield.field import FieldState
-from schrofield.lattice import apply
+from schrofield.lattice import apply, stencil_product
 from schrofield.quadrature import Trajectory
 
 
@@ -110,3 +113,59 @@ def test_one_rk4_step_reaches_every_consumer(monkeypatch, tmp_path):
     snap = _table(tmp_path / f"snapshot_{nsteps:06d}.csv")
     for name in ("phi", "p", "varphi"):
         assert snap[name].tolist() == getattr(half, name)[-1].tolist(), name
+
+
+def test_one_leapfrog_step_reaches_every_consumer(monkeypatch, tmp_path):
+    scenario = _scenario("leapfrog")
+    op, dt = scenario.operator, scenario.config.dt
+    nsteps = 20
+    s0 = FieldState(*scenario.initial_pair)
+    half = fd.leapfrog_trajectory(op, s0, dt / 2, nsteps)
+    leapfrog = fd._leapfrog
+    # the step halved: every consumer must now give the half-step trajectory
+    monkeypatch.setattr(fd, "_leapfrog", lambda op, y, kk_phi, dt: leapfrog(op, y, kk_phi, dt / 2))
+
+    traj = fd.leapfrog_trajectory(op, s0, dt, nsteps)
+    s = s0
+    for k in range(1, nsteps + 1):
+        s = fd.step_leapfrog(op, s, dt)
+        for name in ("phi", "p"):
+            assert getattr(traj, name)[k].tolist() == getattr(half, name)[k].tolist(), (k, name)
+            assert getattr(s, name).tolist() == getattr(half, name)[k].tolist(), (k, name)
+
+    runs.run_field(scenario, tmp_path, quiet=True)
+    snap = _table(tmp_path / f"snapshot_{nsteps:06d}.csv")
+    for name in ("phi", "p"):
+        assert snap[name].tolist() == getattr(half, name)[-1].tolist(), name
+
+
+def test_one_crank_nicolson_step_reaches_every_consumer(monkeypatch, tmp_path):
+    scenario = _scenario("crank_nicolson")
+    op, dt = scenario.operator, scenario.config.dt
+    nsteps = 20
+    psi0 = sd.WaveFunction(*scenario.initial_pair)
+    double = sd.crank_nicolson_trajectory(op, psi0, dt, 2 * nsteps)
+    advance = sd.CrankNicolson.advance
+
+    def twice(self, y, ky, out):
+        advance(self, y, ky, out)
+        y = out.copy()
+        advance(self, y, stencil_product(op, y), out)
+
+    # two steps in one: every consumer must now give every other state of
+    # the unpatched trajectory
+    monkeypatch.setattr(sd.CrankNicolson, "advance", twice)
+
+    traj = sd.crank_nicolson_trajectory(op, psi0, dt, nsteps)
+    psi = psi0
+    for k in range(1, nsteps + 1):
+        psi = sd.step_crank_nicolson(op, psi, dt)
+        for name in ("re", "im"):
+            want = getattr(double, name)[2 * k].tolist()
+            assert getattr(traj, name)[k].tolist() == want, (k, name)
+            assert getattr(psi, name).tolist() == want, (k, name)
+
+    runs.run_schrodinger(scenario, tmp_path, quiet=True)
+    snap = _table(tmp_path / f"snapshot_{nsteps:06d}.csv")
+    for name in ("re", "im"):
+        assert snap[name].tolist() == getattr(double, name)[-1].tolist(), name

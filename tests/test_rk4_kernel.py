@@ -2,7 +2,7 @@
 
 Classical RK4 on the linear system of (phi, p, varphi) is the degree-4
 Taylor polynomial of dt L. `constrained._rk4` evaluates it by Horner's rule
-with four stencil products, and `constrained._Rk4Map` compiles it into a
+with four stencil products, and `constrained.Rk4` compiles it into a
 9-point band on grids of 9 to `_BAND_MAX_N` points. On every grid and every
 stable dt each must agree with the oracle's extended-precision sum to a
 small multiple of the roundoff that any float evaluation of the map makes.
@@ -45,7 +45,7 @@ def _horner(op, y, dt, out):
 
 def _mapped(op, y, dt, out):
     """The step as every consumer takes it: banded from 9 to _BAND_MAX_N points."""
-    step = cn._Rk4Map(op, dt)
+    step = cn.Rk4(op, dt)
     assert (step._band is not None) == (9 <= op.n <= cn._BAND_MAX_N)
     step.advance(y, out)
 

@@ -65,27 +65,34 @@ def _config(integrator, boundary):
     }
 
 
-def _faulty(stepper, step, fault):
-    """The stepper with `fault` applied to the state it writes at `step`.
+class _Faulty:
+    """A stepper with `fault` applied to the state it writes at `step`.
 
-    A block that holds `step` is advanced to it, faulted, then advanced on
+    A block that holds `step` is stepped to it, faulted, then stepped on
     from the faulted state, so any block length sees the same states.
     """
 
-    def wrapped(scenario):
-        y0, ky0, advance = stepper(scenario)
+    def __init__(self, stepper, step, fault):
+        self._stepper, self._step, self._fault = stepper, step, fault
+        self._k = 0
 
-        def faulty_advance(ys, ky, k):
-            if not k < step < k + len(ys):
-                return advance(ys, ky, k)
-            j = step - k
-            head = advance(ys[: j + 1], ky, k)
-            fault(ys[j])
-            return np.concatenate([head, advance(ys[j:], head[-1], step)])
+    def steps(self, ys, ky):
+        k = self._k
+        self._k += len(ys) - 1
+        if not k < self._step < k + len(ys):
+            return self._stepper.steps(ys, ky)
+        j = self._step - k
+        head = self._stepper.steps(ys[: j + 1], ky)
+        self._fault(ys[j])
+        return np.concatenate([head, self._stepper.steps(ys[j:], head[-1])])
 
-        return y0, ky0, faulty_advance
 
-    return wrapped
+def _faulty(steppers, step, fault):
+    """A picture's stepper table with each stepper it builds wrapped in `_Faulty`."""
+    return {
+        name: lambda *args, build=build: _Faulty(build(*args), step, fault)
+        for name, build in steppers.items()
+    }
 
 
 def _run(tmp_path, capsys, monkeypatch, name, command, picture, cfg, fault, block):
@@ -93,7 +100,7 @@ def _run(tmp_path, capsys, monkeypatch, name, command, picture, cfg, fault, bloc
     if change is not None:
         original = getattr(runs, picture)
         monkeypatch.setattr(
-            runs, picture, replace(original, stepper=_faulty(original.stepper, step, change))
+            runs, picture, replace(original, steppers=_faulty(original.steppers, step, change))
         )
     monkeypatch.setattr(runs, "_BLOCK_STEPS", block)
     path = tmp_path / f"{name}.json"

@@ -18,8 +18,12 @@ dt = half the stability bound, n = RK4_SIZES plus the measured tree's
 `_BAND_MAX_N` and one past it, in CPU seconds per step, best of REPEATS
 blocks of RK4_STEPS steps in each fresh worker: `_rk4` (Horner), the
 compiled band forced on at every size, the band's build, and the run loop's
-`_Rk4Map(op, dt).steps` with its construction (whichever path the tree
-takes at that n; `_rk4_steps` on a tree that has no band).
+steps with the stepper's construction (whichever path the tree takes at
+that n; `_rk4_steps` on a tree that has no band). The stepper is
+`constrained.Rk4`, or `_Rk4Map` on trees from before it was public; both
+step by `advance(y, out)`, which is what is timed, so the steps are timed
+alone. The one stacked product `K (phi, p)` of a block that `Rk4.steps`
+returns is timed apart, as `products_s_per_step`.
 
 Every layer measures the working tree ROUNDS times, each round in fresh
 workers. With --rev it measures the `src` of a `git archive` of that
@@ -168,6 +172,8 @@ def work_rk4(src):
         return min(times)
 
     band_max_n = getattr(cn, "_BAND_MAX_N", None)
+    # The RK4 stepper is `Rk4`, and was `_Rk4Map` before it was made public.
+    stepper_class = getattr(cn, "Rk4", None) or getattr(cn, "_Rk4Map", None)
     sizes = set(RK4_SIZES) | ({band_max_n, band_max_n + 1} if band_max_n else set())
     results = {}
     for n in sorted(sizes):
@@ -181,15 +187,22 @@ def work_rk4(src):
             for j in range(1, len(ys)):
                 cn._rk4(op, ys[j - 1], dt, ys[j])
 
+        def stepped(stepper):
+            for j in range(1, len(ys)):
+                stepper.advance(ys[j - 1], ys[j])
+
         record = {"horner_s_per_step": best(horner) / RK4_STEPS}
         if band_max_n is None:
             record["run_loop_s_per_step"] = best(lambda: cn._rk4_steps(op, ys, dt)) / RK4_STEPS
         else:
             record["band_build_s"] = best(lambda: cn._band(op, dt))
-            banded = cn._Rk4Map(op, dt)
+            banded = stepper_class(op, dt)
             banded._band = cn._band(op, banded.dt)
-            record["band_s_per_step"] = best(lambda: banded.steps(ys)) / RK4_STEPS
-            record["run_loop_s_per_step"] = best(lambda: cn._Rk4Map(op, dt).steps(ys)) / RK4_STEPS
+            record["band_s_per_step"] = best(lambda: stepped(banded)) / RK4_STEPS
+            record["run_loop_s_per_step"] = best(lambda: stepped(stepper_class(op, dt))) / RK4_STEPS
+        # the block's stacked K (phi, p), which `Rk4.steps` returns
+        products = best(lambda: lattice.stencil_product(op, ys[1:, :2]))
+        record["products_s_per_step"] = products / RK4_STEPS
         results[str(n)] = record
     print(json.dumps({"cpu_s": results, "band_max_n": band_max_n, "numpy": np.__version__}))
 
