@@ -19,10 +19,9 @@ from .render import render_snapshots
 _FULL_SPECTRUM = ("dequantize", "spectrum", "convergence", "verify")
 
 
-def _add_common(parser, config_required=True):
-    parser.add_argument("--config", required=config_required, help="scenario JSON path")
+def _add_common(parser):
+    parser.add_argument("--config", required=True, help="scenario JSON path")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized batches")
     parser.add_argument("--quiet", action="store_true", help="suppress stdout summary")
 
 
@@ -41,7 +40,7 @@ def build_parser():
     verify = sub.add_parser("verify")
     verify.add_argument("--config", required=True)
     verify.add_argument("--out", default=None, help="optional report directory")
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=int, default=0, help="seed for randomized batches")
     verify.add_argument("--quiet", action="store_true")
     conv = sub.add_parser("convergence")
     _add_common(conv)

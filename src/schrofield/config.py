@@ -106,13 +106,13 @@ class ScenarioConfig:
 class Scenario:
     """Concrete objects built from a config by `build_scenario`.
 
-    `spectrum` and `initial_pair` are computed on first use and kept, as
-    `Operator.matrix` is. The eigenstate and modes presets read their modes
-    through `superpose`, which decomposes K only where the stencil eigensolver
-    does not apply, so a leapfrog, RK4 or Crank-Nicolson run on a Dirichlet
-    grid, or any run from a gaussian or inline state, never does. Once
-    `spectrum` is built, `superpose` reads it, so a command that decomposes K
-    anyway builds it before these presets (`build_scenario(cfg, spectrum=True)`).
+    `spectrum` and `initial_pair` are computed on first use and kept. The
+    eigenstate and modes presets read their modes through `superpose`, which
+    decomposes K only where the stencil eigensolver does not apply, so a
+    leapfrog, RK4 or Crank-Nicolson run on a Dirichlet grid, or any run from a
+    gaussian or inline state, never does. Once `spectrum` is built,
+    `superpose` reads it, so a command that decomposes K anyway builds it
+    before these presets (`build_scenario(cfg, spectrum=True)`).
     """
 
     config: ScenarioConfig
@@ -222,9 +222,11 @@ def config_from_dict(raw):
     if not isinstance(observables, (list, tuple)):
         raise ConfigError(f"observables must be a list of names, got {observables!r}")
     observables = tuple(observables)
-    for obs in observables:
+    for i, obs in enumerate(observables):
         if obs not in _OBSERVABLES:
             raise ConfigError(f"unknown observable {obs!r}; choose from {_OBSERVABLES}")
+        if obs in observables[:i]:
+            raise ConfigError(f"observable {obs!r} is listed twice")
     stride = as_integer(output.get("snapshot_stride", 0), "snapshot_stride")
     if stride < 0:
         raise ConfigError("snapshot_stride must be >= 0")

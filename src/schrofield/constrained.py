@@ -242,7 +242,7 @@ class Rk4:
         out[0] += y[0]
 
     def steps(self, ys, ky):
-        """The one RK4 loop: step ys[0] = (phi, p, varphi) on into ys[1:]; ky goes unread.
+        """Step ys[0] = (phi, p, varphi) on into ys[1:]; ky goes unread.
 
         Returns K (phi, p) of ys[1:], shape (len(ys) - 1, 2, n), one product.
         """
@@ -259,10 +259,12 @@ class Rk4:
 
 
 def rk4_trajectory(op, s0, dt, nsteps):
-    """Trajectory of nsteps RK4 steps from s0, by `Rk4.steps`; pi keeps its initial value."""
+    """Trajectory of nsteps RK4 steps from s0, by `Rk4.advance`; pi keeps its initial value."""
     y = np.empty((int(nsteps) + 1, 3, op.n))
     y[0] = s0.phi, s0.p, s0.varphi
-    Rk4(op, dt).steps(y, None)
+    stepper = Rk4(op, dt)
+    for j in range(1, len(y)):
+        stepper.advance(y[j - 1], y[j])
     pi = np.broadcast_to(s0.pi, (y.shape[0], op.n))
     times = s0.time + dt * np.arange(y.shape[0])
     return Trajectory(times, phi=y[:, 0], p=y[:, 1], varphi=y[:, 2], pi=pi)

@@ -21,8 +21,9 @@ array (`_counts_below`), then checks each result on the scalar Sturm count,
 so it returns what bisection on that count alone returns. `zero_mode_count`
 counts the zero modes of K on either closure from two such counts, the
 periodic one the LDL^T factorization whose corners fill in the last column.
-`Operator.matrix` is a dense view that `eigendecompose`, the full dense
-spectrum, builds on first use and keeps for the operator's lifetime.
+The stencil is K's only definition: `eigendecompose`, the full dense
+spectrum, hands `eigh` the stencil product of the identity and keeps no
+dense K once `eigh` returns.
 
 Discrete conventions shared by the whole package:
 
@@ -36,7 +37,7 @@ Schrodinger problem are -kappa, so bound spectra sit at negative kappa.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -115,21 +116,6 @@ class Operator:
     @property
     def n(self):
         return self.grid.n
-
-    @cached_property
-    def matrix(self):
-        """Dense read-only K, assembled on first use and kept."""
-        n = self.n
-        k = np.zeros((n, n))
-        np.fill_diagonal(k, self.diagonal)
-        idx = np.arange(n - 1)
-        k[idx, idx + 1] = self.coupling
-        k[idx + 1, idx] = self.coupling
-        if self.grid.boundary == PERIODIC:
-            k[0, n - 1] = self.coupling
-            k[n - 1, 0] = self.coupling
-        k.setflags(write=False)
-        return k
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,7 +227,7 @@ def apply(op, f):
 def stencil_product(op, f, out=None):
     """K f for a float array f of shape (..., n), unchecked, written into out if given.
 
-    `apply` checks f first.
+    out may be f itself. `apply` checks f first.
     """
     cf = op.coupling * f
     out = np.multiply(op.diagonal, f, out=out)
@@ -390,11 +376,15 @@ def inner_product(f, g, grid):
 def eigendecompose(op):
     """Full spectral decomposition with dx-orthonormal eigenvectors, by dense `eigh`.
 
-    O(n^3) time and O(n^2) memory. Each vector is signed so that its first
-    peak, the lowest index within SIGN_RTOL of its largest magnitude, is
-    positive (`_signed`); `eigenpairs` signs its vectors the same way.
+    O(n^3) time and O(n^2) memory. `eigh` reads the dense K as the stencil
+    product of the identity, formed in place and dropped once `eigh` returns.
+    Each vector is signed so that its first peak, the lowest index within
+    SIGN_RTOL of its largest magnitude, is positive (`_signed`); `eigenpairs`
+    signs its vectors the same way.
     """
-    w, v = np.linalg.eigh(op.matrix)
+    k = np.eye(op.n)
+    w, v = np.linalg.eigh(stencil_product(op, k, out=k))
+    del k
     v = _signed(v / np.sqrt(op.grid.dx))
     scale = float(np.max(np.abs(w))) if w.size else 0.0
     zero = tuple(int(i) for i in np.nonzero(np.abs(w) <= ZERO_MODE_RTOL * scale)[0])
@@ -567,14 +557,11 @@ def zero_mode_count(op):
 
     The count of zero modes that `eigendecompose` finds, from two Sturm counts
     on the stencil (`_count_below`, or `_count_below_periodic` on a periodic
-    grid) at -tol and tol, without building `op.matrix`: O(n) time and
-    memory. The spectral radius is bisected afresh, not read through the
-    cache of `spectral_radius`, so that the count keeps no operator alive: a
-    refinement study counts on operators it drops after one level. K is
+    grid) at -tol and tol, without a dense K: O(n) time and memory. K is
     scaled as in `spectral_radius`.
     """
     scale, diag, b = _scaled_stencil(op)
-    tol = math.ldexp(ZERO_MODE_RTOL * spectral_radius.__wrapped__(op), scale)
+    tol = math.ldexp(ZERO_MODE_RTOL * spectral_radius(op), scale)
     if op.grid.boundary == PERIODIC:
         return _count_below_periodic(diag, b, tol) - _count_below_periodic(diag, b, -tol)
     return _count_below(diag, b * b, tol) - _count_below(diag, b * b, -tol)
@@ -855,7 +842,7 @@ def eigenpairs(op, cols):
     of column cols[j], signed as `eigendecompose` signs its columns; or None
     when a requested eigenvalue is not isolated, that is when another lies
     within ISOLATION_RTOL * (max|a| + 2|b|) of it, or when a vector comes out
-    non-finite. Never builds `op.matrix`: O(n) time and memory per column.
+    non-finite. Never forms a dense K: O(n) time and memory per column.
 
     K is scaled as in `spectral_radius`. Each eigenvalue is bracketed to
     adjacent floats lo < hi on Sturm counts (`_count_below`; Barth, Martin

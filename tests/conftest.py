@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,20 +21,56 @@ _U = np.finfo(float).eps / 2.0
 GAMMA_3 = 3.0 * _U / (1.0 - 3.0 * _U)
 
 
+def dense_k(op):
+    """Oracle: K assembled entry by entry as a dense n x n matrix, not by the stencil product.
+
+    The diagonal, the nearest-neighbour couplings, and on a periodic grid the
+    two corners, each written where it belongs in a matrix of zeros.
+    """
+    n = op.n
+    k = np.zeros((n, n))
+    np.fill_diagonal(k, op.diagonal)
+    idx = np.arange(n - 1)
+    k[idx, idx + 1] = op.coupling
+    k[idx + 1, idx] = op.coupling
+    if op.grid.boundary == lattice.PERIODIC:
+        k[0, n - 1] = op.coupling
+        k[n - 1, 0] = op.coupling
+    return k
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of module.name made through any schrofield module's binding of it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key.split(".")[0] == "schrofield":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
 def stencil_error_bound(op, f):
     """Bound on |apply(op, f) - K f| when both products round: 2 gamma_3 |K| |f|.
 
     Each row of K has at most three nonzeros, so each side is a three-term
     dot product whatever order BLAS or the stencil sums it in.
     """
-    return 2.0 * GAMMA_3 * (np.abs(op.matrix) @ np.abs(f))
+    return 2.0 * GAMMA_3 * (np.abs(dense_k(op)) @ np.abs(f))
 
 
 def dense_table(table):
     """Oracle: the full matrix of a BlockTable, each block its polynomial in the dense K."""
+    k = dense_k(table.op)
     powers = [np.eye(table.op.n)]
     for _ in range(table.degree):
-        powers.append(powers[-1] @ table.op.matrix)
+        powers.append(powers[-1] @ k)
     return np.block(
         [[sum(c * pk for c, pk in zip(poly, powers)) for poly in row] for row in table.coeffs]
     )
@@ -46,11 +83,12 @@ def rk4_taylor_oracle(op, y, dt):
     the map applied to y, summed in extended precision, and the same sum over
     |dt L| and |y|: the scale of the roundoff any float evaluation of the map
     makes. L is applied block by block, and K through the nonzero entries
-    of its dense matrix, so the oracle costs O(n) per call once K is built.
+    of `dense_k`, so past that assembly the oracle costs O(n).
     """
     tau = dt / op.hbar
-    rows, cols = np.nonzero(op.matrix)
-    entries = op.matrix[rows, cols]
+    k = dense_k(op)
+    rows, cols = np.nonzero(k)
+    entries = k[rows, cols]
 
     def generator(values, f):
         def product(g):
@@ -95,7 +133,7 @@ def dense_constraint_gradients(op):
     """Oracle: the 2n x 4n constraint gradient matrix [K | 0 | I | 0], [0 | 0 | 0 | I]."""
     n = op.n
     g = np.zeros((2 * n, 4 * n))
-    g[:n, block("phi", n)] = op.matrix
+    g[:n, block("phi", n)] = dense_k(op)
     g[:n, block("varphi", n)] = np.eye(n)
     g[n:, block("pi", n)] = np.eye(n)
     return g

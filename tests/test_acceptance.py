@@ -51,7 +51,7 @@ from schrofield.schrodinger import (
     spectral_trajectory,
 )
 
-from conftest import low_frequency_wave, low_mode_coefficients
+from conftest import dense_k, low_frequency_wave, low_mode_coefficients
 
 
 def _report(num, text):
@@ -288,8 +288,7 @@ def test_criterion_08_correspondence_maps(harmonic400, periodic_free64, small_ha
     im = rng.standard_normal(400)
     out = field_to_wave(op, wave_to_field(op, WaveFunction(re=re, im=im)))
     block = np.zeros((800, 800))
-    block[:400, :400] = -op.matrix
-    block[400:, 400:] = -op.matrix
+    block[:400, :400] = block[400:, 400:] = -dense_k(op)
     expected = block @ np.concatenate([re, im])
     gap = np.max(np.abs(np.concatenate([out.re, out.im]) - expected))
     assert gap <= 1e-12 * np.max(np.abs(expected)), gap

@@ -15,7 +15,7 @@ from schrofield import (
     schrodinger_rhs,
     verify_dirac_relations,
 )
-from schrofield import brackets
+from schrofield import brackets, lattice
 from schrofield.brackets import (
     BlockTable,
     BracketTable,
@@ -25,7 +25,14 @@ from schrofield.brackets import (
     sector_smallest_singular_values,
 )
 
-from conftest import block, constraint_bracket_matrix, dense_table, dirac_structure_generic
+from conftest import (
+    block,
+    constraint_bracket_matrix,
+    count_calls,
+    dense_k,
+    dense_table,
+    dirac_structure_generic,
+)
 
 
 def test_canonical_structure_blocks(small_harmonic):
@@ -77,17 +84,18 @@ def test_max_abs_sums_wrapped_offsets(n):
 
 def test_constraint_gradients(small_harmonic, rng):
     op, _ = small_harmonic
+    k = dense_k(op)
     g = dense_table(constraint_gradient_matrix(op))
     phi = rng.standard_normal(40)
     p = rng.standard_normal(40)
-    z = np.concatenate([phi, p, -op.matrix @ phi, np.zeros(40)])
+    z = np.concatenate([phi, p, -k @ phi, np.zeros(40)])
     residual = g @ z
     assert np.max(np.abs(residual)) < 1e-12
-    assert np.array_equal(g[:40, block("phi", 40)], op.matrix)
+    assert np.array_equal(g[:40, block("phi", 40)], k)
 
     # finite-difference oracle on the constraint functionals
     def c1_at(i, z):
-        return z[block("varphi", 40)][i] + float(op.matrix[i] @ z[block("phi", 40)])
+        return z[block("varphi", 40)][i] + float(k[i] @ z[block("phi", 40)])
 
     z0 = rng.standard_normal(160)
     eps = 1e-6
@@ -132,7 +140,7 @@ def test_dirac_structure_blocks(small_harmonic):
     jd = dirac_structure(op)
     m = dense_table(jd)
     eye_dx = np.eye(40) / op.grid.dx
-    k_dx = op.matrix / op.grid.dx
+    k_dx = dense_k(op) / op.grid.dx
     tol = 1e-12 * np.max(np.abs(k_dx))
     assert np.max(np.abs(m[block("pi", 40), :])) < tol
     assert np.max(np.abs(m[:, block("pi", 40)])) < tol
@@ -309,7 +317,7 @@ def test_sector_nondegeneracy_values(small_harmonic, periodic_free64):
     assert abs(svals_p["phi_p"] - 1.0 / op_p.grid.dx) < 1e-10 / op_p.grid.dx
 
 
-def test_bracket_layer_memory_is_linear_at_n3200():
+def test_bracket_layer_memory_is_linear_at_n3200(monkeypatch):
     # One dense 4n x 4n matrix at n = 3200 is 1.3 GB; the tables and the
     # Jacobi check's rank-r forms need O(n).
     import tracemalloc
@@ -317,6 +325,7 @@ def test_bracket_layer_memory_is_linear_at_n3200():
     grid = build_grid(3200, -20.0, 20.0)
     x = grid.points()
     op = build_operator(grid, Potential(0.5 * x * x))
+    eighs = count_calls(monkeypatch, lattice, "eigendecompose")
     tracemalloc.start()
     try:
         jd = dirac_structure(op)
@@ -330,4 +339,4 @@ def test_bracket_layer_memory_is_linear_at_n3200():
     assert all(entry["passed"] for entry in report)
     assert jacobi < 1e-12
     assert peak < 32 * 2**20
-    assert "matrix" not in vars(op)
+    assert eighs == []

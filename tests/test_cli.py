@@ -1,7 +1,6 @@
 import csv
 import json
 import re
-import sys
 import time
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from schrofield.config import (
 from schrofield.render import render_snapshots
 from schrofield.runs import run_schrodinger, run_verify
 
-from conftest import sign_flipped
+from conftest import count_calls, dense_k, sign_flipped
 
 
 def _write(tmp_path, name, cfg):
@@ -112,6 +111,8 @@ def test_parse_rejects_non_numeric_numbers(tmp_path, capsys):
         ({"output": {"snapshot_stride": False}}, "snapshot_stride must be an integer"),
         ({"output": {"snapshot_stride": "2"}}, "snapshot_stride must be an integer"),
         ({"output": {"observables": "PS"}}, "observables must be a list"),
+        # a repeated name used to write a snapshot header x,re,im,P,P
+        ({"output": {"observables": ["P", "S", "P"]}}, "observable 'P' is listed twice"),
         ({"initial_state": "eigenstate:x"}, "initial_state 'eigenstate:x'"),
         ({"initial_state": "eigenstate:1.5"}, "initial_state 'eigenstate:1.5'"),
         # bools and numeric strings used to run as the number float() made of them
@@ -140,6 +141,9 @@ def test_parse_rejects_non_numeric_numbers(tmp_path, capsys):
     code, err, written = _run_rejected(tmp_path, capsys, potential=omega)
     assert (code, written) == (2, False)
     assert "config error: omega must be a number, got True" in err
+    code, err, written = _run_rejected(tmp_path, capsys, output={"observables": ["P", "P"]})
+    assert (code, written) == (2, False)
+    assert "config error: observable 'P' is listed twice" in err
 
 
 @pytest.mark.parametrize(
@@ -521,23 +525,6 @@ def test_run_determinism(tmp_path, command, integrator, boundary):
     assert ma == mb
 
 
-def _count_calls(monkeypatch, module, name):
-    """Count calls of module.name made through any schrofield module's binding of it."""
-    original = getattr(module, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    for key, mod in list(sys.modules.items()):
-        if key.split(".")[0] == "schrofield":
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counted)
-    return calls
-
-
 # Leapfrog from modes on a grid where the stencil eigensolver supplies them.
 _LARGE_MODES = {
     "grid": {"n": 1200, "x_min": -9.0, "x_max": 9.0},
@@ -587,9 +574,9 @@ def test_each_command_builds_once(
     # study only where a dense spectrum costs less than the series on the stencil: the
     # 129 points refined from n=64 do, the 2401 refined from n=1200 do not. The n=64 runs
     # from eigenstates and modes sit below the stencil eigensolver's crossover.
-    builds = _count_calls(monkeypatch, config_module, "build_scenario")
-    eighs = _count_calls(monkeypatch, lattice, "eigendecompose")
-    stencil = _count_calls(monkeypatch, lattice, "eigenpairs")
+    builds = count_calls(monkeypatch, config_module, "build_scenario")
+    eighs = count_calls(monkeypatch, lattice, "eigendecompose")
+    stencil = count_calls(monkeypatch, lattice, "eigenpairs")
     cfg = _write(tmp_path, "cfg.json", _harmonic_cfg(**overrides))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "run"), "--quiet"]) == 0
     assert (len(builds), len(eighs), len(stencil)) == (1, decompositions, stencil_solves)
@@ -680,7 +667,7 @@ def test_dequantize_cli_kernel_scenario(tmp_path):
 
 def test_dequantize_solves_for_the_integration_constant_once(tmp_path, monkeypatch):
     # each snapshot is the field flow from (C, im); C is solved for once
-    solves = _count_calls(monkeypatch, lattice, "solve_elliptic")
+    solves = count_calls(monkeypatch, lattice, "solve_elliptic")
     cfg = _write(
         tmp_path,
         "dq.json",
@@ -718,7 +705,7 @@ def test_real_kernel_content_is_refused_before_any_output(
 ):
     # both commands used to fail on it after making --out, convergence only
     # after running its integrator studies
-    studies = _count_calls(monkeypatch, sd, "crank_nicolson_trajectory")
+    studies = count_calls(monkeypatch, sd, "crank_nicolson_trajectory")
     cfg = _write(tmp_path, "ring.json", {**_FREE_RING, "initial_state": initial_state})
     out = tmp_path / "run"
     assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
@@ -832,7 +819,7 @@ def test_verify_round_trip_allows_for_an_ill_conditioned_operator(tmp_path):
     kinetic = lattice.build_operator(
         lattice.build_grid(20, -5.0, 5.0, "dirichlet"), lattice.Potential(np.zeros(20))
     )
-    depth = -float(np.linalg.eigvalsh(kinetic.matrix).max()) * (1.0 + 1e-6)
+    depth = -float(np.linalg.eigvalsh(dense_k(kinetic)).max()) * (1.0 + 1e-6)
     cfg = _harmonic_cfg(
         grid=grid,
         potential={"name": "square_well", "width": 100.0, "depth": depth},
@@ -928,7 +915,7 @@ _CONV200 = {
     ],
 )
 def test_convergence_past_dense_limit_exits_at_once(tmp_path, capsys, monkeypatch, cfg, levels):
-    studies = _count_calls(monkeypatch, sd, "crank_nicolson_trajectory")
+    studies = count_calls(monkeypatch, sd, "crank_nicolson_trajectory")
     path = _write(tmp_path, "conv.json", cfg)
     out = tmp_path / "convrun"
     start = time.perf_counter()
@@ -957,7 +944,7 @@ def test_dense_limit_is_verify_grid_at_n3200(boundary, n):
 def test_verify_past_dense_limit_exits_before_any_study(tmp_path, capsys, monkeypatch):
     # verify's one refinement of n=64 is 129 points: past a limit lowered to 100.
     monkeypatch.setattr(runs, "MAX_DENSE_N", 100)
-    checks = _count_calls(monkeypatch, runs.br, "dirac_structure")
+    checks = count_calls(monkeypatch, runs.br, "dirac_structure")
     cfg = _write(tmp_path, "v.json", _harmonic_cfg())
     out = tmp_path / "vrun"
     assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 2
@@ -973,7 +960,7 @@ def test_verify_past_dense_limit_exits_before_any_study(tmp_path, capsys, monkey
 def test_past_dense_limit_decomposes_nothing(tmp_path, capsys, monkeypatch, args, n):
     # CI's verify config (a gaussian state reads no eigenvectors) on a grid whose
     # refinement passes the dense limit: refused before K is decomposed.
-    eighs = _count_calls(monkeypatch, lattice, "eigendecompose")
+    eighs = count_calls(monkeypatch, lattice, "eigendecompose")
     grid = {**_CONV200["grid"], "n": n}
     cfg = _write(tmp_path, "dense.json", {**_CONV200, "grid": grid})
     out = tmp_path / "run"
@@ -1060,6 +1047,21 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run-schrodinger", "--config", cfg, "--out", str(tmp_path / "y")]) == 2
     ok = _write(tmp_path, "ok.json", _harmonic_cfg())
     assert main(["verify", "--config", ok, "--seed", "-1", "--quiet"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["run-schrodinger", "run-field", "run-constrained", "dequantize", "spectrum", "convergence"],
+)
+def test_only_verify_takes_a_seed(tmp_path, capsys, command):
+    # no other runner draws random numbers, so the flag is refused, not ignored
+    ok = _write(tmp_path, "ok.json", _harmonic_cfg())
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", ok, "--out", str(out), "--seed", "3", "--quiet"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_report_deterministic_per_seed(tmp_path):

@@ -5,10 +5,13 @@ from schrofield import (
     ConstrainedState,
     FieldState,
     OffShellError,
+    Potential,
     StabilityError,
     Trajectory,
     WaveFunction,
     apply,
+    build_grid,
+    build_operator,
     constrained_hamiltonian,
     constrained_rhs,
     constraint_residuals,
@@ -25,10 +28,11 @@ from schrofield import (
     singular_action,
     step_rk4,
 )
+from schrofield import constrained as cn
 from schrofield.constrained import offshell_pi_rate, rk4_stability_bound, rk4_trajectory
 from schrofield.field import spectral_field_trajectory
 
-from conftest import low_mode_coefficients, stencil_error_bound
+from conftest import dense_k, low_mode_coefficients, stencil_error_bound
 
 
 def _zero_state(n):
@@ -65,7 +69,7 @@ def test_multiplier_examples(small_harmonic, rng):
     assert np.max(np.abs(multiplier_v(op, s) + kn * un / op.hbar)) < 1e-10
     p = rng.standard_normal(40)
     s = ConstrainedState(phi=np.zeros(40), p=p, varphi=np.zeros(40), pi=np.zeros(40))
-    err = np.abs(multiplier_v(op, s) + (op.matrix @ p) / op.hbar)
+    err = np.abs(multiplier_v(op, s) + (dense_k(op) @ p) / op.hbar)
     assert np.all(err <= stencil_error_bound(op, p) / op.hbar)
 
 
@@ -78,7 +82,7 @@ def test_rhs_zero_and_onshell_eigenmode(small_harmonic):
     s = make_onshell(op, un / abs(kn), np.zeros(40))
     dphi, dp, dvarphi, dpi = constrained_rhs(op, s)
     assert not dphi.any()
-    err = np.abs(dp - (op.matrix @ s.varphi) / op.hbar)
+    err = np.abs(dp - (dense_k(op) @ s.varphi) / op.hbar)
     assert np.all(err <= stencil_error_bound(op, s.varphi) / op.hbar)
     # varphi is proportional to the eigenmode, so dp = kappa_n varphi / hbar
     assert np.max(np.abs(dp - kn * s.varphi / op.hbar)) < 1e-9
@@ -148,6 +152,28 @@ def test_rk4_zero_fixed_point_and_pi_exactly_zero(small_harmonic, rng):
     s = make_onshell(op, rng.standard_normal(40), rng.standard_normal(40))
     traj = rk4_trajectory(op, s, 1e-2, 200)
     assert not traj.pi.any()
+
+
+@pytest.mark.parametrize("n", [40, cn._BAND_MAX_N + 1])
+def test_rk4_trajectory_forms_no_products(n, rng, monkeypatch):
+    # `Rk4.steps` returns K (phi, p) of every state it writes, which a
+    # trajectory has no use for: the helper steps by `Rk4.advance` alone, and
+    # gives the states `steps` gives, on the band and past it.
+    grid = build_grid(n, -8.0, 8.0, "dirichlet")
+    op = build_operator(grid, Potential(0.5 * grid.points() ** 2))
+    s0 = make_onshell(op, rng.standard_normal(n), rng.standard_normal(n))
+    dt = 0.5 * rk4_stability_bound(op)
+    want = np.empty((13, 3, n))
+    want[0] = s0.phi, s0.p, s0.varphi
+    cn.Rk4(op, dt).steps(want, None)
+
+    def refused(self, ys, ky):
+        raise AssertionError("rk4_trajectory formed the products of its states")
+
+    monkeypatch.setattr(cn.Rk4, "steps", refused)
+    traj = rk4_trajectory(op, s0, dt, 12)
+    for k, name in enumerate(("phi", "p", "varphi")):
+        assert getattr(traj, name).tolist() == want[:, k].tolist(), name
 
 
 def test_rk4_rejects_unstable_dt(small_harmonic):
@@ -322,7 +348,7 @@ def test_shifted_field_decoupling_offshell(small_harmonic, rng):
     zero = np.zeros_like(phi)
     traj = Trajectory(times, phi=phi, p=zero, varphi=varphi, pi=zero)
     ftraj = Trajectory(times, phi=phi, p=zero)
-    shifted = varphi + phi @ op.matrix
+    shifted = varphi + phi @ dense_k(op)
     integrand = 0.5 * op.grid.dx * np.sum(shifted * shifted, axis=1) / op.hbar
     extra = quadrature.trapezoid(integrand, dt)
     gap = singular_action(op, traj) - field_action(op, ftraj) - extra

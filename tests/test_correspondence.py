@@ -33,7 +33,7 @@ from schrofield.field import (
 )
 from schrofield.schrodinger import crank_nicolson_trajectory, spectral_trajectory
 
-from conftest import low_frequency_wave, low_mode_coefficients
+from conftest import dense_k, low_frequency_wave, low_mode_coefficients
 
 
 def _ground(spec):
@@ -282,8 +282,7 @@ def test_composition_is_minus_K_componentwise(harmonic400, rng):
     out = field_to_wave(op, wave_to_field(op, psi))
     # dense oracle: block-diagonal -K acting on the stacked components
     block = np.zeros((800, 800))
-    block[:400, :400] = -op.matrix
-    block[400:, 400:] = -op.matrix
+    block[:400, :400] = block[400:, 400:] = -dense_k(op)
     expected = block @ np.concatenate([re, im])
     got = np.concatenate([out.re, out.im])
     assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))

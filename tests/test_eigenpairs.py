@@ -20,6 +20,8 @@ from schrofield.lattice import ISOLATION_RTOL, eigenpairs
 from schrofield.presets import potential_from_spec
 from schrofield.runs import run_field
 
+from conftest import count_calls
+
 EPS = np.finfo(float).eps
 
 
@@ -73,11 +75,12 @@ POTENTIALS = [
 
 @pytest.mark.parametrize("n", [3, 50, 201, 800])
 @pytest.mark.parametrize("potential", POTENTIALS, ids=lambda p: p if isinstance(p, str) else p["name"])
-def test_eigenpairs_match_eigh(n, potential):
+def test_eigenpairs_match_eigh(n, potential, monkeypatch):
     op = _op(n, potential)
     low = list(range(max(n - 8, 0), n))
+    eighs = count_calls(monkeypatch, lattice, "eigendecompose")
     assert eigenpairs(op, low) is not None
-    assert "matrix" not in op.__dict__
+    assert eighs == []
     assert check_against_eigh(op, low) is not None
     # the top of |kappa| may hold pairs closer than the isolation gap
     check_against_eigh(op, [0, n // 2])
@@ -184,6 +187,7 @@ def test_superpose_selects_the_dense_spectrum_only_where_needed(monkeypatch, kwa
 
 def test_modes_run_at_n20000_never_builds_k(tmp_path, monkeypatch):
     # A dense K here is 3.2 GB and its eigh takes minutes.
+    eighs = count_calls(monkeypatch, lattice, "eigendecompose")
     monkeypatch.setattr("schrofield.config.eigendecompose", None)
     scenario = build_scenario(
         config_from_dict(
@@ -201,5 +205,5 @@ def test_modes_run_at_n20000_never_builds_k(tmp_path, monkeypatch):
         )
     )
     run_field(scenario, tmp_path / "run", quiet=True)
-    assert "matrix" not in scenario.operator.__dict__
+    assert eighs == []
     assert (tmp_path / "run" / "snapshot_000005.csv").exists()

@@ -11,8 +11,10 @@ from schrofield import (
     inner_product,
     solve_elliptic,
 )
+from schrofield import lattice
+from schrofield.presets import potential_from_spec
 
-from conftest import stencil_error_bound
+from conftest import dense_k, stencil_error_bound
 
 
 def test_grid_dirichlet_spacing():
@@ -51,20 +53,22 @@ def test_grid_rejects_bad_input(args):
 
 def test_free_stencil_matrix(free3):
     expected = np.array([[-2.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -2.0]])
-    assert np.array_equal(free3.matrix, expected)
+    assert np.array_equal(apply(free3, np.eye(3)), expected)
 
 
 def test_periodic_stencil_circulant(periodic4):
     row = np.array([-2.0, 1.0, 0.0, 1.0])
+    k = apply(periodic4, np.eye(4))
     for i in range(4):
-        assert np.array_equal(periodic4.matrix[i], np.roll(row, i))
+        assert np.array_equal(k[i], np.roll(row, i))
     # constant vector is an exact zero mode (row sums vanish)
-    assert np.array_equal(periodic4.matrix @ np.ones(4), np.zeros(4))
+    assert np.array_equal(apply(periodic4, np.ones(4)), np.zeros(4))
 
 
 def test_operator_exactly_symmetric(harmonic400):
     op, _ = harmonic400
-    assert np.array_equal(op.matrix, op.matrix.T)
+    k = apply(op, np.eye(op.n))
+    assert np.array_equal(k, k.T)
 
 
 def test_operator_shape_mismatch():
@@ -105,13 +109,14 @@ def test_apply_dirichlet_sine_modes():
     for k in (1, 5, 17):
         s = np.sin(np.pi * k * j / (n + 1))
         kappa = -(2.0 * 1.0 / (0.5 * grid.dx**2)) * np.sin(np.pi * k / (2 * (n + 1))) ** 2
-        assert np.max(np.abs(apply(op, s) - kappa * s)) < 1e-9 * np.max(np.abs(op.matrix))
+        assert np.max(np.abs(apply(op, s) - kappa * s)) < 1e-9 * np.max(np.abs(dense_k(op)))
 
 
 def test_apply_matches_dense_oracle(harmonic400, rng):
     op, _ = harmonic400
     f = rng.standard_normal(400)
-    dense = np.array([np.dot(op.matrix[i], f) for i in range(400)])
+    k = dense_k(op)
+    dense = np.array([np.dot(k[i], f) for i in range(400)])
     assert np.all(np.abs(apply(op, f) - dense) <= stencil_error_bound(op, f))
 
 
@@ -128,10 +133,44 @@ def test_apply_bitwise_on_exact_data(boundary, x_max, rng):
     assert np.array_equal(op.diagonal, -8.0 - v)
     fields = rng.integers(-9, 10, (3, 15)).astype(float)
     stacked = apply(op, fields)
-    assert np.array_equal(stacked, fields @ op.matrix)
+    k = dense_k(op)
+    assert np.array_equal(stacked, fields @ k)
     for f, row in zip(fields, stacked):
-        assert np.array_equal(apply(op, f), op.matrix @ f)
+        assert np.array_equal(apply(op, f), k @ f)
         assert np.array_equal(apply(op, f), row)
+
+
+_POTENTIALS = [
+    "free",
+    {"name": "harmonic", "omega": 1.0},
+    {"name": "square_well", "depth": 5.0, "width": 2.0},
+    {"name": "gaussian_barrier", "height": 3.0, "width": 1.0, "center": 0.5},
+]
+
+
+def _bits(a):
+    # uint64 views compare signed zeros and every other bit
+    return a.view(np.uint64)
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("n", [3, 4, 5, 9, 40])
+@pytest.mark.parametrize("potential", _POTENTIALS, ids=lambda p: p if isinstance(p, str) else p["name"])
+def test_stencil_of_the_identity_is_the_dense_oracle(boundary, n, potential):
+    # `eigendecompose` hands eigh this product, formed in the identity's own
+    # memory. Periodic n=3 has its two corner updates on both ends of a row.
+    grid = build_grid(n, -4.0, 4.0, boundary)
+    op = build_operator(grid, potential_from_spec(grid, potential), hbar=0.7, mass=1.3)
+    want = _bits(dense_k(op))
+    assert np.array_equal(_bits(lattice.stencil_product(op, np.eye(n))), want)
+    eye = np.eye(n)
+    assert np.array_equal(_bits(lattice.stencil_product(op, eye, out=eye)), want)
+
+    w, v = np.linalg.eigh(dense_k(op))
+    v = lattice._signed(v / np.sqrt(op.grid.dx))
+    spec = eigendecompose(op)
+    assert np.array_equal(_bits(spec.eigenvalues), _bits(w))
+    assert np.array_equal(_bits(spec.vectors), _bits(v))
 
 
 def test_apply_shape_mismatch(free3):
@@ -163,7 +202,7 @@ def test_eigendecompose_harmonic_ladder(harmonic400):
 def test_eigenvector_residual_and_orthonormality(harmonic400):
     op, spec = harmonic400
     kmax = np.max(np.abs(spec.eigenvalues))
-    res = op.matrix @ spec.vectors - spec.vectors * spec.eigenvalues
+    res = dense_k(op) @ spec.vectors - spec.vectors * spec.eigenvalues
     assert np.max(np.abs(res)) < 1e-10 * kmax
     gram = op.grid.dx * spec.vectors.T @ spec.vectors
     assert np.max(np.abs(gram - np.eye(400))) < 1e-12

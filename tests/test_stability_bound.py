@@ -15,11 +15,13 @@ from schrofield import (
     step_leapfrog,
 )
 from schrofield.config import ConfigError, build_scenario, config_from_dict
-from schrofield import constrained, field
+from schrofield import constrained, field, lattice
 from schrofield.constrained import make_onshell, rk4_stability_bound, rk4_trajectory, step_rk4
 from schrofield.field import leapfrog_stability_bound, leapfrog_trajectory
 from schrofield.lattice import spectral_radius
 from schrofield.runs import run_constrained, run_field
+
+from conftest import count_calls, dense_k
 
 # Bisection on inertia counts and eigvalsh are both backward stable: each is
 # within a few ulp of ||K|| = max|kappa| of the exact value. The worst
@@ -29,7 +31,7 @@ RTOL = 1e-13
 
 
 def _relative_gap(op):
-    want = np.max(np.abs(np.linalg.eigvalsh(op.matrix)))
+    want = np.max(np.abs(np.linalg.eigvalsh(dense_k(op))))
     return abs(spectral_radius(op) - want) / want
 
 
@@ -54,7 +56,7 @@ def test_bound_matches_eigvalsh_random(boundary, n, sign, rng):
     spikes = rng.choice(n, size=max(1, n // 8), replace=False)
     v[spikes] = sign * rng.uniform(1e2, 1e4, spikes.size)
     op = build_operator(grid, Potential(v))
-    w = np.linalg.eigvalsh(op.matrix)
+    w = np.linalg.eigvalsh(dense_k(op))
     assert (np.abs(w[-1]) > np.abs(w[0])) == (sign < 0)
     assert _relative_gap(op) <= RTOL
 
@@ -154,19 +156,21 @@ def test_a_trajectory_looks_the_bound_up_once(small_harmonic, rng, monkeypatch):
 @pytest.mark.parametrize(
     "integrator, run", [("leapfrog", run_field), ("rk4", run_constrained)]
 )
-def test_runs_from_a_gaussian_never_assemble_k(tmp_path, boundary, integrator, run):
+def test_runs_from_a_gaussian_never_assemble_k(tmp_path, boundary, integrator, run, monkeypatch):
+    eighs = count_calls(monkeypatch, lattice, "eigendecompose")
     scenario = build_scenario(config_from_dict(_run_cfg(integrator, 1e-3, boundary=boundary)))
     run(scenario, str(tmp_path / "run"), quiet=True)
     assert (tmp_path / "run" / "manifest.json").exists()
-    assert "matrix" not in vars(scenario.operator)
+    assert eighs == []
     assert "spectrum" not in vars(scenario)
 
 
-def test_leapfrog_run_at_n_20000_from_a_gaussian(tmp_path):
+def test_leapfrog_run_at_n_20000_from_a_gaussian(tmp_path, monkeypatch):
     # A dense K here is 3.2 GB; the stencil path needs a few MB.
+    eighs = count_calls(monkeypatch, lattice, "eigendecompose")
     cfg = _run_cfg("leapfrog", 1e-6, n=20_000)
     cfg["grid"].update(x_min=-20.0, x_max=20.0)
     scenario = build_scenario(config_from_dict(cfg))
     run_field(scenario, str(tmp_path / "run"), quiet=True)
     assert (tmp_path / "run" / "manifest.json").exists()
-    assert "matrix" not in vars(scenario.operator)
+    assert eighs == []
