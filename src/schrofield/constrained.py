@@ -27,7 +27,7 @@ import numpy as np
 from . import quadrature
 from .errors import OffShellError, StabilityError
 from .field import FieldState
-from .lattice import PERIODIC, apply, spectral_radius, stencil_product
+from .lattice import PERIODIC, _comb, apply, spectral_radius, stencil_product
 from .quadrature import Trajectory
 from .schrodinger import WaveFunction, _State
 
@@ -190,26 +190,18 @@ def _band(op, dt):
     g = (p, varphi).ravel()[idx], out = (phi' - phi, p', varphi'), and k
     over p and then varphi at the offsets -4..4 of point i: wrapped on a
     ring, and zero past the walls of a Dirichlet grid (where idx points at i
-    itself). The coefficients are `_rk4`'s response to comb probes that are
-    1 on every column of one colour: columns of a colour lie _WIDTH apart, so
-    each output point is reached by at most one of them, and its response is
-    that column's entry of the map, bit for bit. On a ring of n points with
-    n % _WIDTH != 0, the last n % _WIDTH columns wrap too close to the first
-    ones and get a colour each, so there are at most 2 * _WIDTH - 1 colours.
+    itself). The coefficients are `_rk4`'s response to comb probes, 1 on
+    every column of one colour (`lattice._comb`): each output point is
+    reached by at most one column of a colour, so its response is that
+    column's entry of the map, bit for bit.
     """
     n = op.n
     points = np.arange(n)
-    periodic = op.grid.boundary == PERIODIC
-    combed = n - n % _WIDTH if periodic else n
-    colour = points % _WIDTH
-    colour[combed:] = _WIDTH + np.arange(n - combed)
-    probes = np.zeros((3, 2, _WIDTH + n - combed, n))
+    colour, colours, cols, inside = _comb(n, _REACH, op.grid.boundary == PERIODIC)
+    probes = np.zeros((3, 2, colours, n))
     probes[1, 0, colour, points] = 1.0
     probes[2, 1, colour, points] = 1.0
     response = _rk4(op, probes, dt, np.empty_like(probes))
-    cols = points + np.arange(-_REACH, _REACH + 1)[:, None]
-    inside = periodic | ((cols >= 0) & (cols < n))
-    cols = np.where(inside, cols % n, points)
     coeffs = np.where(inside, response[:, :, colour[cols], points], 0.0)
     idx = cols + n * np.arange(2)[:, None, None]
     return coeffs.reshape(3, 2 * _WIDTH, n), idx.reshape(2 * _WIDTH, n)

@@ -48,18 +48,23 @@ def step_leapfrog(op, s, dt):
     return Leapfrog(op, dt).step(s)
 
 
-def _leapfrog(op, y, kk_phi, dt):
+def _leapfrog(op, y, kk_phi, dt, out, k_phi, scratch):
     """step_leapfrog on y = (phi, p), given kk_phi = K^2 phi and a float dt already checked.
 
-    Returns the stacked (phi, p) one step on with its K phi and K^2 phi; the
-    closing kick's K^2 phi is the next step's opening kick.
+    Writes (phi, p) one step on into out (not y's memory), its K phi into
+    k_phi and its K^2 phi into kk_phi, the next opening kick's. Products with
+    dt go through the row `scratch`, so a step allocates no arrays.
     """
     half = 0.5 * dt / op.hbar
-    p_half = y[1] - half * kk_phi
-    phi = y[0] + dt * p_half / op.hbar
-    k_phi = stencil_product(op, phi)
-    kk_phi = stencil_product(op, k_phi)
-    return np.stack([phi, p_half - half * kk_phi]), k_phi, kk_phi
+    np.multiply(kk_phi, half, out=scratch)
+    np.subtract(y[1], scratch, out=out[1])
+    np.multiply(out[1], dt, out=scratch)
+    scratch /= op.hbar
+    np.add(y[0], scratch, out=out[0])
+    stencil_product(op, out[0], out=k_phi)
+    stencil_product(op, k_phi, out=kk_phi)
+    np.multiply(kk_phi, half, out=scratch)
+    out[1] -= scratch
 
 
 class Leapfrog:
@@ -80,17 +85,19 @@ class Leapfrog:
     def steps(self, ys, ky):
         """The one leapfrog loop: step ys[0] = (phi, p), with ky[0] = K phi, on into ys[1:].
 
-        Returns K phi of ys[1:], shape (len(ys) - 1, 1, n).
+        Returns K phi of ys[1:], shape (len(ys) - 1, 1, n); ys[0] and ky are only read.
         """
         kk_phi = stencil_product(self.op, ky[0])
         k_phis = np.empty((len(ys) - 1, 1, self.op.n))
+        scratch = np.empty(self.op.n)
         for j in range(1, len(ys)):
-            ys[j], k_phis[j - 1, 0], kk_phi = _leapfrog(self.op, ys[j - 1], kk_phi, self.dt)
+            _leapfrog(self.op, ys[j - 1], kk_phi, self.dt, ys[j], k_phis[j - 1, 0], scratch)
         return k_phis
 
     def step(self, s):
         kk_phi = apply(self.op, apply(self.op, s.phi))
-        y, _, _ = _leapfrog(self.op, (s.phi, s.p), kk_phi, self.dt)
+        y, rows = np.empty((2, self.op.n)), np.empty((2, self.op.n))
+        _leapfrog(self.op, (s.phi, s.p), kk_phi, self.dt, y, *rows)
         return FieldState(phi=y[0], p=y[1], time=s.time + self.dt)
 
 

@@ -11,19 +11,18 @@ nearest-neighbour coupling hbar^2 / (2 m dx^2), which is also the value of
 both corner entries on periodic grids. `apply` is an O(n) stencil product,
 and `CayleySolver` solves the Crank-Nicolson system I - i a K in O(n) from
 the same stencil, by cyclic reduction down to a dense tail of at most
-_DENSE_TAIL unknowns. `spectral_radius` bisects both ends of the spectrum on
-the stencil too, one O(n) inertia count per shift (Sturm sequences; Barth,
-Martin and Wilkinson 1967). `eigenpairs` finds chosen eigenpairs of a
-Dirichlet K from such counts, O(n) per mode: it narrows all requested
-eigenvalues in lockstep, one shift per eigenvalue per pass, and counts the
-pass's shifts together by odd-even reduction of K - x I over a (shifts, n)
-array (`_counts_below`), then checks each result on the scalar Sturm count,
-so it returns what bisection on that count alone returns. `zero_mode_count`
-counts the zero modes of K on either closure from two such counts, the
-periodic one the LDL^T factorization whose corners fill in the last column.
-The stencil is K's only definition: `eigendecompose`, the full dense
-spectrum, hands `eigh` the stencil product of the identity and keeps no
-dense K once `eigh` returns.
+_DENSE_TAIL unknowns. Inertia comes from one O(n) count per shift, the
+negative pivots of the LDL^T factorization of K - x I (`_count_below`,
+`_count_below_periodic`; Sturm sequences, Barth, Martin and Wilkinson 1967),
+and `_bisect` is the one scalar bisection on it. `spectral_radius` bisects
+both ends of the spectrum so, and `zero_mode_count` takes two counts.
+`eigenpairs` finds chosen eigenpairs of a Dirichlet K, O(n) per mode: it
+narrows all requested eigenvalues in lockstep, counting each pass's shifts
+together by odd-even reduction of K - x I over a (shifts, n) array
+(`_counts_below`), then checks each result on the scalar count, so it
+returns what bisection on that count alone returns. The stencil is K's only
+definition: `eigendecompose` hands `eigh` the dense K read off the stencil
+products of comb probes (`_dense`) and keeps none once `eigh` returns.
 
 Discrete conventions shared by the whole package:
 
@@ -37,7 +36,7 @@ Schrodinger problem are -kappa, so bound spectra sit at negative kappa.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -376,15 +375,12 @@ def inner_product(f, g, grid):
 def eigendecompose(op):
     """Full spectral decomposition with dx-orthonormal eigenvectors, by dense `eigh`.
 
-    O(n^3) time and O(n^2) memory. `eigh` reads the dense K as the stencil
-    product of the identity, formed in place and dropped once `eigh` returns.
-    Each vector is signed so that its first peak, the lowest index within
-    SIGN_RTOL of its largest magnitude, is positive (`_signed`); `eigenpairs`
-    signs its vectors the same way.
+    O(n^3) time and O(n^2) memory; the dense K (`_dense`) is dropped once
+    `eigh` returns. Each vector is signed so that its first peak, the lowest
+    index within SIGN_RTOL of its largest magnitude, is positive (`_signed`),
+    as `eigenpairs` signs its vectors.
     """
-    k = np.eye(op.n)
-    w, v = np.linalg.eigh(stencil_product(op, k, out=k))
-    del k
+    w, v = np.linalg.eigh(_dense(op))
     v = _signed(v / np.sqrt(op.grid.dx))
     scale = float(np.max(np.abs(w))) if w.size else 0.0
     zero = tuple(int(i) for i in np.nonzero(np.abs(w) <= ZERO_MODE_RTOL * scale)[0])
@@ -394,6 +390,43 @@ def eigendecompose(op):
         zero_modes=zero,
         operator=op,
     )
+
+
+def _comb(n, reach, periodic):
+    """Comb probes of n columns for a map that reads the offsets -reach..reach.
+
+    Returns (colour, colours, cols, inside). A comb probe is 1 on every
+    column of one colour, i % (2 reach + 1) for column i, so no point reads
+    two columns of a colour; on a ring the last n % (2 reach + 1) columns
+    wrap too close to the first and get a colour each. cols[k, i] is the
+    column at offset k - reach from point i, wrapped on a ring, or i itself
+    past a wall, where `inside` is False.
+    """
+    width = 2 * reach + 1
+    points = np.arange(n)
+    colour = points % width
+    combed = n - n % width if periodic else n
+    colour[combed:] = width + np.arange(n - combed)
+    cols = points + np.arange(-reach, reach + 1)[:, None]
+    inside = periodic | ((cols >= 0) & (cols < n))
+    return colour, width + n - combed, np.where(inside, cols % n, points), inside
+
+
+def _dense(op):
+    """K as a dense n x n array, read off the stencil products of its comb probes (`_comb`).
+
+    Bit for bit the stencil product of the identity, signed zeros included.
+    """
+    n = op.n
+    points = np.arange(n)
+    colour, colours, cols, inside = _comb(n, 1, op.grid.boundary == PERIODIC)
+    probes = np.zeros((colours, n))
+    probes[colour, points] = 1.0
+    response = stencil_product(op, probes, out=probes)
+    rows, at = cols[inside], np.broadcast_to(points, cols.shape)[inside]
+    k = np.zeros((n, n))
+    k[rows, at] = response[colour[rows], at]
+    return k
 
 
 def _signed(v):
@@ -408,49 +441,11 @@ def _signed(v):
     return v * np.where(v[peak, np.arange(v.shape[1])] < 0.0, -1.0, 1.0)
 
 
-# Pivots below this count as non-positive, as LAPACK's dstebz floors its pivots
+# Pivots below this count as negative, as LAPACK's dstebz floors its pivots
 # at pivmin. It applies to K scaled to entries of at most 1/4, where it moves
-# the answer far less than one ulp of max|kappa| and keeps every quotient in
-# `_positive_definite` finite.
+# the answer far less than one ulp of max|kappa| and keeps every quotient of
+# the inertia counts finite.
 _PIVMIN = 2.0**-500
-
-
-def _positive_definite(diag, b, x, periodic):
-    """Whether K - x I is positive definite, for K given by its stencil.
-
-    Runs the LDL^T factorization of K - x I and stops at the first pivot
-    below _PIVMIN; by Sylvester's law of inertia the matrix is positive
-    definite iff no pivot is. On a Dirichlet grid the pivots are the Sturm
-    recurrence d_i = (a_i - x) - b^2 / d_{i-1}. On a periodic grid the
-    corners fill in only the last column, e_{i+1} = -b e_i / d_i, and the
-    last pivot is its Schur complement (a_{n-1} - x) - sum e_i^2 / d_i. While
-    the pivots are positive every term of that sum is, so it is checked as it
-    falls.
-    """
-    b2 = b * b
-    if not periodic:
-        d = math.inf
-        for a in diag:
-            d = a - x - b2 / d
-            if d < _PIVMIN:
-                return False
-        return True
-    last = diag[-1] - x
-    d = diag[0] - x
-    e = b
-    for a in diag[1:-1]:
-        if d < _PIVMIN:
-            return False
-        g = e / d
-        last -= e * g
-        if last < _PIVMIN:
-            return False
-        e = -b * g
-        d = a - x - b2 / d
-    if d < _PIVMIN:
-        return False
-    e += b
-    return last - e * e / d >= _PIVMIN
 
 
 def _scaled_stencil(op):
@@ -464,49 +459,52 @@ def _scaled_stencil(op):
 def spectral_radius(op):
     """max |kappa| of the operator, by bisection; cached per operator instance.
 
-    Each end of the spectrum is bisected with one O(n) inertia test per
-    shift (`_positive_definite`; Barth, Martin and Wilkinson 1967, Golub and
-    Van Loan section 8.4), the top end as the bottom end of -K. The brackets
-    start from the diagonal and Gershgorin's discs: min kappa lies in
-    [min a - 2|b|, min a] and max kappa in [max a, max a + 2|b|]. An end stops
-    once its magnitudes cannot exceed the other end's, which on a grid with
-    V >= 0 is the top end from the start. The rest converge to adjacent
-    floats in about 52 tests each, so the cost is O(n) time and memory.
-    K is scaled by a power of two first, which is exact, and the returned
-    value is the bracket's outer edge: within an ulp or two of the exact
-    max |kappa| of a matrix within a few ulp of K.
+    Each end of the spectrum is bisected (`_bisect`) on its closure's count
+    stopped at the first negative pivot (`_counter` at j = 0; Golub and Van
+    Loan section 8.4), the top end as the bottom end of -K, from the diagonal
+    and Gershgorin's discs: min kappa lies in [min a - 2|b|, min a] and max
+    kappa in [max a, max a + 2|b|]. The end that may reach the larger
+    magnitude goes first; an end is skipped when its magnitudes cannot
+    exceed the other end's, which on a grid with V >= 0 is the top end. An
+    end takes about 52 O(n) counts. K is scaled by a power of two first,
+    which is exact, and the returned value is the bracket's outer edge:
+    within an ulp or two of the exact max |kappa| of a matrix within a few
+    ulp of K.
     """
     periodic = op.grid.boundary == PERIODIC
     scale, diag, b = _scaled_stencil(op)
-    lo = min(diag)
-    hi = max(diag)
+    lo, hi = min(diag), max(diag)
     # Brackets on the bottom ends of the spectra of K and of -K.
-    brackets = [[lo - 2.0 * abs(b), lo], [-hi - 2.0 * abs(b), -hi]]
-    stencils = [(diag, b), ([-a for a in diag], -b)]
-    while True:
-        smallest = [max(lower, -upper, 0.0) for lower, upper in brackets]
-        largest = [max(-lower, upper) for lower, upper in brackets]
-        moved = False
-        for i, bracket in enumerate(brackets):
-            mid = 0.5 * (bracket[0] + bracket[1])
-            if largest[i] <= smallest[1 - i] or not bracket[0] < mid < bracket[1]:
-                continue
-            if _positive_definite(*stencils[i], mid, periodic):
-                bracket[0] = mid
-            else:
-                bracket[1] = mid
-            moved = True
-        if not moved:
-            return math.ldexp(max(largest), -scale)
+    ends = [(lo - 2.0 * abs(b), lo), (-hi - 2.0 * abs(b), -hi)]
+    counts = [_counter(diag, b, periodic), _counter([-a for a in diag], -b, periodic)]
+
+    def largest(i):
+        return max(-ends[i][0], ends[i][1])
+
+    def smallest(i):
+        return max(ends[i][0], -ends[i][1], 0.0)
+
+    for i in sorted((0, 1), key=largest, reverse=True):
+        if largest(i) > smallest(1 - i):
+            ends[i] = _bisect(counts[i], 0, *ends[i])
+    return math.ldexp(max(largest(0), largest(1)), -scale)
 
 
-def _count_below(diag, b2, x):
+def _counter(diag, b, periodic):
+    """The inertia count of the stencil (diag, b) on its closure, as a function of (x, j)."""
+    if periodic:
+        return partial(_count_below_periodic, diag, b)
+    return partial(_count_below, diag, b * b)
+
+
+def _count_below(diag, b2, x, j=math.inf):
     """Number of eigenvalues below x of the Dirichlet stencil (diag, b), b2 = b^2.
 
-    The Sturm count: the negative pivots of the LDL^T factorization of K - x I,
-    all of them, where `_positive_definite` stops at the first. A pivot below
-    _PIVMIN counts as negative, and one of smaller magnitude is replaced by
-    -_PIVMIN, as LAPACK's dstebz does.
+    The Sturm count: the negative pivots of the LDL^T factorization of
+    K - x I. A pivot below _PIVMIN counts as negative, and one of smaller
+    magnitude is replaced by -_PIVMIN, as LAPACK's dstebz does. It stops once
+    it passes j, so it is exact up to j + 1; at j = 0, 0 says K - x I is
+    positive definite (Sylvester's law of inertia).
     """
     count = 0
     d = math.inf
@@ -514,18 +512,19 @@ def _count_below(diag, b2, x):
         d = a - x - b2 / d
         if d < _PIVMIN:
             count += 1
+            if count > j:
+                return count
             if d > -_PIVMIN:
                 d = -_PIVMIN
     return count
 
 
-def _count_below_periodic(diag, b, x):
-    """Number of eigenvalues below x of the periodic stencil (diag, b).
+def _count_below_periodic(diag, b, x, j=math.inf):
+    """Number of eigenvalues below x of the periodic stencil (diag, b), exact up to j + 1.
 
     The negative pivots of the LDL^T factorization of the cyclic K - x I,
-    all of them, where `_positive_definite` stops at the first, and floored
-    as in `_count_below`. The pivots d_i follow the
-    Sturm recurrence d_i = (a_i - x) - b^2 / d_{i-1}; the corners fill in
+    floored and stopped past j as in `_count_below`. The pivots d_i follow
+    the Sturm recurrence d_i = (a_i - x) - b^2 / d_{i-1}; the corners fill in
     only the last column, e_{i+1} = -b e_i / d_i, and the last pivot is its
     Schur complement (a_{n-1} - x) - sum e_i^2 / d_i. While the pivots are
     positive every term of that sum is, so it only falls.
@@ -538,6 +537,8 @@ def _count_below_periodic(diag, b, x):
     for a in diag[1:-1]:
         if d < _PIVMIN:
             count += 1
+            if count > j:
+                return count
             if d > -_PIVMIN:
                 d = -_PIVMIN
         g = e / d
@@ -555,16 +556,14 @@ def _count_below_periodic(diag, b, x):
 def zero_mode_count(op):
     """Number of eigenvalues of K in [-tol, tol], tol = ZERO_MODE_RTOL * spectral_radius(op).
 
-    The count of zero modes that `eigendecompose` finds, from two Sturm counts
-    on the stencil (`_count_below`, or `_count_below_periodic` on a periodic
-    grid) at -tol and tol, without a dense K: O(n) time and memory. K is
-    scaled as in `spectral_radius`.
+    The count of zero modes that `eigendecompose` finds, from two inertia
+    counts on the stencil (`_counter`) at -tol and tol, without a dense K:
+    O(n) time and memory. K is scaled as in `spectral_radius`.
     """
     scale, diag, b = _scaled_stencil(op)
     tol = math.ldexp(ZERO_MODE_RTOL * spectral_radius(op), scale)
-    if op.grid.boundary == PERIODIC:
-        return _count_below_periodic(diag, b, tol) - _count_below_periodic(diag, b, -tol)
-    return _count_below(diag, b * b, tol) - _count_below(diag, b * b, -tol)
+    count = _counter(diag, b, op.grid.boundary == PERIODIC)
+    return count(tol) - count(-tol)
 
 
 def _pivots(shifted, b2):
@@ -822,13 +821,19 @@ def _mend(diag, b2, j, edge, direction):
             break
         edge = far
         step *= 2.0
-    return _bisect(diag, b2, j, *sorted((edge, far)))
+    return _bisect(partial(_count_below, diag, b2), j, *sorted((edge, far)))
 
 
-def _bisect(diag, b2, j, lo, hi):
-    """Bisect (lo, hi) to adjacent floats on `_count_below`, keeping j's eigenvalue inside."""
+def _bisect(count, j, lo, hi):
+    """Bisect (lo, hi) to adjacent floats on `count`, keeping eigenvalue j inside.
+
+    count(x, j) is an inertia count exact up to j + 1 (`_counter`). The pair
+    depends on (lo, hi) and the count alone; the Sturm count is monotone in x
+    (Kahan's argument; Demmel, Dhillon and Ren, ETNA 3, 1995). Serves
+    `spectral_radius` (j = 0) and `_mend`.
+    """
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if _count_below(diag, b2, mid) <= j:
+        if count(mid, j) <= j:
             lo = mid
         else:
             hi = mid
@@ -845,17 +850,11 @@ def eigenpairs(op, cols):
     non-finite. Never forms a dense K: O(n) time and memory per column.
 
     K is scaled as in `spectral_radius`. Each eigenvalue is bracketed to
-    adjacent floats lo < hi on Sturm counts (`_count_below`; Barth, Martin
-    and Wilkinson 1967), and kappa is lo. The columns are bracketed in
-    lockstep, most passes counted by odd-even reduction (`_counts_below`) and
-    regula falsi on log|det| once a bracket isolates its eigenvalue; each end
-    a reduction count set is checked on `_count_below` and mended where they
-    differ, and two more counts, one gap below and above, check isolation
-    (`_bracket_eigenvalues`). So kappa and the vector are, bit for bit, what
-    one bisection per column on `_count_below` gives, at about 20 to 60
-    passes of one reduction for all columns instead of about 55 scalar counts
-    each; a request of columns times n under _REDUCTION_MIN_SIZE is that
-    bisection, in lockstep. Dirichlet K is an unreduced tridiagonal
+    adjacent floats lo < hi on Sturm counts, all columns in lockstep
+    (`_bracket_eigenvalues`), and kappa is lo: bit for bit what one
+    bisection per column on `_count_below` gives, at about 20 to 60 passes
+    of one odd-even reduction for all columns instead of about 55 scalar
+    counts each. Dirichlet K is an unreduced tridiagonal
     (coupling > 0), so its eigenvalues are simple. The vector is one twisted
     factorization at that shift (Dhillon and Parlett 2004): the pivots of
     K - kappa I factored from the top and from the bottom meet at the index r

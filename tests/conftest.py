@@ -215,6 +215,74 @@ def bisection_eigenpairs(op, cols):
     return np.ldexp(np.array(kappa), -scale), lattice._signed(vectors)
 
 
+def positive_definite(diag, b, x, periodic):
+    """Oracle: whether K - x I is positive definite, for K given by its scaled stencil.
+
+    The LDL^T inertia test, stopped at the first pivot below
+    `lattice._PIVMIN`, written out for each closure: on a Dirichlet grid the
+    Sturm recurrence d_i = (a_i - x) - b^2 / d_{i-1}; on a periodic grid the
+    corners fill in only the last column, e_{i+1} = -b e_i / d_i, and the last
+    pivot is its Schur complement (a_{n-1} - x) - sum e_i^2 / d_i, checked as
+    it falls.
+    """
+    pivmin = lattice._PIVMIN
+    b2 = b * b
+    if not periodic:
+        d = math.inf
+        for a in diag:
+            d = a - x - b2 / d
+            if d < pivmin:
+                return False
+        return True
+    last = diag[-1] - x
+    d = diag[0] - x
+    e = b
+    for a in diag[1:-1]:
+        if d < pivmin:
+            return False
+        g = e / d
+        last -= e * g
+        if last < pivmin:
+            return False
+        e = -b * g
+        d = a - x - b2 / d
+    if d < pivmin:
+        return False
+    e += b
+    return last - e * e / d >= pivmin
+
+
+def two_end_spectral_radius(op):
+    """Oracle: `lattice.spectral_radius` as the two ends bisected in alternation.
+
+    One `positive_definite` test per end per round, the top end as the bottom
+    end of -K, from the Gershgorin brackets; an end stops once its
+    magnitudes cannot exceed the other end's. Returns the float that
+    `spectral_radius` must return bit for bit.
+    """
+    periodic = op.grid.boundary == lattice.PERIODIC
+    scale, diag, b = lattice._scaled_stencil(op)
+    lo = min(diag)
+    hi = max(diag)
+    brackets = [[lo - 2.0 * abs(b), lo], [-hi - 2.0 * abs(b), -hi]]
+    stencils = [(diag, b), ([-a for a in diag], -b)]
+    while True:
+        smallest = [max(lower, -upper, 0.0) for lower, upper in brackets]
+        largest = [max(-lower, upper) for lower, upper in brackets]
+        moved = False
+        for i, bracket in enumerate(brackets):
+            mid = 0.5 * (bracket[0] + bracket[1])
+            if largest[i] <= smallest[1 - i] or not bracket[0] < mid < bracket[1]:
+                continue
+            if positive_definite(*stencils[i], mid, periodic):
+                bracket[0] = mid
+            else:
+                bracket[1] = mid
+            moved = True
+        if not moved:
+            return math.ldexp(max(largest), -scale)
+
+
 @pytest.fixture(scope="session")
 def free3():
     """n=3 Dirichlet free stencil with hbar=1, m=1/2 (unit second difference)."""

@@ -17,12 +17,14 @@ from schrofield import (
     step_leapfrog,
 )
 from schrofield.field import (
+    Leapfrog,
     field_equation_residuals,
     leapfrog_stability_bound,
     leapfrog_trajectory,
     second_order_residual,
     spectral_field_trajectory,
 )
+from schrofield.lattice import stencil_product
 
 from conftest import low_mode_coefficients
 
@@ -49,6 +51,39 @@ def test_rhs_induces_second_order_equation(harmonic400, rng):
     # hbar^2 phi_ddot = hbar * dp, so hbar dp + K^2 phi must vanish
     residual = op.hbar * dp + apply(op, apply(op, s.phi))
     assert np.max(np.abs(residual)) < 1e-12 * np.max(np.abs(apply(op, apply(op, s.phi))))
+
+
+def test_leapfrog_steps_read_a_read_only_start(small_harmonic, rng):
+    # `steps` writes each step into the next row through scratch rows of its
+    # own: the start and its K phi are only read, so read-only copies of them
+    # give the same bits, which are those of the kick-drift-kick formulas.
+    op, _ = small_harmonic
+    dt = 0.6 * leapfrog_stability_bound(op)
+    nsteps = 9
+    ys = np.empty((nsteps + 1, 2, op.n))
+    ys[0] = rng.standard_normal((2, op.n))
+    ky = stencil_product(op, ys[0, :1])
+    k_phis = Leapfrog(op, dt).steps(ys, ky)
+
+    start, ky_read_only = ys[0].copy(), ky.copy()
+    start.setflags(write=False)
+    ky_read_only.setflags(write=False)
+    rows = [start, *np.empty((nsteps, 2, op.n))]
+    got = Leapfrog(op, dt).steps(rows, ky_read_only)
+    assert np.array(rows).tobytes() == ys.tobytes()
+    assert got.tobytes() == k_phis.tobytes()
+
+    phi, p = ys[0]
+    half = 0.5 * dt / op.hbar
+    kk_phi = stencil_product(op, stencil_product(op, phi))
+    for j in range(1, nsteps + 1):
+        p_half = p - half * kk_phi
+        phi = phi + dt * p_half / op.hbar
+        k_phi = stencil_product(op, phi)
+        kk_phi = stencil_product(op, k_phi)
+        p = p_half - half * kk_phi
+        assert np.array([phi, p]).tobytes() == ys[j].tobytes(), j
+        assert k_phi.tobytes() == k_phis[j - 1, 0].tobytes(), j
 
 
 def test_leapfrog_euler_consistency(small_harmonic, rng):

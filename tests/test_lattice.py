@@ -154,17 +154,20 @@ def _bits(a):
 
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
-@pytest.mark.parametrize("n", [3, 4, 5, 9, 40])
+@pytest.mark.parametrize("n", [*range(3, 12), 40])
 @pytest.mark.parametrize("potential", _POTENTIALS, ids=lambda p: p if isinstance(p, str) else p["name"])
 def test_stencil_of_the_identity_is_the_dense_oracle(boundary, n, potential):
-    # `eigendecompose` hands eigh this product, formed in the identity's own
-    # memory. Periodic n=3 has its two corner updates on both ends of a row.
+    # The stencil product of the identity, in its own memory or not, is K;
+    # `eigendecompose` hands eigh the same bits read off comb probes
+    # (`_dense`), whose ring colouring depends on n mod 3. Periodic n=3 has
+    # its two corner updates on both ends of a row.
     grid = build_grid(n, -4.0, 4.0, boundary)
     op = build_operator(grid, potential_from_spec(grid, potential), hbar=0.7, mass=1.3)
     want = _bits(dense_k(op))
     assert np.array_equal(_bits(lattice.stencil_product(op, np.eye(n))), want)
     eye = np.eye(n)
     assert np.array_equal(_bits(lattice.stencil_product(op, eye, out=eye)), want)
+    assert np.array_equal(_bits(lattice._dense(op)), want)
 
     w, v = np.linalg.eigh(dense_k(op))
     v = lattice._signed(v / np.sqrt(op.grid.dx))

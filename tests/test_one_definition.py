@@ -123,7 +123,9 @@ def test_one_leapfrog_step_reaches_every_consumer(monkeypatch, tmp_path):
     half = fd.leapfrog_trajectory(op, s0, dt / 2, nsteps)
     leapfrog = fd._leapfrog
     # the step halved: every consumer must now give the half-step trajectory
-    monkeypatch.setattr(fd, "_leapfrog", lambda op, y, kk_phi, dt: leapfrog(op, y, kk_phi, dt / 2))
+    monkeypatch.setattr(
+        fd, "_leapfrog", lambda op, y, kk_phi, dt, *rows: leapfrog(op, y, kk_phi, dt / 2, *rows)
+    )
 
     traj = fd.leapfrog_trajectory(op, s0, dt, nsteps)
     s = s0

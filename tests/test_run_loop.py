@@ -178,9 +178,9 @@ def test_leapfrog_trajectory_takes_two_stencil_products_per_step(monkeypatch):
     calls = []
     product = lattice.stencil_product
 
-    def counted(op, f):
+    def counted(op, f, out=None):
         calls.append(f.shape)
-        return product(op, f)
+        return product(op, f, out=out)
 
     # field imports the name, and apply looks it up in lattice: count both
     monkeypatch.setattr(lattice, "stencil_product", counted)

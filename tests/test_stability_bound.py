@@ -19,9 +19,10 @@ from schrofield import constrained, field, lattice
 from schrofield.constrained import make_onshell, rk4_stability_bound, rk4_trajectory, step_rk4
 from schrofield.field import leapfrog_stability_bound, leapfrog_trajectory
 from schrofield.lattice import spectral_radius
+from schrofield.presets import potential_from_spec
 from schrofield.runs import run_constrained, run_field
 
-from conftest import count_calls, dense_k
+from conftest import count_calls, dense_k, two_end_spectral_radius
 
 # Bisection on inertia counts and eigvalsh are both backward stable: each is
 # within a few ulp of ||K|| = max|kappa| of the exact value. The worst
@@ -74,6 +75,31 @@ def test_bound_matches_eigvalsh_property(n, boundary, span, hbar, mass, data):
     v = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
     op = build_operator(build_grid(n, 0.0, span, boundary), Potential(v), hbar=hbar, mass=mass)
     assert _relative_gap(op) <= RTOL
+
+
+_RADIUS_POTENTIALS = {
+    "harmonic": {"name": "harmonic", "omega": 1.0},
+    "free": "free",
+    "square_well": {"name": "square_well", "depth": 5.0, "width": 2.0},
+    "barrier": {"name": "gaussian_barrier", "height": 5.0, "width": 1.0, "center": 0.5},
+    # deep enough that the top end of the spectrum dominates on most grids
+    "well300": {"name": "square_well", "depth": 300.0, "width": 2.0},
+    "well30000": {"name": "square_well", "depth": 30000.0, "width": 2.0},
+}
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("n", [3, 4, 5, 9, 40, 200, 301, 1200])
+@pytest.mark.parametrize(
+    "potential", list(_RADIUS_POTENTIALS.values()), ids=list(_RADIUS_POTENTIALS)
+)
+def test_radius_is_the_two_end_bisection(boundary, n, potential):
+    # `spectral_radius` bisects one end after the other on the counts of the
+    # operator's closure; the oracle alternates the ends on the stopped LDL^T
+    # test. Both must land on the same float.
+    grid = build_grid(n, -10.0, 10.0, boundary)
+    op = build_operator(grid, potential_from_spec(grid, potential))
+    assert spectral_radius(op).hex() == two_end_spectral_radius(op).hex()
 
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])

@@ -1,6 +1,6 @@
-"""Scale sweep of one layer: `verify`, the stencil eigensolver or the RK4 step.
+"""Scale sweep of one layer: `verify`, the stencil eigensolver, the RK4 or the leapfrog step.
 
-Usage: python3 tools/sweep.py --label <name> [--layer verify|eigenpairs|rk4] [--rev <rev>]
+Usage: python3 tools/sweep.py --label <name> [--layer verify|eigenpairs|rk4|leapfrog] [--rev <rev>]
 
 The `verify` layer (the default) runs `verify --seed 7` on the CI verify
 config (a Dirichlet harmonic grid on [-20, 20], gaussian state, `spectral`,
@@ -24,6 +24,13 @@ that n; `_rk4_steps` on a tree that has no band). The stepper is
 step by `advance(y, out)`, which is what is timed, so the steps are timed
 alone. The one stacked product `K (phi, p)` of a block that `Rk4.steps`
 returns is timed apart, as `products_s_per_step`.
+
+The `leapfrog` layer times the leapfrog step on the `verify` layer's grid
+and potential at n = LEAPFROG_SIZES, dt = half the stability bound, in CPU
+seconds per step, best of REPEATS in each fresh worker: `Leapfrog.steps`
+over a block of LEAPFROG_STEPS steps, as the run loop calls it, and as many
+`step_leapfrog` calls one after the other, each of which builds its
+`Leapfrog` and state.
 
 Every layer measures the working tree ROUNDS times, each round in fresh
 workers. With --rev it measures the `src` of a `git archive` of that
@@ -65,6 +72,8 @@ ROUNDS = 5
 # The benchmark's constrained-rk4 workload runs at n = 200.
 RK4_SIZES = (200, 400, 800, 1200, 1600, 2000, 2400, 3200)
 RK4_STEPS = 200
+LEAPFROG_SIZES = EIGENPAIRS_SIZES
+LEAPFROG_STEPS = 64
 # The crossover asks the band for a 10% gain: the best of one worker can sit
 # several per cent from another's on a shared host.
 RK4_MARGIN = 0.9
@@ -154,6 +163,16 @@ def work_eigenpairs(src):
     print(json.dumps({"cpu_s": sizes, "numpy": np.__version__}))
 
 
+def _best_time(f):
+    """The least CPU seconds of REPEATS calls of f."""
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.process_time()
+        f()
+        times.append(time.process_time() - t0)
+    return min(times)
+
+
 def work_rk4(src):
     """Time the RK4 step in this process and print one JSON line of CPU seconds per step."""
     sys.path.insert(0, src)
@@ -162,14 +181,6 @@ def work_rk4(src):
     from schrofield import constrained as cn
     from schrofield import lattice
     from schrofield.presets import potential_from_spec
-
-    def best(f):
-        times = []
-        for _ in range(REPEATS):
-            t0 = time.process_time()
-            f()
-            times.append(time.process_time() - t0)
-        return min(times)
 
     band_max_n = getattr(cn, "_BAND_MAX_N", None)
     # The RK4 stepper is `Rk4`, and was `_Rk4Map` before it was made public.
@@ -191,20 +202,51 @@ def work_rk4(src):
             for j in range(1, len(ys)):
                 stepper.advance(ys[j - 1], ys[j])
 
-        record = {"horner_s_per_step": best(horner) / RK4_STEPS}
+        record = {"horner_s_per_step": _best_time(horner) / RK4_STEPS}
         if band_max_n is None:
-            record["run_loop_s_per_step"] = best(lambda: cn._rk4_steps(op, ys, dt)) / RK4_STEPS
+            record["run_loop_s_per_step"] = _best_time(lambda: cn._rk4_steps(op, ys, dt)) / RK4_STEPS
         else:
-            record["band_build_s"] = best(lambda: cn._band(op, dt))
+            record["band_build_s"] = _best_time(lambda: cn._band(op, dt))
             banded = stepper_class(op, dt)
             banded._band = cn._band(op, banded.dt)
-            record["band_s_per_step"] = best(lambda: stepped(banded)) / RK4_STEPS
-            record["run_loop_s_per_step"] = best(lambda: stepped(stepper_class(op, dt))) / RK4_STEPS
+            record["band_s_per_step"] = _best_time(lambda: stepped(banded)) / RK4_STEPS
+            record["run_loop_s_per_step"] = _best_time(lambda: stepped(stepper_class(op, dt))) / RK4_STEPS
         # the block's stacked K (phi, p), which `Rk4.steps` returns
-        products = best(lambda: lattice.stencil_product(op, ys[1:, :2]))
+        products = _best_time(lambda: lattice.stencil_product(op, ys[1:, :2]))
         record["products_s_per_step"] = products / RK4_STEPS
         results[str(n)] = record
     print(json.dumps({"cpu_s": results, "band_max_n": band_max_n, "numpy": np.__version__}))
+
+
+def work_leapfrog(src):
+    """Time the leapfrog step in this process and print one JSON line of CPU seconds per step."""
+    sys.path.insert(0, src)
+    import numpy as np
+
+    from schrofield import field, lattice
+    from schrofield.presets import potential_from_spec
+
+    results = {}
+    for n in LEAPFROG_SIZES:
+        grid = lattice.build_grid(n, CONFIG["grid"]["x_min"], CONFIG["grid"]["x_max"], "dirichlet")
+        op = lattice.build_operator(grid, potential_from_spec(grid, CONFIG["potential"]))
+        dt = 0.5 * field.leapfrog_stability_bound(op)
+        ys = np.empty((LEAPFROG_STEPS + 1, 2, n))
+        ys[0] = np.random.default_rng(SEED).standard_normal((2, n))
+        ky = lattice.stencil_product(op, ys[0, :1])
+        stepper = field.Leapfrog(op, dt)
+        s0 = field.FieldState(phi=ys[0, 0], p=ys[0, 1])
+
+        def one_by_one():
+            s = s0
+            for _ in range(LEAPFROG_STEPS):
+                s = field.step_leapfrog(op, s, dt)
+
+        results[str(n)] = {
+            "steps_s_per_step": _best_time(lambda: stepper.steps(ys, ky)) / LEAPFROG_STEPS,
+            "step_leapfrog_s_per_step": _best_time(one_by_one) / LEAPFROG_STEPS,
+        }
+    print(json.dumps({"cpu_s": results, "numpy": np.__version__}))
 
 
 def measure_worker(flag, src):
@@ -307,9 +349,11 @@ def main(argv):
         return work_eigenpairs(*argv[1:])
     if argv[:1] == ["--work-rk4"]:
         return work_rk4(*argv[1:])
+    if argv[:1] == ["--work-leapfrog"]:
+        return work_leapfrog(*argv[1:])
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
-    parser.add_argument("--layer", choices=("verify", "eigenpairs", "rk4"), default="verify")
+    parser.add_argument("--layer", choices=("verify", "eigenpairs", "rk4", "leapfrog"), default="verify")
     parser.add_argument("--rev", default=None)
     args = parser.parse_args(argv)
     host = {
@@ -348,6 +392,17 @@ def main(argv):
                 config={"grid": RK4_GRID, "potential": RK4_POTENTIAL},
                 clock=f"CPU seconds per step, best of {REPEATS} blocks per worker",
                 sources=results,
+            )
+        elif args.layer == "leapfrog":
+            rounds = _alternate(sources, lambda src: measure_worker("--work-leapfrog", src))
+            bench.update(
+                command=(
+                    f"Leapfrog.steps over a {LEAPFROG_STEPS}-step block, and {LEAPFROG_STEPS} "
+                    "step_leapfrog calls, of (phi, p), dt = half the stability bound"
+                ),
+                config={key: CONFIG[key] for key in ("grid", "potential")},
+                clock=f"CPU seconds per step, best of {REPEATS} blocks per worker",
+                sources={name: {"rounds": runs, "best_cpu_s": _best(runs)} for name, runs in rounds.items()},
             )
         else:
             def measure_sizes(src):
