@@ -62,7 +62,15 @@ def main(argv=None):
             if not args.quiet:
                 print(f"render: {len(written)} SVG files")
             return 0
-        scenario = parse_config(args.config, spectrum=args.command in _FULL_SPECTRUM)
+        # verify and convergence refuse a study past their limits before an
+        # eigenstate or modes preset decomposes K.
+        preflight = {
+            "verify": lambda s: runs._check_refined_grids(s.config, runs._VERIFY_CURRENT_LEVELS),
+            "convergence": lambda s: runs._convergence_dts(s.config, s.operator, args.levels),
+        }.get(args.command)
+        scenario = parse_config(
+            args.config, spectrum=args.command in _FULL_SPECTRUM, preflight=preflight
+        )
         if args.command == "run-schrodinger":
             runs.run_schrodinger(scenario, args.out, quiet=args.quiet)
         elif args.command == "run-field":

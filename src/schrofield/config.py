@@ -261,7 +261,7 @@ def config_from_dict(raw):
     )
 
 
-def build_scenario(cfg, spectrum=False):
+def build_scenario(cfg, spectrum=False, preflight=None):
     """Build and validate the scenario a config describes.
 
     Builds the grid, potential, operator and initial pair, then checks the
@@ -269,7 +269,9 @@ def build_scenario(cfg, spectrum=False):
     for non-finite values, so every config error surfaces before a command
     writes anything. The spectrum is built on first use. With `spectrum`, for
     a command that decomposes K anyway, the eigenstate and modes presets take
-    their modes from it, so it is built before their initial pair.
+    their modes from it, so it is built before their initial pair, and
+    `preflight(scenario)`, the command's own refusals of what its scenario
+    would cost, runs before that spectrum is built.
     """
     try:
         grid, potential, operator = assemble(cfg, cfg.grid_n)
@@ -277,6 +279,8 @@ def build_scenario(cfg, spectrum=False):
         raise ConfigError(str(exc)) from exc
     scenario = Scenario(config=cfg, grid=grid, potential=potential, operator=operator)
     if spectrum and cfg.initial_state["type"] in ("eigenstate", "modes"):
+        if preflight is not None:
+            preflight(scenario)
         scenario.spectrum
     re, im = scenario.initial_pair
     validate_stability(cfg, operator)
@@ -306,10 +310,10 @@ def validate_stability(cfg, operator):
             raise ConfigError(f"dt={cfg.dt!r} unstable for rk4; bound is {bound!r}")
 
 
-def parse_config(path, spectrum=False):
+def parse_config(path, spectrum=False, preflight=None):
     """Load a JSON scenario config and return its validated `Scenario`.
 
-    `spectrum` is passed to `build_scenario`.
+    `spectrum` and `preflight` are passed to `build_scenario`.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -320,4 +324,4 @@ def parse_config(path, spectrum=False):
         raise ConfigError(
             f"malformed JSON in {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
-    return build_scenario(config_from_dict(raw), spectrum=spectrum)
+    return build_scenario(config_from_dict(raw), spectrum=spectrum, preflight=preflight)

@@ -15,7 +15,7 @@ import time
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from . import __version__
 from . import brackets as br
 from . import constrained as cn
 from . import correspondence as cr
+from . import floatrepr
 from . import field as fd
 from . import schrodinger as sd
 from .config import MAX_DENSE_N, MAX_STEPS, assemble
@@ -31,21 +32,52 @@ from .errors import ConfigError, EllipticObstructionError
 from .lattice import eigendecompose, solve_elliptic, stencil_product, zero_mode_count
 
 
-# write_csv formats at most about this many cells at a time, so that its
-# strings stay a bounded size whatever the number of rows: 256 rows of a
-# six-column snapshot. Formatting a whole n=20,000 snapshot at once raised a
-# Crank-Nicolson run's peak RSS from 43.2 to 51.4 MB. At n=800, chunks of 64
-# and of 1024 rows formatted 8% and 14% slower than chunks of 256.
-_CSV_CELLS = 1536
+# write_csv writes a table in even chunks of rows of at most this many cells,
+# so that its buffers stay a bounded size whatever the number of rows: the
+# float kernel holds about 320 bytes a cell of a chunk at its peak, 2 MB. A
+# six-column snapshot at n=800 is one chunk, which matters as each chunk costs
+# the kernel a fixed 0.2 ms or so.
+_CSV_CELLS = 6144
+# Tables of at least this many cells whose columns are all float64 arrays, or
+# `_Encoded`, are written by `floatrepr`; smaller ones, below the kernel's
+# fixed cost, by str. It is the crossover of `tools/sweep.py --layer output`
+# (BENCH_output.json): the least table size from which on the kernel took
+# at most 0.9 of the str path's time.
+_KERNEL_CELLS = 600
+
+
+class _Encoded:
+    """A float64 column and its CSV cells, encoded (`floatrepr.encode`) once, on first use.
+
+    write_csv copies the encoded cells into the tables that it writes by the
+    kernel, and formats `values` by str in the others.
+    """
+
+    def __init__(self, values):
+        self.values = values
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, rows):
+        return self.values[rows]
+
+    @cached_property
+    def words(self):
+        # a chunk at a time, as write_csv encodes, so memory stays bounded
+        v = self.values
+        return np.concatenate(
+            [floatrepr.encode(v[i : i + _CSV_CELLS]) for i in range(0, len(v), _CSV_CELLS)]
+        )
 
 
 def _x_column(op):
-    """The grid's x column as CSV cells, formatted once per command for all its tables.
+    """The grid's x column as an `_Encoded` column, encoded once per command for all its tables.
 
     Every snapshot of a run starts with the same x column, a sixth of the
-    cells of a six-column snapshot. The cells take about 75 bytes a row.
+    cells of a six-column snapshot.
     """
-    return list(map(str, op.grid.points().tolist()))
+    return _Encoded(op.grid.points())
 
 
 def _width(column):
@@ -66,25 +98,66 @@ def _cells(column, start, stop):
     return map(str, part)
 
 
+def _encodable(column):
+    """Whether the float kernel writes the column: a float64 array or an `_Encoded` column."""
+    return isinstance(column, _Encoded) or (
+        isinstance(column, np.ndarray) and column.dtype == np.float64
+    )
+
+
+def _encoded_rows(columns, width, start, stop):
+    """Rows start, ..., stop - 1 of all-float columns as `floatrepr` words, separators set.
+
+    The float64 columns are encoded together, in one kernel call; the cells
+    of an `_Encoded` column are copied.
+    """
+    rows = stop - start
+    floats = [c[start:stop].reshape(rows, -1) for c in columns if not isinstance(c, _Encoded)]
+    encoded = floatrepr.encode(np.concatenate(floats, axis=1)) if floats else None
+    words = np.empty((rows, width, 4), dtype="<u8")
+    j = jf = 0
+    for c in columns:
+        w = _width(c)
+        if isinstance(c, _Encoded):
+            words[:, j] = c.words[start:stop]
+        else:
+            words[:, j : j + w] = encoded[:, jf : jf + w]
+            jf += w
+        j += w
+    words[:, :-1, 3] |= ord(",") << 56
+    words[:, -1, 3] |= ord("\n") << 56
+    return words
+
+
 def write_csv(path, header, columns):
     """Write the header row, then the rows of `columns`, a chunk of rows at a time.
 
     Each column is a 1-D array or sequence, or a 2-D array standing for its
-    columns; all have the same number of rows. A chunk holds about
-    _CSV_CELLS cells and is formatted column by column. Cells are written as
-    str writes them: a float as repr does, the shortest decimal that
-    round-trips; ints and strings as they are, so a list of strings is a
-    column formatted ahead of time.
+    columns; all have the same number of rows. The rows are split into even
+    chunks of at most _CSV_CELLS cells. Cells are written as str writes them:
+    a float as repr does, the shortest decimal that round-trips; ints and
+    strings as they are, so a list of strings is a column formatted ahead of
+    time. A table of at least _KERNEL_CELLS cells whose columns are all
+    float64 arrays, or `_Encoded`, is written by the vectorized kernel of
+    `floatrepr`, which gives the same bytes; any other is formatted by str,
+    column by column.
     """
     rows = len(columns[0])
     if any(len(c) != rows for c in columns):
         raise ValueError(f"columns of {[len(c) for c in columns]} rows for one table")
-    chunk = max(1, _CSV_CELLS // sum(map(_width, columns)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+    width = sum(map(_width, columns))
+    chunks = max(1, -(-rows * width // _CSV_CELLS))
+    chunk = max(1, -(-rows // chunks))
+    kernel = rows * width >= _KERNEL_CELLS and all(map(_encodable, columns))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, rows, chunk):
-            cells = [_cells(c, start, start + chunk) for c in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            stop = min(rows, start + chunk)
+            if kernel:
+                fh.write(floatrepr.texts(_encoded_rows(columns, width, start, stop)))
+            else:
+                cells = [_cells(c, start, stop) for c in columns]
+                fh.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
 
 
 def write_json(path, obj):
@@ -870,19 +943,20 @@ def _study_steps(cfg, dt):
     return max(2, int(round(cfg.t_final / dt)))
 
 
-def run_convergence(scenario, out_dir, levels=3, quiet=False):
-    """Refinement studies for every integrator and identity, vs exact references."""
+def _convergence_dts(cfg, op, levels):
+    """The leapfrog and RK4 time steps of a convergence study of `levels` levels on op.
+
+    Refuses, before any study and any output, fewer than 3 levels, a finest
+    level past MAX_STEPS steps, and refined grids past the dense limit
+    (`_check_refined_grids`).
+    """
     if levels < 3:
         raise ConfigError("need at least 3 refinement levels")
-    t0 = time.perf_counter()
-    cfg, op = scenario.config, scenario.operator
-    re0, im0 = scenario.initial_pair
-
     lf_dt = min(cfg.dt, 0.5 * fd.leapfrog_stability_bound(op))
     rk_dt = min(cfg.dt, 0.5 * cn.rk4_stability_bound(op))
-    # Every study doubles its steps per level: refuse a finest level past the
-    # budget before any output exists. The power is capped because 2^64 steps
-    # are past the limit anyway, and a huge --levels must not build a huge int.
+    # Every study doubles its steps per level. The power is capped because
+    # 2^64 steps are past the limit anyway, and a huge --levels must not
+    # build a huge int.
     coarsest = max(*(_study_steps(cfg, dt) for dt in (cfg.dt, lf_dt, rk_dt)), _CURRENT_BASE_STEPS)
     if coarsest * 2 ** min(levels - 1, 64) > MAX_STEPS:
         raise ConfigError(
@@ -890,6 +964,15 @@ def run_convergence(scenario, out_dir, levels=3, quiet=False):
             f"finest level, over the limit of {MAX_STEPS} steps"
         )
     _check_refined_grids(cfg, levels)
+    return lf_dt, rk_dt
+
+
+def run_convergence(scenario, out_dir, levels=3, quiet=False):
+    """Refinement studies for every integrator and identity, vs exact references."""
+    t0 = time.perf_counter()
+    cfg, op = scenario.config, scenario.operator
+    lf_dt, rk_dt = _convergence_dts(cfg, op, levels)
+    re0, im0 = scenario.initial_pair
     spec, psi0 = scenario.spectrum, sd.WaveFunction(re=re0, im=im0)
     with _refusing_kernel_content("convergence"):
         s0_dq = cr.dequantize(spec, psi0, 0.0, tol=1e-8)

@@ -969,6 +969,31 @@ def test_past_dense_limit_decomposes_nothing(tmp_path, capsys, monkeypatch, args
     assert f"limit of {MAX_DENSE_N} points for a dense spectrum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "state",
+    [{"type": "eigenstate", "index": 0}, {"type": "modes", "coefficients": [[0, 1.0, 0.0], [1, 0.5, 0.5]]}],
+    ids=["eigenstate", "modes"],
+)
+@pytest.mark.parametrize(
+    "args, n",
+    [(["verify", "--seed", "7"], 3201), (["convergence", "--levels", "3"], 1601)],
+    ids=["verify", "convergence"],
+)
+def test_preset_past_dense_limit_decomposes_nothing(tmp_path, capsys, monkeypatch, args, n, state):
+    # The presets of a command that reads the full spectrum take their modes
+    # from it; the refusal comes before it is built (an eigh at n=3201 takes
+    # seconds and about 0.5 GB).
+    eighs = count_calls(monkeypatch, lattice, "eigendecompose")
+    grid = {**_CONV200["grid"], "n": n}
+    cfg = _write(tmp_path, "dense.json", {**_CONV200, "grid": grid, "initial_state": state})
+    out = tmp_path / "run"
+    start = time.perf_counter()
+    assert main([*args, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert (out.exists(), eighs) == (False, [])
+    assert f"limit of {MAX_DENSE_N} points for a dense spectrum" in capsys.readouterr().err
+
+
 def test_spectrum_cli(tmp_path):
     cfg = _write(tmp_path, "sp.json", _harmonic_cfg())
     out = tmp_path / "sprun"

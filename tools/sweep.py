@@ -1,6 +1,7 @@
-"""Scale sweep of one layer: `verify`, the stencil eigensolver, the RK4 or the leapfrog step.
+"""Scale sweep of one layer: `verify`, the eigensolver, the RK4 or leapfrog step, or output.
 
-Usage: python3 tools/sweep.py --label <name> [--layer verify|eigenpairs|rk4|leapfrog] [--rev <rev>]
+Usage: python3 tools/sweep.py --label <name> [--rev <rev>]
+           [--layer verify|eigenpairs|rk4|leapfrog|output]
 
 The `verify` layer (the default) runs `verify --seed 7` on the CI verify
 config (a Dirichlet harmonic grid on [-20, 20], gaussian state, `spectral`,
@@ -31,6 +32,17 @@ seconds per step, best of REPEATS in each fresh worker: `Leapfrog.steps`
 over a block of LEAPFROG_STEPS steps, as the run loop calls it, and as many
 `step_leapfrog` calls one after the other, each of which builds its
 `Leapfrog` and state.
+
+The `output` layer times `runs.write_csv` on a six-column snapshot (x, re,
+im, P, S, E of the `verify` layer's gaussian state on its grid) at n =
+OUTPUT_SIZES, and on six-column series tables (passed as the run loop
+passes them, the columns of a `(rows, 6)` array) of OUTPUT_SERIES_ROWS rows,
+in CPU seconds, best of REPEATS in each fresh worker: with the float kernel
+forced on (`runs._KERNEL_CELLS = 0`) and forced off (infinite), or as the
+tree writes a table where it has no kernel; then `write_manifest` over the
+written files. The crossover is the least number of cells from which on the
+kernel took at most OUTPUT_MARGIN of the str path's time on every table;
+`runs._KERNEL_CELLS` is set to it.
 
 Every layer measures the working tree ROUNDS times, each round in fresh
 workers. With --rev it measures the `src` of a `git archive` of that
@@ -74,6 +86,12 @@ RK4_SIZES = (200, 400, 800, 1200, 1600, 2000, 2400, 3200)
 RK4_STEPS = 200
 LEAPFROG_SIZES = EIGENPAIRS_SIZES
 LEAPFROG_STEPS = 64
+OUTPUT_SIZES = (50, 100, 200, 400, 800, 3200, 20000)
+# The series of a run writes one row per step: two rows is the shortest run,
+# 6001 the benchmark's constrained-rk4 workload.
+OUTPUT_SERIES_ROWS = (2, 6001)
+# As RK4_MARGIN: the kernel is asked for a 10% gain.
+OUTPUT_MARGIN = 0.9
 # The crossover asks the band for a 10% gain: the best of one worker can sit
 # several per cent from another's on a shared host.
 RK4_MARGIN = 0.9
@@ -249,6 +267,44 @@ def work_leapfrog(src):
     print(json.dumps({"cpu_s": results, "numpy": np.__version__}))
 
 
+def work_output(src):
+    """Time `write_csv` and `write_manifest` in this process; print one JSON line of CPU seconds."""
+    sys.path.insert(0, src)
+    import numpy as np
+
+    from schrofield import correspondence as cr
+    from schrofield import runs
+    from schrofield.config import build_scenario, config_from_dict
+
+    tables = {}
+    for n in OUTPUT_SIZES:
+        scenario = build_scenario(config_from_dict({**CONFIG, "grid": {**CONFIG["grid"], "n": n}}))
+        op, (re, im) = scenario.operator, scenario.initial_pair
+        p_dens, phase = cr._density_and_phase(op.hbar, re, im)
+        columns = [runs._x_column(op), re, im, p_dens, phase, 0.5 * p_dens / op.hbar]
+        tables[f"snapshot_{n}.csv"] = (["x", "re", "im", "P", "S", "E"], columns)
+    rng = np.random.default_rng(SEED)
+    for rows in OUTPUT_SERIES_ROWS:
+        series = rng.standard_normal((rows, 6)) * np.logspace(-16, 2, 6)
+        series[:, 0] = 0.002 * np.arange(rows)
+        tables[f"series_{rows}.csv"] = (["t", "norm", "hamiltonian", "c1", "c2", "P"], series.T)
+    # A tree without the kernel writes every table as it does.
+    kernel = hasattr(runs, "_KERNEL_CELLS")
+    modes = {"kernel_s": 0, "str_s": float("inf")} if kernel else {"str_s": None}
+    results = {}
+    with tempfile.TemporaryDirectory(prefix="output_") as out:
+        out = Path(out)
+        for name, (header, columns) in tables.items():
+            results[name] = {"cells": len(columns[0]) * len(header)}
+            for key, cells in modes.items():
+                if cells is not None:
+                    runs._KERNEL_CELLS = cells
+                results[name][key] = _best_time(lambda: runs.write_csv(out / name, header, columns))
+        names = sorted(tables)
+        manifest_s = _best_time(lambda: runs.write_manifest(out, names, "sweep", CONFIG, 0.0, {}))
+    print(json.dumps({"cpu_s": results, "manifest_s": manifest_s, "kernel": kernel, "numpy": np.__version__}))
+
+
 def measure_worker(flag, src):
     """One fresh worker's record of a timed layer of the tree at src."""
     proc = subprocess.run(
@@ -323,6 +379,19 @@ def _band_crossover(best):
     return last
 
 
+def _output_crossover(best):
+    """The least table size, in cells, from which on the kernel took at most
+    OUTPUT_MARGIN of the str path's time on every table, or None."""
+    if not best or "kernel_s" not in next(iter(best.values())):
+        return None
+    crossover = None
+    for r in sorted(best.values(), key=lambda r: -r["cells"]):
+        if r["kernel_s"] > OUTPUT_MARGIN * r["str_s"]:
+            break
+        crossover = r["cells"]
+    return crossover
+
+
 def _alternate(sources, measure):
     """ROUNDS records of each source, alternating which source goes first."""
     rounds = {name: [] for name in sources}
@@ -351,9 +420,12 @@ def main(argv):
         return work_rk4(*argv[1:])
     if argv[:1] == ["--work-leapfrog"]:
         return work_leapfrog(*argv[1:])
+    if argv[:1] == ["--work-output"]:
+        return work_output(*argv[1:])
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
-    parser.add_argument("--layer", choices=("verify", "eigenpairs", "rk4", "leapfrog"), default="verify")
+    layers = ("verify", "eigenpairs", "rk4", "leapfrog", "output")
+    parser.add_argument("--layer", choices=layers, default="verify")
     parser.add_argument("--rev", default=None)
     args = parser.parse_args(argv)
     host = {
@@ -403,6 +475,27 @@ def main(argv):
                 config={key: CONFIG[key] for key in ("grid", "potential")},
                 clock=f"CPU seconds per step, best of {REPEATS} blocks per worker",
                 sources={name: {"rounds": runs, "best_cpu_s": _best(runs)} for name, runs in rounds.items()},
+            )
+        elif args.layer == "output":
+            rounds = _alternate(sources, lambda src: measure_worker("--work-output", src))
+            results = {}
+            for name, runs in rounds.items():
+                done = [run for run in runs if "cpu_s" in run]
+                best = _best(done)
+                results[name] = {
+                    "rounds": runs,
+                    "best_cpu_s": best,
+                    "best_manifest_s": min((run["manifest_s"] for run in done), default=None),
+                    "crossover_cells": _output_crossover(best),
+                }
+            bench.update(
+                command=(
+                    "runs.write_csv of six-column snapshots and series tables, the float "
+                    "kernel forced on and off, and runs.write_manifest over the written files"
+                ),
+                config={key: CONFIG[key] for key in ("grid", "potential", "initial_state")},
+                clock=f"CPU seconds, best of {REPEATS} per worker",
+                sources=results,
             )
         else:
             def measure_sizes(src):
