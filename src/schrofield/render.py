@@ -87,8 +87,13 @@ def render_snapshot(csv_path, svg_path):
 
 
 def render_snapshots(run_dir):
-    """Render every snapshot CSV in a run directory; returns the SVG paths."""
+    """Render every snapshot CSV in a run directory; returns the SVG paths.
+
+    A run_dir that is not a directory is a ValueError.
+    """
     run_dir = Path(run_dir)
+    if not run_dir.is_dir():
+        raise ValueError(f"no run directory {run_dir}")
     written = []
     for csv_path in sorted(run_dir.glob("snapshot_*.csv")):
         svg_path = csv_path.with_suffix(".svg")

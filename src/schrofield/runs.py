@@ -2,10 +2,9 @@
 
 All numeric output is CSV with a header row and shortest round-trip float
 formatting, so identical configs produce byte-identical files. Every command
-but `verify` (which writes its report itself) writes through one run
-directory (`_RunDir`), whose manifest isolates the only non-reproducible
-quantity (wall time) in a single field and carries a sha256 inventory of
-exactly the files the command wrote.
+writes through one run directory (`_RunDir`), whose manifest isolates the
+non-reproducible quantities (wall time, and `verify`'s timings) and carries
+a sha256 inventory of exactly the files the command wrote, hashed as written.
 """
 
 import bisect
@@ -129,6 +128,16 @@ def _encoded_rows(columns, width, start, stop):
     return words
 
 
+def _write(path, chunks):
+    """Write the byte chunks to path, hashing them as written; return (bytes, sha256)."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+            digest.update(chunk)
+        return fh.tell(), digest.hexdigest()
+
+
 def write_csv(path, header, columns):
     """Write the header row, then the rows of `columns`, a chunk of rows at a time.
 
@@ -140,7 +149,7 @@ def write_csv(path, header, columns):
     time. A table of at least _KERNEL_CELLS cells whose columns are all
     float64 arrays, or `_Encoded`, is written by the vectorized kernel of
     `floatrepr`, which gives the same bytes; any other is formatted by str,
-    column by column.
+    column by column. Returns (bytes, sha256) of the file, as `_write`.
     """
     rows = len(columns[0])
     if any(len(c) != rows for c in columns):
@@ -149,38 +158,27 @@ def write_csv(path, header, columns):
     chunks = max(1, -(-rows * width // _CSV_CELLS))
     chunk = max(1, -(-rows // chunks))
     kernel = rows * width >= _KERNEL_CELLS and all(map(_encodable, columns))
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
+
+    def texts():
+        yield (",".join(header) + "\n").encode()
         for start in range(0, rows, chunk):
             stop = min(rows, start + chunk)
             if kernel:
-                fh.write(floatrepr.texts(_encoded_rows(columns, width, start, stop)))
+                yield floatrepr.texts(_encoded_rows(columns, width, start, stop))
             else:
                 cells = [_cells(c, start, stop) for c in columns]
-                fh.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
+                yield ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
+
+    return _write(path, texts())
 
 
 def write_json(path, obj):
-    """Indented JSON with sorted keys and a final newline."""
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Indented JSON with sorted keys and a final newline; returns (bytes, sha256)."""
+    return _write(path, [(json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()])
 
 
-def _sha256(path):
-    """sha256 of a file, read a block at a time so that memory does not grow with the file."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
-def write_manifest(out_dir, names, command, cfg_dict, wall_time, drift, extra=None):
-    """manifest.json listing the files `names` of out_dir, sorted, with size and sha256."""
-    out_dir = Path(out_dir)
-    files = [
-        {"path": name, "bytes": (out_dir / name).stat().st_size, "sha256": _sha256(out_dir / name)}
-        for name in sorted(names)
-    ]
+def write_manifest(out_dir, files, command, cfg_dict, wall_time, drift, extra=None):
+    """manifest.json listing `files`, {name: (bytes, sha256)} of files in out_dir, sorted."""
     manifest = {
         "tool": "schrofield",
         "tool_version": __version__,
@@ -188,42 +186,47 @@ def write_manifest(out_dir, names, command, cfg_dict, wall_time, drift, extra=No
         "config": cfg_dict,
         "wall_time_s": wall_time,
         "drift": drift,
-        "files": files,
+        "files": [
+            {"path": name, "bytes": size, "sha256": sha256}
+            for name, (size, sha256) in sorted(files.items())
+        ],
     }
     if extra:
         manifest.update(extra)
-    write_json(out_dir / "manifest.json", manifest)
+    write_json(Path(out_dir) / "manifest.json", manifest)
     return manifest
 
 
 class _RunDir:
     """The --out directory of one command and the files the command writes there.
 
-    Made on construction. `csv` and `json` write a file and record its name;
-    `close` writes manifest.json over exactly the recorded names, so a file
+    Made on construction; a path that cannot be made a directory is a
+    ValueError. `csv` and `json` write a file and record its size and sha256;
+    `close` writes manifest.json over exactly the recorded files, so a file
     the directory held before the command is never listed, and prints the
     summary unless quiet. `started` is the command's perf_counter start.
     """
 
     def __init__(self, out_dir, command, cfg, started, quiet):
         self._path = Path(out_dir)
-        self._path.mkdir(parents=True, exist_ok=True)
+        try:
+            self._path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot make the output directory {out_dir}: {exc.strerror}") from exc
         self._command, self._cfg, self._started, self._quiet = command, cfg, started, quiet
-        self._names = []
+        self._files = {}
 
     def csv(self, name, header, columns):
-        write_csv(self._path / name, header, columns)
-        self._names.append(name)
+        self._files[name] = write_csv(self._path / name, header, columns)
 
     def json(self, name, obj):
-        write_json(self._path / name, obj)
-        self._names.append(name)
+        self._files[name] = write_json(self._path / name, obj)
 
     def close(self, drift, summary, extra=None):
         """Write manifest.json, print `summary` unless quiet, return the manifest."""
         wall_time = time.perf_counter() - self._started
         manifest = write_manifest(
-            self._path, self._names, self._command, self._cfg.as_dict(), wall_time, drift, extra
+            self._path, self._files, self._command, self._cfg.as_dict(), wall_time, drift, extra
         )
         if not self._quiet:
             print(summary)
@@ -661,15 +664,16 @@ def run_verify(scenario, seed=0, out_dir=None, quiet=False):
     """Aggregate every machine-checkable identity into one report.
 
     Returns (report, all_pass); the process exit status contract (nonzero iff
-    an asserted identity failed) is applied by the CLI wrapper. The report's
-    `timings` maps each check to its seconds; like `wall_time_s` it varies
-    from run to run, while `identities` is reproducible per seed.
+    an asserted identity failed) is applied by the CLI wrapper. The report is
+    reproducible per seed; out_dir gets it and a manifest whose `timings`
+    (seconds per check) vary from run to run, like its `wall_time_s`.
     """
     t0 = time.perf_counter()
     timings = {}
     rng = np.random.default_rng(seed)
     cfg = scenario.config
     _check_refined_grids(cfg, _VERIFY_CURRENT_LEVELS)
+    run = None if out_dir is None else _RunDir(out_dir, "verify", cfg, t0, quiet)
     op, spec = scenario.operator, scenario.spectrum
     n = op.n
 
@@ -807,18 +811,17 @@ def run_verify(scenario, seed=0, out_dir=None, quiet=False):
         "config": cfg.as_dict(),
         "identities": identities,
         "all_pass": bool(all_pass),
-        "wall_time_s": time.perf_counter() - t0,
-        "timings": timings,
     }
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(out_dir / "verify_report.json", report)
-    if not quiet:
-        for e in identities:
-            flag = "PASS" if e["passed"] else "FAIL"
-            print(f"{flag} {e['name']}: violation {e['violation']:.3e}")
-        print(f"verify: {'all pass' if all_pass else 'FAILURES PRESENT'}")
+    summary = "\n".join(
+        [f"{'PASS' if e['passed'] else 'FAIL'} {e['name']}: violation {e['violation']:.3e}"
+         for e in identities]
+        + [f"verify: {'all pass' if all_pass else 'FAILURES PRESENT'}"]
+    )
+    if run is not None:
+        run.json("verify_report.json", report)
+        run.close({}, summary, extra={"timings": timings})
+    elif not quiet:
+        print(summary)
     return report, all_pass
 
 

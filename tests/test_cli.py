@@ -1094,18 +1094,20 @@ def test_verify_report_deterministic_per_seed(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
         assert main(["verify", "--config", cfg, "--out", str(out), "--seed", "7", "--quiet"]) == 0
-    rep_a = json.loads((out_a / "verify_report.json").read_text())
-    rep_b = json.loads((out_b / "verify_report.json").read_text())
-    rep_a.pop("wall_time_s")
-    rep_b.pop("wall_time_s")
-    rep_a.pop("timings")
-    rep_b.pop("timings")
-    assert rep_a == rep_b
+    assert (out_a / "verify_report.json").read_bytes() == (out_b / "verify_report.json").read_bytes()
+    ma = json.loads((out_a / "manifest.json").read_text())
+    mb = json.loads((out_b / "manifest.json").read_text())
+    for key in ("wall_time_s", "timings"):
+        assert key in ma and key in mb
+        ma.pop(key)
+        mb.pop(key)
+    assert ma == mb
 
 
 def test_verify_report_times_each_check(tmp_path):
     cfg = _write(tmp_path, "cfg.json", _harmonic_cfg())
-    report, _ = run_verify(parse_config(cfg), seed=7, quiet=True)
+    run_verify(parse_config(cfg), seed=7, out_dir=tmp_path / "out", quiet=True)
+    report = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert set(report["timings"]) == {
         "dirac_structure",
         "verify_dirac_relations",

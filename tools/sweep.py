@@ -40,8 +40,10 @@ passes them, the columns of a `(rows, 6)` array) of OUTPUT_SERIES_ROWS rows,
 in CPU seconds, best of REPEATS in each fresh worker: with the float kernel
 forced on (`runs._KERNEL_CELLS = 0`) and forced off (infinite), or as the
 tree writes a table where it has no kernel; then `write_manifest` over the
-written files. The crossover is the least number of cells from which on the
-kernel took at most OUTPUT_MARGIN of the str path's time on every table;
+(bytes, sha256) that `write_csv` returned, or, on trees whose `write_csv`
+returns nothing, over the names of the written files, which it reads back.
+The crossover is the least number of cells from which on the kernel took at
+most OUTPUT_MARGIN of the str path's time on every table;
 `runs._KERNEL_CELLS` is set to it.
 
 Every layer measures the working tree ROUNDS times, each round in fresh
@@ -52,7 +54,8 @@ root.
 
 Each size runs in a fresh launcher process, which starts a fresh worker with
 one BLAS thread and waits for it. The worker times `schrofield.cli.main` and
-reads the report's `timings` (the seconds of each check) and the seconds of
+reads `timings`, the seconds of each check (from verify's manifest, or from
+its report on trees from before verify wrote a manifest), and the seconds of
 each level of the current-residual study. For `verify`, the launcher reads the worker's
 peak RSS from RUSAGE_CHILDREN: Linux carries the RSS high-water mark across
 fork and exec, so a worker started by the sweep itself would report at least
@@ -144,6 +147,10 @@ def work(src, cfg_path, out):
     code = cli.main(["verify", "--seed", str(SEED), "--config", cfg_path, "--out", out, "--quiet"])
     wall = time.perf_counter() - t0
     report = json.loads((Path(out) / "verify_report.json").read_text(encoding="utf-8"))
+    if "timings" not in report:
+        # trees that write verify's manifest carry the timings there
+        manifest = json.loads((Path(out) / "manifest.json").read_text(encoding="utf-8"))
+        report["timings"] = manifest["timings"]
     current = {e["name"]: e for e in report["identities"]}["current_residual_decays"]
     print(json.dumps({
         "exit_code": code,
@@ -291,17 +298,23 @@ def work_output(src):
     # A tree without the kernel writes every table as it does.
     kernel = hasattr(runs, "_KERNEL_CELLS")
     modes = {"kernel_s": 0, "str_s": float("inf")} if kernel else {"str_s": None}
-    results = {}
+    results, written = {}, {}
     with tempfile.TemporaryDirectory(prefix="output_") as out:
         out = Path(out)
+
+        def write(name, header, columns):
+            written[name] = runs.write_csv(out / name, header, columns)
+
         for name, (header, columns) in tables.items():
             results[name] = {"cells": len(columns[0]) * len(header)}
             for key, cells in modes.items():
                 if cells is not None:
                     runs._KERNEL_CELLS = cells
-                results[name][key] = _best_time(lambda: runs.write_csv(out / name, header, columns))
-        names = sorted(tables)
-        manifest_s = _best_time(lambda: runs.write_manifest(out, names, "sweep", CONFIG, 0.0, {}))
+                results[name][key] = _best_time(lambda: write(name, header, columns))
+        # Trees whose write_csv returns (bytes, sha256) take those in place of
+        # the names, whose files their write_manifest read back.
+        files = sorted(tables) if None in written.values() else written
+        manifest_s = _best_time(lambda: runs.write_manifest(out, files, "sweep", CONFIG, 0.0, {}))
     print(json.dumps({"cpu_s": results, "manifest_s": manifest_s, "kernel": kernel, "numpy": np.__version__}))
 
 
