@@ -25,7 +25,44 @@ def _add_common(parser):
     parser.add_argument("--quiet", action="store_true", help="suppress stdout summary")
 
 
-def build_parser():
+def _add_verify(parser):
+    parser.add_argument("--config", required=True)
+    parser.add_argument("--out", default=None, help="optional report directory")
+    parser.add_argument("--seed", type=int, default=0, help="seed for randomized batches")
+    parser.add_argument("--quiet", action="store_true")
+
+
+def _add_convergence(parser):
+    _add_common(parser)
+    parser.add_argument("--levels", type=int, default=3, help="refinement levels")
+
+
+def _add_render(parser):
+    parser.add_argument("--out", required=True, help="run directory holding snapshots")
+    parser.add_argument("--quiet", action="store_true")
+
+
+# Each subcommand, in the order the usage lists them, and what adds its arguments.
+_COMMANDS = {
+    "run-schrodinger": _add_common,
+    "run-field": _add_common,
+    "run-constrained": _add_common,
+    "dequantize": _add_common,
+    "spectrum": _add_common,
+    "verify": _add_verify,
+    "convergence": _add_convergence,
+    "render": _add_render,
+}
+
+
+def build_parser(command=None):
+    """The CLI's parser, with every subcommand's parser or, given its name, with that one's only.
+
+    A parser with one subcommand lists them all in its usage, as the full
+    one does, so it prints what the full one prints for that command's
+    arguments. The full parser names the subcommand argument `command` in
+    its errors, which the metavar would replace.
+    """
     parser = argparse.ArgumentParser(
         prog="schrofield",
         description=(
@@ -34,25 +71,18 @@ def build_parser():
             "unifies them."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run-schrodinger", "run-field", "run-constrained", "dequantize", "spectrum"):
-        _add_common(sub.add_parser(name))
-    verify = sub.add_parser("verify")
-    verify.add_argument("--config", required=True)
-    verify.add_argument("--out", default=None, help="optional report directory")
-    verify.add_argument("--seed", type=int, default=0, help="seed for randomized batches")
-    verify.add_argument("--quiet", action="store_true")
-    conv = sub.add_parser("convergence")
-    _add_common(conv)
-    conv.add_argument("--levels", type=int, default=3, help="refinement levels")
-    rend = sub.add_parser("render")
-    rend.add_argument("--out", required=True, help="run directory holding snapshots")
-    rend.add_argument("--quiet", action="store_true")
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        _COMMANDS[name](sub.add_parser(name))
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Only the named subcommand's parser is built; anything else, the full one.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     if getattr(args, "seed", 0) < 0:
         print("error: --seed must be non-negative", file=sys.stderr)
         return 2

@@ -11,8 +11,10 @@ nearest-neighbour coupling hbar^2 / (2 m dx^2), which is also the value of
 both corner entries on periodic grids. `apply` is an O(n) stencil product,
 and `CayleySolver` solves the Crank-Nicolson system I - i a K in O(n) from
 the same stencil, by cyclic reduction down to a dense tail of at most
-_DENSE_TAIL unknowns. Inertia comes from one O(n) count per shift, the
-negative pivots of the LDL^T factorization of K - x I (`_count_below`,
+_DENSE_TAIL unknowns. The solve is planned once (`_Plan`): a fixed list of
+numpy calls into buffers and views made at construction, so it allocates
+nothing. Inertia comes from one O(n) count per shift, the negative pivots
+of the LDL^T factorization of K - x I (`_count_below`,
 `_count_below_periodic`; Sturm sequences, Barth, Martin and Wilkinson 1967),
 and `_bisect` is the one scalar bisection on it. `spectral_radius` bisects
 both ends of the spectrum so, and `zero_mode_count` takes two counts.
@@ -37,6 +39,7 @@ Schrodinger problem are -kappa, so bound spectra sit at negative kappa.
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from operator import setitem
 
 import numpy as np
 
@@ -223,12 +226,13 @@ def apply(op, f):
     return stencil_product(op, f)
 
 
-def stencil_product(op, f, out=None):
+def stencil_product(op, f, out=None, scratch=None):
     """K f for a float array f of shape (..., n), unchecked, written into out if given.
 
-    out may be f itself. `apply` checks f first.
+    out may be f itself. coupling * f goes into scratch if given, an array of
+    f's shape other than out. `apply` checks f first.
     """
-    cf = op.coupling * f
+    cf = np.multiply(op.coupling, f, out=scratch)
     out = np.multiply(op.diagonal, f, out=out)
     out[..., 1:] += cf[..., :-1]
     out[..., :-1] += cf[..., 1:]
@@ -241,16 +245,76 @@ def stencil_product(op, f, out=None):
 
 # Cyclic reduction in `CayleySolver` stops once the reduced system has at most
 # this many unknowns, which one product with its precomputed inverse then
-# solves. A level costs about 10 us of numpy call overhead whatever its size,
-# a 32 x 32 complex product under 2 us. Measured at n = 800 on one core of a
-# shared 2-vCPU host, tails of 8, 16, 32, 64 and 128 took 67, 59, 55, 53 and
-# 52 us per solve: the tail saves the small levels, and past 32 the product
-# eats most of what one more level saves.
+# solves. A planned level is 11 numpy calls, 4 to 8 us at n = 200 to 3200, and
+# a 32 x 32 complex product under 2 us. Measured on the planned solve on one
+# core of a shared 2-core x86 host (best of 30 blocks of 500 solves), tails of
+# 8, 16, 32, 64 and 128 took 21, 17, 15, 14 and 18 us a solve at n = 200; 33,
+# 29, 29, 30 and 39 us at n = 800; and 61, 59, 56, 57 and 66 us at n = 3200.
+# From 16 to 64 the tail is not a lever.
 _DENSE_TAIL = 32
 
 
-class CayleySolver:
-    """Solves (I - i a K) x = r for a fixed real a; factored once, O(n) per solve.
+class _Plan:
+    """One cyclic solve x with T x = rhs along the first axis, T the tridiagonal that `levels` reduce.
+
+    `rhs` and `x` are buffers of the given shape, and `run` overwrites x with
+    the solution for rhs, leaving rhs as it was. The plan makes each level's
+    buffers and views once: the level's right-hand side rhs_k (rhs itself at
+    level 0), whose even rows plus the level's multipliers times its odd rows
+    make rhs_{k+1}, and its solution x_k, whose even rows are x_{k+1} and
+    whose odd rows the multipliers recover from rhs_k and x_{k+1}. One
+    scratch buffer takes every product. `calls` is then the whole solve as
+    (function, arguments) pairs: 5 a level down, `reduced(rhs_L, x_L)` for
+    the system left after the last level, and 6 a level back up. Each is a
+    numpy ufunc or `np.dot` with its output last, or a copy
+    `setitem(dst, ..., src)`, a third of the call cost of `np.copyto`. The
+    operations, their operand order and each operand's memory layout are
+    those of a level-by-level solve with a fresh array for every result
+    (`cayley_oracle` in the tests), so its bits are too: numpy's complex
+    multiply rounds through FMA, so operand order matters. Each level's
+    multipliers are columns for a matrix of right-hand sides. `inputs` are
+    the rhs_k, level 0 first.
+    """
+
+    def __init__(self, levels, shape, reduced):
+        trailing = (None,) * (len(shape) - 1)
+        self.rhs = r = np.empty(shape, dtype=complex)
+        self.x = x = np.empty(shape, dtype=complex)
+        self.inputs = [r]
+        scratch = np.empty((shape[0] // 2,) + shape[1:], dtype=complex)
+        down, up = [], []
+        for level in levels:
+            alpha, beta, inv, p, q = (m[(slice(None),) + trailing] for m in level)
+            r_odd, x_odd = r[1::2], x[1::2]
+            r_even = np.empty((len(r) - len(r_odd),) + shape[1:], dtype=complex)
+            x_even = np.empty_like(r_even)
+            na, nb, nq = len(alpha), len(beta), len(q)
+            down += [
+                (setitem, (r_even, ..., r[::2])),
+                (np.multiply, (alpha, r_odd[:na], scratch[:na])),
+                (np.add, (r_even[1:], scratch[:na], r_even[1:])),
+                (np.multiply, (beta, r_odd, scratch[:nb])),
+                (np.add, (r_even[:nb], scratch[:nb], r_even[:nb])),
+            ]
+            up[:0] = [
+                (setitem, (x[::2], ..., x_even)),
+                (np.multiply, (r_odd, inv, x_odd)),
+                (np.multiply, (p, x_even[: len(p)], scratch[: len(p)])),
+                (np.subtract, (x_odd, scratch[: len(p)], x_odd)),
+                (np.multiply, (q, x_even[1:], scratch[:nq])),
+                (np.subtract, (x_odd[:nq], scratch[:nq], x_odd[:nq])),
+            ]
+            r, x = r_even, x_even
+            self.inputs.append(r)
+        self.calls = down + reduced(r, x) + up
+
+    def run(self):
+        for f, args in self.calls:
+            f(*args)
+
+
+class CayleySolver(_Plan):
+    """Solves (I - i a K) x = r for a fixed real a; factored and planned once, O(n) per solve.
 
     Odd-even cyclic reduction down to a dense tail: each level eliminates the
     odd-numbered unknowns from the even-numbered equations and keeps its
@@ -264,6 +328,12 @@ class CayleySolver:
     keeps a positive definite Hermitian part, and Gaussian elimination in a
     symmetric ordering (cyclic reduction is one) is stable for such matrices
     (Higham, Accuracy and Stability of Numerical Algorithms, section 10.4).
+
+    The solve is a `_Plan`, made at construction: its buffers and every
+    view of them that a level reads or writes are made once, so `run` is a
+    fixed list of numpy calls into those buffers and allocates nothing.
+    `run` solves for the right-hand side in `rhs` into `x`; `solve` copies
+    its argument in and the answer out.
 
     On a periodic grid the corner entries s = -i a coupling are written as
     s w w^T minus s on the two end diagonals, with w = e_0 + e_{n-1}. The rest
@@ -284,35 +354,42 @@ class CayleySolver:
         upper = np.full(n, s)
         lower[0] = upper[-1] = 0.0
         system = diag, lower, upper
-        self._levels = []
+        levels = []
         while system[0].size > _DENSE_TAIL:
             level, system = _reduce(*system)
-            self._levels.append(level)
+            levels.append(level)
         size, tail = system[0].size, []
         while system[0].size > 1:
             level, system = _reduce(*system)
             tail.append(level)
         inv_last = 1.0 / system[0]
-        # Column j solves the tail system for e_j; the multipliers become
-        # columns so that they scale the rows of the identity.
-        tail = [tuple(m[:, None] for m in level) for level in tail]
-        self._tail_inverse = _cyclic_solve(tail, np.eye(size, dtype=complex), inv_last.__mul__)
-        self._correction = None
+        # Column j solves the tail system for e_j.
+        inverse = _Plan(tail, (size, size), lambda r, x: [(np.multiply, (inv_last, r, x))])
+        inverse.rhs[...] = np.eye(size)
+        inverse.run()
+        self._tail_inverse = inverse.x
+        super().__init__(levels, (n,), lambda r, x: [(np.dot, (self._tail_inverse, r, x))])
         if periodic:
-            sw = np.zeros(n, dtype=complex)
-            sw[[0, -1]] = s
-            z = self._solve_tridiagonal(sw)
-            self._correction = z / (1.0 + z[0] + z[-1])
-
-    def _solve_tridiagonal(self, r):
-        return _cyclic_solve(self._levels, r, self._tail_inverse.dot)
+            self.rhs[...] = 0.0
+            self.rhs[[0, -1]] = s
+            self.run()
+            z = self.x
+            correction = z / (1.0 + z[0] + z[-1])
+            # x -= correction (x[0] + x[-1]), through a preallocated row
+            ends, row = np.empty(1, dtype=complex), np.empty(n, dtype=complex)
+            self.calls += [
+                (np.add, (self.x[:1], self.x[-1:], ends)),
+                (np.multiply, (correction, ends, row)),
+                (np.subtract, (self.x, row, self.x)),
+            ]
 
     def solve(self, rhs):
-        """x with (I - i a K) x = rhs, for one field rhs of shape (n,)."""
-        x = self._solve_tridiagonal(np.asarray(rhs, dtype=complex))
-        if self._correction is not None:
-            x = x - self._correction * (x[0] + x[-1])
-        return x
+        """x with (I - i a K) x = rhs, for one field rhs of shape (n,); a fresh array."""
+        if np.shape(rhs) != self.rhs.shape:
+            raise ValueError(f"rhs has shape {np.shape(rhs)}, expected {self.rhs.shape}")
+        self.rhs[...] = rhs
+        self.run()
+        return self.x.copy()
 
 
 def _reduce(diag, lower, upper):
@@ -335,32 +412,6 @@ def _reduce(diag, lower, upper):
     inv = 1.0 / d_odd
     level = (alpha, beta, inv, l_odd * inv, u_odd[: n_even - 1] * inv[: n_even - 1])
     return level, (diag, lower, upper)
-
-
-def _cyclic_solve(levels, r, solve_reduced):
-    """x with T x = r, T the tridiagonal that `levels` reduce, along r's first axis.
-
-    `solve_reduced` solves the system left after the last level. Each level's
-    multipliers broadcast against r: 1-D for one right-hand side, columns for
-    a matrix of them.
-    """
-    odd_parts = []
-    for alpha, beta, _, _, _ in levels:
-        r_odd = r[1::2]
-        r_even = r[::2].copy()
-        r_even[1:] += alpha * r_odd[: len(alpha)]
-        r_even[: len(beta)] += beta * r_odd
-        odd_parts.append(r_odd)
-        r = r_even
-    x = solve_reduced(r)
-    for (_, _, inv, p, q), r_odd in zip(reversed(levels), reversed(odd_parts)):
-        out = np.empty((len(x) + len(p),) + x.shape[1:], dtype=complex)
-        out[::2] = x
-        x_odd = np.multiply(r_odd, inv, out=out[1::2])
-        x_odd -= p * x[: len(p)]
-        x_odd[: len(q)] -= q * x[1:]
-        x = out
-    return x
 
 
 def inner_product(f, g, grid):

@@ -75,7 +75,8 @@ class CrankNicolson:
 
     One step applies (I - i a K)^{-1} (I + i a K), a = dt / 2 hbar, to
     Psi = re + i im: one stacked stencil product forms the right-hand side and
-    a tridiagonal solve factored at construction inverts the left, both O(n).
+    a tridiagonal solve factored and planned at construction inverts the
+    left, both O(n).
     Unitary up to roundoff because K is symmetric, for any dt.
     """
 
@@ -87,22 +88,32 @@ class CrankNicolson:
         self.dt = dt
         self._a = 0.5 * dt / op.hbar
         self._solver = CayleySolver(op, self._a)
+        self._row = np.empty(op.n)
+        # (real, imaginary) views of the solver's right-hand side and solution
+        self._rhs = self._solver.rhs.real, self._solver.rhs.imag
+        self._x = self._solver.x.real, self._solver.x.imag
 
     def advance(self, y, ky, out):
-        """Write (re, im) one step on into out, shape (2, n), from y = (re, im) and ky = K y."""
-        rhs = np.empty(self.op.n, dtype=complex)
-        rhs.real = y[0] - self._a * ky[1]
-        rhs.imag = y[1] + self._a * ky[0]
-        z = self._solver.solve(rhs)
-        out[0] = z.real
-        out[1] = z.imag
+        """Write (re, im) one step on into out, shape (2, n), from y = (re, im) and ky = K y.
+
+        The right-hand side goes straight into the solver's `rhs`, through a
+        scratch row, and its `x` is split into out: a step allocates no arrays.
+        """
+        a, row, (rhs_re, rhs_im) = self._a, self._row, self._rhs
+        np.multiply(a, ky[1], out=row)
+        np.subtract(y[0], row, out=rhs_re)
+        np.multiply(a, ky[0], out=row)
+        np.add(y[1], row, out=rhs_im)
+        self._solver.run()
+        out[0], out[1] = self._x
 
     def steps(self, ys, ky):
         """The one CN loop: step ys[0], with ky = K ys[0], on into ys[1:]; return K ys[1:]."""
         kys = np.empty_like(ys[1:])
+        scratch = np.empty(ys.shape[1:])
         for j in range(1, len(ys)):
             self.advance(ys[j - 1], ky, ys[j])
-            ky = stencil_product(self.op, ys[j], kys[j - 1])
+            ky = stencil_product(self.op, ys[j], kys[j - 1], scratch=scratch)
         return kys
 
     def step(self, psi):

@@ -39,6 +39,100 @@ def dense_k(op):
     return k
 
 
+def _cyclic_solve(levels, r, solve_reduced):
+    """x with T x = r, T the tridiagonal that `levels` reduce, along r's first axis.
+
+    `solve_reduced` solves the system left after the last level. Each level's
+    multipliers broadcast against r: 1-D for one right-hand side, columns for
+    a matrix of them. Every operation allocates its result.
+    """
+    odd_parts = []
+    for alpha, beta, _, _, _ in levels:
+        r_odd = r[1::2]
+        r_even = r[::2].copy()
+        r_even[1:] += alpha * r_odd[: len(alpha)]
+        r_even[: len(beta)] += beta * r_odd
+        odd_parts.append(r_odd)
+        r = r_even
+    x = solve_reduced(r)
+    for (_, _, inv, p, q), r_odd in zip(reversed(levels), reversed(odd_parts)):
+        out = np.empty((len(x) + len(p),) + x.shape[1:], dtype=complex)
+        out[::2] = x
+        x_odd = np.multiply(r_odd, inv, out=out[1::2])
+        x_odd -= p * x[: len(p)]
+        x_odd[: len(q)] -= q * x[1:]
+        x = out
+    return x
+
+
+def cayley_oracle(op, a):
+    """Oracle: rhs -> x with (I - i a K) x = rhs, what `lattice.CayleySolver(op, a).solve` must return bit for bit.
+
+    The same cyclic reduction (`lattice._reduce`) down to the same dense
+    tail, its inverse from identity columns, and on a periodic grid the same
+    Sherman-Morrison correction, each solve written out level by level
+    (`_cyclic_solve`) with a fresh array for every intermediate result.
+    """
+    n = op.n
+    a = float(a)
+    s = -1j * a * op.coupling
+    diag = 1.0 - 1j * a * op.diagonal
+    periodic = op.grid.boundary == lattice.PERIODIC
+    if periodic:
+        diag[[0, -1]] -= s
+    lower = np.full(n, s)
+    upper = np.full(n, s)
+    lower[0] = upper[-1] = 0.0
+    system = diag, lower, upper
+    levels = []
+    while system[0].size > lattice._DENSE_TAIL:
+        level, system = lattice._reduce(*system)
+        levels.append(level)
+    size, tail = system[0].size, []
+    while system[0].size > 1:
+        level, system = lattice._reduce(*system)
+        tail.append(level)
+    inv_last = 1.0 / system[0]
+    tail = [tuple(m[:, None] for m in level) for level in tail]
+    tail_inverse = _cyclic_solve(tail, np.eye(size, dtype=complex), inv_last.__mul__)
+    correction = None
+    if periodic:
+        sw = np.zeros(n, dtype=complex)
+        sw[[0, -1]] = s
+        z = _cyclic_solve(levels, sw, tail_inverse.dot)
+        correction = z / (1.0 + z[0] + z[-1])
+
+    def solve(rhs):
+        x = _cyclic_solve(levels, np.asarray(rhs, dtype=complex), tail_inverse.dot)
+        if correction is not None:
+            x = x - correction * (x[0] + x[-1])
+        return x
+
+    return solve
+
+
+def crank_nicolson_oracle(op, dt, psi, nsteps):
+    """Oracle: nsteps Crank-Nicolson steps from psi = (re, im), shape (nsteps + 1, 2, n).
+
+    Each step forms (I + i a K) Psi from a fresh stencil product and solves by
+    `cayley_oracle`, every intermediate a fresh array: what
+    `CrankNicolson.steps` must write bit for bit.
+    """
+    a = 0.5 * float(dt) / op.hbar
+    solve = cayley_oracle(op, a)
+    ys = np.empty((nsteps + 1, 2, op.n))
+    ys[0] = psi
+    for j in range(1, nsteps + 1):
+        y = ys[j - 1]
+        ky = lattice.stencil_product(op, y)
+        rhs = np.empty(op.n, dtype=complex)
+        rhs.real = y[0] - a * ky[1]
+        rhs.imag = y[1] + a * ky[0]
+        z = solve(rhs)
+        ys[j] = z.real, z.imag
+    return ys
+
+
 def count_calls(monkeypatch, module, name):
     """Count calls of module.name made through any schrofield module's binding of it."""
     original = getattr(module, name)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from schrofield import cli
 from schrofield import config as config_module
 from schrofield import brackets, lattice, runs
 from schrofield import schrodinger as sd
@@ -1135,3 +1136,73 @@ def test_module_entry_point(tmp_path):
         capture_output=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# Arguments each subcommand parses, with and without its required --config
+# (--out for render, which takes no config).
+_VALID_ARGS = {
+    "run-schrodinger": ["--config", "c.json", "--out", "o"],
+    "run-field": ["--config", "c.json", "--out", "o", "--quiet"],
+    "run-constrained": ["--out", "o", "--config", "c.json"],
+    "dequantize": ["--config", "c.json", "--out", "o"],
+    "spectrum": ["--config", "c.json", "--out", "o"],
+    "verify": ["--config", "c.json", "--seed", "3"],
+    "convergence": ["--config", "c.json", "--out", "o", "--levels", "2"],
+    "render": ["--out", "o", "--quiet"],
+}
+
+
+def _without_required(command):
+    args = _VALID_ARGS[command]
+    i = args.index("--out" if command == "render" else "--config")
+    return args[:i] + args[i + 2 :]
+
+
+def _parsed(parser, argv, capsys):
+    """(exit code, stdout, stderr, parsed arguments) of parser.parse_args(argv)."""
+    try:
+        code, parsed = None, vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        code, parsed = exc.code, None
+    return (code, *capsys.readouterr(), parsed)
+
+
+# Each variant's arguments after the command, and the exit code it parses to
+# (None for a parse that returns).
+_VARIANTS = {
+    "valid": (_VALID_ARGS.get, None),
+    "help": (lambda command: ["-h"], 0),
+    "missing-required": (_without_required, 2),
+    "bogus": (lambda command: _VALID_ARGS[command] + ["--bogus"], 2),
+}
+
+
+@pytest.mark.parametrize("command", list(_VALID_ARGS))
+@pytest.mark.parametrize("variant", list(_VARIANTS))
+def test_one_command_parser_prints_what_the_full_parser_prints(command, variant, capsys):
+    assert set(_VALID_ARGS) == set(cli._COMMANDS)
+    args, code = _VARIANTS[variant]
+    argv = [command, *args(command)]
+    lazy = _parsed(cli.build_parser(command), argv, capsys)
+    assert lazy == _parsed(cli.build_parser(), argv, capsys)
+    assert lazy[0] == code
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [(["render", "-h"], "render"), (["verify", "--bogus"], "verify"), (["-h"], None),
+     (["bogus"], None), ([], None), (["--quiet", "render"], None)],
+)
+def test_main_builds_only_the_named_command_parser(monkeypatch, capsys, argv, built):
+    calls = []
+    build = cli.build_parser
+
+    def recorded(command=None):
+        calls.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert calls == [built]
+    capsys.readouterr()

@@ -89,12 +89,13 @@ def _check_cayley_solve(op, a, z):
     bound = 64 * op.n * EPS * norm_a * np.linalg.norm(want)
     assert np.linalg.norm(got - want) <= bound
     # The reduction halves the system (rounding up) level by level and stops
-    # at the first size within the dense tail.
+    # at the first size within the dense tail. The plan holds each level's
+    # right-hand side, level 0 first.
     size = op.n
-    for _ in solver._levels:
-        assert size > _DENSE_TAIL
+    for r in solver.inputs[:-1]:
+        assert len(r) == size > _DENSE_TAIL
         size = (size + 1) // 2
-    assert size <= _DENSE_TAIL
+    assert len(solver.inputs[-1]) == size <= _DENSE_TAIL
     assert solver._tail_inverse.shape == (size, size)
 
 

@@ -1,7 +1,7 @@
-"""Scale sweep of one layer: `verify`, the eigensolver, the RK4 or leapfrog step, or output.
+"""Scale sweep of one layer: `verify`, the eigensolver, the RK4, leapfrog or CN step, or output.
 
 Usage: python3 tools/sweep.py --label <name> [--rev <rev>]
-           [--layer verify|eigenpairs|rk4|leapfrog|output]
+           [--layer verify|eigenpairs|rk4|leapfrog|cn|output]
 
 The `verify` layer (the default) runs `verify --seed 7` on the CI verify
 config (a Dirichlet harmonic grid on [-20, 20], gaussian state, `spectral`,
@@ -32,6 +32,15 @@ seconds per step, best of REPEATS in each fresh worker: `Leapfrog.steps`
 over a block of LEAPFROG_STEPS steps, as the run loop calls it, and as many
 `step_leapfrog` calls one after the other, each of which builds its
 `Leapfrog` and state.
+
+The `cn` layer times the Crank-Nicolson step on the `verify` layer's grid
+and potential, with each closure, at n = SIZES and the benchmark's wave-cn
+dt, in CPU seconds, best of REPEATS in each fresh worker: one
+`CayleySolver.solve` (best of blocks of CN_SOLVES), one step of
+`CrankNicolson.steps` over a block of CN_STEPS steps, and one stencil
+product of a (2, n) state into a row of a block, with the scratch row that
+`steps` passes where the tree's `stencil_product` takes one (best of blocks
+of CN_SOLVES).
 
 The `output` layer times `runs.write_csv` on a six-column snapshot (x, re,
 im, P, S, E of the `verify` layer's gaussian state on its grid) at n =
@@ -89,6 +98,12 @@ RK4_SIZES = (200, 400, 800, 1200, 1600, 2000, 2400, 3200)
 RK4_STEPS = 200
 LEAPFROG_SIZES = EIGENPAIRS_SIZES
 LEAPFROG_STEPS = 64
+# Calls timed together, so that one call is well above the clock's resolution.
+CN_SOLVES = 200
+CN_STEPS = 64
+# The benchmark's wave-cn workload steps at this dt.
+CN_DT = 2e-3
+CN_BOUNDARIES = ("dirichlet", "periodic")
 OUTPUT_SIZES = (50, 100, 200, 400, 800, 3200, 20000)
 # The series of a run writes one row per step: two rows is the shortest run,
 # 6001 the benchmark's constrained-rk4 workload.
@@ -274,6 +289,46 @@ def work_leapfrog(src):
     print(json.dumps({"cpu_s": results, "numpy": np.__version__}))
 
 
+def work_cn(src):
+    """Time the Crank-Nicolson solve, step and product in this process; print one JSON line of CPU seconds."""
+    sys.path.insert(0, src)
+    import inspect
+
+    import numpy as np
+
+    from schrofield import lattice
+    from schrofield import schrodinger as sd
+    from schrofield.presets import potential_from_spec
+
+    scratch = "scratch" in inspect.signature(lattice.stencil_product).parameters
+    results = {}
+    for boundary in CN_BOUNDARIES:
+        for n in SIZES:
+            grid = lattice.build_grid(n, CONFIG["grid"]["x_min"], CONFIG["grid"]["x_max"], boundary)
+            op = lattice.build_operator(grid, potential_from_spec(grid, CONFIG["potential"]))
+            stepper = sd.CrankNicolson(op, CN_DT)
+            ys = np.empty((CN_STEPS + 1, 2, n))
+            ys[0] = np.random.default_rng(SEED).standard_normal((2, n))
+            ky = lattice.stencil_product(op, ys[0])
+            rhs = ys[0, 0] + 1j * ys[0, 1]
+            extra = {"scratch": np.empty((2, n))} if scratch else {}
+
+            def solves():
+                for _ in range(CN_SOLVES):
+                    stepper._solver.solve(rhs)
+
+            def products():
+                for _ in range(CN_SOLVES):
+                    lattice.stencil_product(op, ys[0], ys[1], **extra)
+
+            results[f"{boundary} {n}"] = {
+                "solve_s": _best_time(solves) / CN_SOLVES,
+                "step_s": _best_time(lambda: stepper.steps(ys, ky)) / CN_STEPS,
+                "product_s": _best_time(products) / CN_SOLVES,
+            }
+    print(json.dumps({"cpu_s": results, "numpy": np.__version__}))
+
+
 def work_output(src):
     """Time `write_csv` and `write_manifest` in this process; print one JSON line of CPU seconds."""
     sys.path.insert(0, src)
@@ -433,11 +488,13 @@ def main(argv):
         return work_rk4(*argv[1:])
     if argv[:1] == ["--work-leapfrog"]:
         return work_leapfrog(*argv[1:])
+    if argv[:1] == ["--work-cn"]:
+        return work_cn(*argv[1:])
     if argv[:1] == ["--work-output"]:
         return work_output(*argv[1:])
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
-    layers = ("verify", "eigenpairs", "rk4", "leapfrog", "output")
+    layers = ("verify", "eigenpairs", "rk4", "leapfrog", "cn", "output")
     parser.add_argument("--layer", choices=layers, default="verify")
     parser.add_argument("--rev", default=None)
     args = parser.parse_args(argv)
@@ -487,6 +544,22 @@ def main(argv):
                 ),
                 config={key: CONFIG[key] for key in ("grid", "potential")},
                 clock=f"CPU seconds per step, best of {REPEATS} blocks per worker",
+                sources={name: {"rounds": runs, "best_cpu_s": _best(runs)} for name, runs in rounds.items()},
+            )
+        elif args.layer == "cn":
+            rounds = _alternate(sources, lambda src: measure_worker("--work-cn", src))
+            bench.update(
+                command=(
+                    f"CayleySolver.solve, a step of CrankNicolson.steps over a {CN_STEPS}-step "
+                    "block, and a (2, n) stencil product, on both closures"
+                ),
+                config={
+                    "grid": {key: CONFIG["grid"][key] for key in ("x_min", "x_max")},
+                    "boundaries": list(CN_BOUNDARIES),
+                    "potential": CONFIG["potential"],
+                    "dt": CN_DT,
+                },
+                clock=f"CPU seconds per call, best of {REPEATS} per worker",
                 sources={name: {"rounds": runs, "best_cpu_s": _best(runs)} for name, runs in rounds.items()},
             )
         elif args.layer == "output":
